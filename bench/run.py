@@ -4,9 +4,10 @@
     python3 bench/run.py                     # every workload, one table
 
 For one workload, the inputs are generated from ``--seed`` before timing
-starts.  Each pass then runs the whole workload in a fresh worker process
-(cold imports, cold kernel caches) until ``--seconds`` is used up; every
-output of every pass is checked against ``bench/reference``.  With
+starts.  Then a set-up probe (import plus calibration loops) and a pass
+(the whole workload) alternate, each in a fresh worker process (cold
+imports, cold kernel caches) on one CPU, until ``--seconds`` is used up;
+every output of every pass is checked against ``bench/reference``.  With
 ``--trace 0`` the end-to-end metrics are measured; with ``--trace 1``
 untraced and traced passes alternate and the per-layer metrics come from
 the traced ones.  The last line of standard output is one JSON object with
@@ -41,9 +42,19 @@ from workloads import WORKLOADS, generate  # noqa: E402
 
 BLAS_THREADS = 1
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-PROBES_PER_PASS = 2
 MIN_PASSES = 3
 CHILD_TIMEOUT_S = 150.0
+# setup_s is each process's import time rescaled to a machine on which the
+# compute loop right after it takes this long (about its median on the
+# machine the baseline was measured on).
+SETUP_REF_S = 0.25
+# A workload's calibration time is (1 - m) * mean compute_s + m * mean
+# memory_s over the processes of a run, with m = MEMORY_SHARE[workload].
+# Under contention from other tenants, cache-resident work slows down by up
+# to 1.5x and work on large arrays by about 1.1x; m matches each workload's
+# mix, so that its wall time and its calibration slow down alike.
+MEMORY_SHARE = {"certify-grid": 0.8, "certify-chain": 0.8, "bound-chain": 0.0,
+                "protocol": 0.33}
 
 
 @functools.lru_cache(maxsize=None)
@@ -97,19 +108,18 @@ def _failures(result: dict, ops: list[dict], reference: dict) -> list[str]:
 
 
 def _run_passes(workdir: Path, seconds: float, trace: bool):
-    """Setup probes and passes until ``seconds`` is used up (at least MIN_PASSES)."""
+    """A probe, then a pass, until ``seconds`` is used up (at least MIN_PASSES)."""
     deadline = time.perf_counter() + seconds
     run_child(workdir, "warmup", ["--setup-only"])
     probes: list[dict] = []
     passes: list[tuple[bool, dict]] = []
     while True:
         if len(passes) >= MIN_PASSES - (1 if trace else 0):
-            step = statistics.median(r["elapsed_s"] for r in probes) * PROBES_PER_PASS
-            step += statistics.median(r["elapsed_s"] for _, r in passes)
+            step = (statistics.median(r["elapsed_s"] for r in probes)
+                    + statistics.median(r["elapsed_s"] for _, r in passes))
             if time.perf_counter() + step > deadline:
                 return probes, passes
-        probes += [run_child(workdir, f"probe{len(probes)}", ["--setup-only"])
-                   for _ in range(PROBES_PER_PASS)]
+        probes.append(run_child(workdir, f"probe{len(probes)}", ["--setup-only"]))
         traced = trace and len(passes) % 2 == 1
         flags = ["--trace"] if traced else []
         passes.append((traced, run_child(workdir, f"pass{len(passes)}", flags)))
@@ -131,29 +141,41 @@ def measure(workload: str, seed: int, seconds: float, trace: bool) -> dict:
                  if r["returncode"] != 0]
     plain = [r for t, r in passes if not t and "wall_s" in r]
     spanned = [r for t, r in passes if t and "wall_s" in r]
-    setups = [r["setup_s"] for r in probes + [r for _, r in passes] if "setup_s" in r]
+    processes = [r for r in probes + [r for _, r in passes] if "compute_s" in r]
+    memory = [r["memory_s"] for r in probes if "memory_s" in r]
     summary = {
         "workload": workload, "seed": seed, "ops": len(ops),
-        "attempted": len(ops) * len(passes), "failed": len(problems),
+        "attempted": len(ops) * len(passes) + len(probes), "failed": len(problems),
         "problems": problems,
-        "samples": {"setup_s": len(setups), "wall_s": len(plain),
+        "samples": {"setup_s": len(processes), "setup_wall_s": len(processes),
+                    "wall_s": len(plain), "calibration_s": len(processes),
                     "wall_norm": len(plain), "peak_rss_mb": len(plain),
                     "traced": len(spanned)},
         "wall_samples": [r["wall_s"] for r in plain],
         "end_to_end": {},
         "per_layer": {},
     }
-    if plain and setups:
+    if plain and memory:
+        share = MEMORY_SHARE[workload]
+        calibration = ((1.0 - share) * statistics.fmean(r["compute_s"] for r in processes)
+                       + share * statistics.fmean(memory))
         summary["end_to_end"] = {
-            "setup_s": statistics.median(setups),
+            "setup_s": SETUP_REF_S * statistics.median(
+                r["setup_s"] / r["compute_s"] for r in processes),
+            "setup_wall_s": statistics.median(r["setup_s"] for r in processes),
             "wall_s": statistics.median(r["wall_s"] for r in plain),
-            "wall_norm": statistics.median(r["wall_s"] / r["calibration_s"] for r in plain),
+            "calibration_s": calibration,
+            "wall_norm": statistics.median(r["wall_s"] for r in plain) / calibration,
             "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in plain),
         }
     if spanned and plain:
         layers = combine([layer_metrics(r["spans"], r["wall_s"]) for r in spanned])
-        layers["trace.overhead_s"] = (statistics.median(r["wall_s"] for r in spanned)
-                                      - summary["end_to_end"]["wall_s"])
+        # Passes alternate untraced, traced; each traced pass is compared
+        # with the untraced one just before it.
+        pairs = [(a, b) for (ta, a), (tb, b) in zip(passes, passes[1:])
+                 if not ta and tb and "wall_s" in a and "wall_s" in b]
+        layers["trace.overhead_s"] = statistics.median(
+            b["wall_s"] - a["wall_s"] for a, b in pairs)
         summary["per_layer"] = layers
     return summary
 
@@ -169,13 +191,14 @@ def _print_summary(s: dict, trace: bool) -> None:
     w = s["workload"]
     for problem in s["problems"][:10]:
         print(f"FAIL {w}: {problem}", file=sys.stderr)
-    units = {"wall_s": "s", **{m["name"]: m["unit"] for m in spec()["end_to_end"]}}
+    units = {"wall_s": "s", "setup_wall_s": "s", "calibration_s": "s",
+             **{m["name"]: m["unit"] for m in spec()["end_to_end"]}}
     for name, value in s["end_to_end"].items():
         print(f"{w:14s} {name:14s} {value:12.6f} {units[name]:5s} "
-              f"median of {s['samples'][name]}")
+              f"from {s['samples'][name]} processes")
     share = s["failed"] / s["attempted"] if s["attempted"] else 1.0
     print(f"{w:14s} {'fail_share':14s} {share:12.6f} {'1':5s} "
-          f"{s['failed']} of {s['attempted']} ops failed")
+          f"{s['failed']} of {s['attempted']} ops and setup probes failed")
     print(f"{w:14s} {'ops':14s} {s['ops']:12d} {'count':5s} per pass")
     print(f"{w:14s} wall_s samples: " + " ".join(f"{v:.3f}" for v in s["wall_samples"]))
     if trace:
@@ -208,9 +231,13 @@ def main(argv: list[str] | None = None) -> int:
     if not (SRC / "lgqfi" / "__init__.py").is_file():
         print(f"error: no lgqfi sources under {SRC}", file=sys.stderr)
         return 2
+    print(f"# lgqfi bench {_meta(args.seed)} trace={args.trace}")
+    if hasattr(os, "sched_setaffinity"):
+        # Every worker runs on the same CPU, so that the probes and the
+        # passes see the same core.
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     trace = bool(args.trace)
     names = [args.workload] if args.workload else list(WORKLOADS)
-    print(f"# lgqfi bench {_meta(args.seed)} trace={args.trace}")
     summaries = []
     for name in names:
         summary = measure(name, args.seed, args.seconds, trace)

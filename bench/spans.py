@@ -209,6 +209,7 @@ def layer_metrics(spans: list[list], wall_s: float) -> dict[str, float]:
         "protocols.self_s": self_by_layer["protocols"],
         "cli.self_s": self_by_layer["cli"],
         "unattributed_s": wall_s - sum(self_by_layer.values()) - tracer_s,
+        "trace.tracer_s": tracer_s,
     }
 
 

@@ -15,6 +15,7 @@ sys.path.insert(0, str(BENCH))
 import check  # noqa: E402
 import run  # noqa: E402
 import spans  # noqa: E402
+import worker  # noqa: E402
 import workloads  # noqa: E402
 from reference import load_reference  # noqa: E402
 
@@ -103,6 +104,7 @@ def test_layer_metrics_on_a_synthetic_pass():
     assert m["kernels.distinct_ratio"] == pytest.approx(0.5)
     assert m["response.spectrum_per_instance"] == pytest.approx(2.0)
     assert m["unattributed_s"] == pytest.approx(11.0 - 10.0)
+    assert m["trace.tracer_s"] == pytest.approx(0.5)
 
 
 def test_recorder_spans_nest_and_keep_results():
@@ -173,3 +175,16 @@ def test_checker_flags_a_changed_family_and_a_nonzero_exit():
 def test_failed_worker_fails_every_op():
     ops = [{"key": "a"}, {"key": "b"}]
     assert len(run._failures({"returncode": 1}, ops, {})) == 2
+
+
+def test_cli_op_does_not_read_an_output_left_by_an_earlier_pass(tmp_path):
+    class SilentCli:
+        @staticmethod
+        def main(argv):
+            return 0
+
+    stale = tmp_path / "tfim8.out"
+    stale.write_text("output of an earlier pass\n", encoding="utf-8")
+    op = {"key": "v0/tfim8", "kind": "cli", "argv": [], "out": str(stale)}
+    with pytest.raises(FileNotFoundError):
+        worker._run_cli(type("lgqfi", (), {"cli": SilentCli}), op)

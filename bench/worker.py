@@ -1,13 +1,15 @@
-"""One benchmark pass in a fresh process.
+"""One benchmark pass, or one set-up probe, in a fresh process.
 
 Usage: ``python3 bench/worker.py SRC OPS RESULT [--trace] [--setup-only]``
 
-Times a cold ``import lgqfi`` (plus ``lgqfi.cli``), loads the generated
-inputs, then runs every operation of ``OPS`` in order and writes the wall
-time, the outputs and, with ``--trace``, the recorded spans to ``RESULT``.
-A failing operation is recorded and the pass goes on.  A fixed calibration
-loop that uses NumPy but not lgqfi runs just before and just after the
-timed section; its time measures how fast the machine is during the pass.
+Times a cold ``import lgqfi`` (plus ``lgqfi.cli``) and, right after it, a
+calibration loop that uses NumPy but not lgqfi and stays in cache; it
+measures how fast the machine is at that moment.  A pass then loads the
+generated inputs, runs every operation of ``OPS`` in order and writes the
+wall time, the outputs and, with ``--trace``, the recorded spans to
+``RESULT``.  A failing operation is recorded and the pass goes on.  A probe
+(``--setup-only``) instead times a second calibration loop, on arrays of
+tens of MB, which would raise a pass's peak RSS.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ def _import_lgqfi(src: Path):
 
 
 def _run_cli(lgqfi, op: dict) -> dict:
+    if op["out"] is not None:
+        # A file left by an earlier pass must not stand in for a missing one.
+        Path(op["out"]).unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = lgqfi.cli.main(op["argv"])
@@ -71,12 +76,8 @@ def _run_bound(lgqfi, instance: tuple) -> dict:
     return {"exit": 0, "outputs": {"report": report}}
 
 
-def _calibrate(np) -> float:
-    """Seconds for a fixed mix of interpreted, vectorised and LAPACK work.
-
-    The arrays stay below 1 MB so that the loop does not set the pass's
-    peak RSS.
-    """
+def _calibrate_compute(np) -> float:
+    """Seconds for interpreted, vectorised and LAPACK work that stays in cache."""
     start = time.perf_counter()
     total = 0.0
     for i in range(600_000):
@@ -91,12 +92,27 @@ def _calibrate(np) -> float:
     return time.perf_counter() - start
 
 
+def _calibrate_memory(np) -> float:
+    """Seconds for array work on tens of MB: it waits on memory more than on the core."""
+    start = time.perf_counter()
+    z = np.exp(1j * np.linspace(0.0, 50.0, 1_000_000))
+    for _ in range(6):
+        np.abs(z * z.conj() + 0.5 * z)
+    k = np.arange(1.0, 513.0)
+    a = np.sin(np.outer(k, k)) + 1j * np.cos(np.outer(k, k + 1.0))
+    np.linalg.eigh(a + a.conj().T)
+    return time.perf_counter() - start
+
+
 def main(argv: list[str]) -> int:
     src, ops_path, result_path = (Path(a) for a in argv[:3])
     lgqfi, setup_s = _import_lgqfi(src)
-    result: dict = {"setup_s": setup_s}
-    if "--setup-only" not in argv:
-        import numpy as np
+    import numpy as np
+    # Right after the import, the machine is as fast as it was during it.
+    result: dict = {"setup_s": setup_s, "compute_s": _calibrate_compute(np)}
+    if "--setup-only" in argv:
+        result["memory_s"] = _calibrate_memory(np)
+    else:
         ops = json.loads(ops_path.read_text(encoding="utf-8"))
         instances = _load_bound(np, ops)
         recorder = None
@@ -105,8 +121,6 @@ def main(argv: list[str]) -> int:
             recorder = Recorder()
             recorder.install()
         results = {}
-        _calibrate(np)  # the first call pays one-time LAPACK and ufunc set-up
-        calibration = _calibrate(np)
         start = time.perf_counter()
         for op in ops:
             try:
@@ -118,7 +132,6 @@ def main(argv: list[str]) -> int:
                 results[op["key"]] = {"exit": None, "error": f"{type(exc).__name__}: {exc}",
                                       "traceback": traceback.format_exc()}
         result["wall_s"] = time.perf_counter() - start
-        result["calibration_s"] = 0.5 * (calibration + _calibrate(np))
         result["results"] = results
         if recorder is not None:
             result["spans"] = recorder.spans

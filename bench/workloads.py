@@ -208,8 +208,7 @@ def _bound_ops(indices: list[int], workdir: Path) -> list[dict]:
     instances = [bound_instance(i) for i in indices]
     path = workdir / "instances.json"
     _write_json(path, instances)
-    return [{"key": inst["key"], "kind": "bound", "input": str(path), "position": pos}
-            for pos, inst in enumerate(instances)]
+    return [{"key": inst["key"], "kind": "bound", "input": str(path)} for inst in instances]
 
 
 # ---------------------------------------------------------------------------
