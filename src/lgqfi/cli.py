@@ -19,7 +19,10 @@ Subcommands
 Conventions
 -----------
 Grids are CSV by default (JSON via ``--format json``); single reports are
-JSON.  Every CSV starts with a metadata comment ``# lgqfi <version>
+JSON.  ``certify`` and ``ghz`` also produce a summary document (``best`` and
+``summary``): JSON output carries it next to the rows, and when a CSV grid
+goes to a file the summary is printed to stdout as its own JSON document.
+Every CSV starts with a metadata comment ``# lgqfi <version>
 seed=<seed> config=<hash12>`` followed by a header row; numbers are printed
 with 17 significant digits so outputs are byte-stable for fixed inputs.
 Exit codes: 0 success, 1 user or configuration error, 2 internal invariant
@@ -33,7 +36,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -73,16 +75,8 @@ def _fmt(value: object) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return format(value, ".17g")
-    return str(value)
+    value = _jsonable(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _jsonable(value: object) -> object:
@@ -142,22 +136,32 @@ def _emit(text: str, out: str | None) -> None:
             raise ConfigError(f"cannot write output file {out!r}: {exc}") from exc
 
 
-def _emit_grid(args: argparse.Namespace, *, seed: int, config_hash: str,
+def _seed(args: argparse.Namespace, default: int = 0) -> int:
+    """--seed when given, else the command's own seed (0 unless a config sets one)."""
+    return default if args.seed is None else args.seed
+
+
+def _emit_grid(args: argparse.Namespace, *, config_hash: str,
                header: Sequence[str], rows: Sequence[Sequence[object]],
-               extra_json: Mapping[str, object] | None = None,
+               summary: Mapping[str, object] | None = None, seed: int = 0,
                out: str | None = None, fmt: str | None = None) -> None:
-    """Write one grid as CSV (default) or JSON, honoring --out/--format."""
+    """Write one grid as CSV (default) or JSON, honoring --out/--format/--seed.
+
+    ``summary`` holds the command's summary document (one top-level key).
+    JSON output carries it next to the rows; with a CSV grid written to a
+    file it goes to stdout as its own JSON document.  ``seed``, ``out`` and
+    ``fmt`` are the command's own values, which the flags override.
+    """
+    seed = _seed(args, seed)
     out = args.out if args.out is not None else out
     fmt = args.format or fmt or "csv"
     meta_fields = {"version": __version__, "seed": seed, "config": config_hash}
     if fmt == "csv":
         _emit(_csv_document(_meta_line(seed, config_hash), header, rows), out)
+        if summary and out not in (None, "-"):
+            _emit(_json_document(meta_fields, summary), None)
     else:
-        body: dict[str, object] = {
-            "rows": [dict(zip(header, row)) for row in rows]
-        }
-        if extra_json:
-            body.update(extra_json)
+        body = {"rows": [dict(zip(header, row)) for row in rows], **(summary or {})}
         _emit(_json_document(meta_fields, body), out)
 
 
@@ -381,22 +385,29 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(_ConfigReader(args.config))
 
 
-def _instantiate(cfg: RunConfig):
-    """Build (H, Q, eigensystem, state, spectral data) from a config."""
+def _instantiate(spec: ModelSpec, *, beta: float | None = None,
+                 index: int | None = None, config_path: str | None = None):
+    """Build (H, Q, eigensystem, state, spectral data) for one model spec.
+
+    The state is thermal at ``beta`` or pure on level ``index``.  Model and
+    state errors become ``ConfigError``: prefixed with ``config_path`` for
+    config runs, with the builder's message alone for preset commands.
+    """
+    def fail(what: str, exc: ValueError) -> ConfigError:
+        if config_path is None:
+            return ConfigError(str(exc))
+        return ConfigError(f"{config_path}: invalid {what}: {exc}")
+
     try:
-        h_op, q_op = build_model(cfg.model_spec)
+        h_op, q_op = build_model(spec)
     except ValueError as exc:
-        raise ConfigError(f"{cfg.reader.path}: invalid model: {exc}") from exc
+        raise fail("model", exc) from exc
     eig = hermitian_eig(h_op)
     try:
-        if cfg.beta is not None:
-            state = make_state(eig, beta=cfg.beta)
-        else:
-            state = make_state(eig, index=cfg.index)
+        state = make_state(eig, beta=beta, index=index)
     except ValueError as exc:
-        raise ConfigError(f"{cfg.reader.path}: invalid state: {exc}") from exc
-    sd = spectral_data(eig, q_op, state)
-    return h_op, q_op, eig, state, sd
+        raise fail("state", exc) from exc
+    return h_op, q_op, eig, state, spectral_data(eig, q_op, state)
 
 
 def _density_matrix(eig: Eigensystem, state: StationaryState) -> np.ndarray:
@@ -413,7 +424,6 @@ def _cmd_gamma_table(args: argparse.Namespace) -> int:
         raise ConfigError(f"need 0 < y_min < y_max, got y_min={y_min}, y_max={y_max}")
     if points < 2:
         raise ConfigError(f"--points must be at least 2, got {points}")
-    seed = args.seed if args.seed is not None else 0
     config_hash = _hash_params({"command": "gamma-table", "y_min": y_min,
                                 "y_max": y_max, "points": points})
     header = ["y", "gamma", "closed_form", "branch", "y_c"]
@@ -423,7 +433,7 @@ def _cmd_gamma_table(args: argparse.Namespace) -> int:
         result = gamma(y)
         branch = "closed" if y >= Y_CRIT else "numeric"
         rows.append([y, result.value, y * y / 4.0, branch, Y_CRIT])
-    _emit_grid(args, seed=seed, config_hash=config_hash, header=header, rows=rows)
+    _emit_grid(args, config_hash=config_hash, header=header, rows=rows)
     return 0
 
 
@@ -470,18 +480,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     if not cfg.tau_grid:
         raise ConfigError(f"{cfg.reader.path}: 'certify' requires a 'tau_grid'")
-    _, _, _, _, sd = _instantiate(cfg)
-    seed = args.seed if args.seed is not None else 0
-
-    def one(tau: float) -> BoundReport:
-        return build_report(sd, tau, kp=cfg.kp, include_fsum=cfg.fsum,
+    sd = _instantiate(cfg.model_spec, beta=cfg.beta, index=cfg.index,
+                      config_path=cfg.reader.path)[-1]
+    reports = [build_report(sd, tau, kp=cfg.kp, include_fsum=cfg.fsum,
                             collective_n=cfg.depth_sites)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(one, cfg.tau_grid))
-    else:
-        reports = [one(tau) for tau in cfg.tau_grid]
+               for tau in cfg.tau_grid]
 
     cell_rows = [_report_cells(r, cfg.families, cfg.kp, cfg.fsum, cfg.depth_sites)
                  for r in reports]
@@ -502,17 +505,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         "uninformative": list(best_report.uninformative),
         "depth": best_report.depth,
     }
-    out = args.out if args.out is not None else cfg.out_path
-    fmt = args.format or cfg.out_format or "csv"
-    meta_fields = {"version": __version__, "seed": seed, "config": cfg.hash}
-    if fmt == "csv":
-        _emit(_csv_document(_meta_line(seed, cfg.hash), header, rows), out)
-        summary = _json_document(meta_fields, {"best": best})
-        if out is not None and out != "-":
-            sys.stdout.write(summary)
-    else:
-        body = {"rows": [dict(zip(header, row)) for row in rows], "best": best}
-        _emit(_json_document(meta_fields, body), out)
+    _emit_grid(args, config_hash=cfg.hash, header=header, rows=rows,
+               summary={"best": best}, out=cfg.out_path, fmt=cfg.out_format)
     return 0
 
 
@@ -523,19 +517,12 @@ def _cmd_qubit(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"need 0 < tau-min <= tau-max, got {args.tau_min}, {args.tau_max}"
         )
-    spec = ModelSpec("qubit", {"epsilon": args.epsilon, "theta": args.theta})
-    try:
-        h_op, q_op = build_model(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     if not 0.0 < args.beta < math.inf:
         raise ConfigError(f"--beta must be finite and positive, got {args.beta}")
-    eig = hermitian_eig(h_op)
-    state = make_state(eig, beta=args.beta)
-    sd = spectral_data(eig, q_op, state)
+    spec = ModelSpec("qubit", {"epsilon": args.epsilon, "theta": args.theta})
+    sd = _instantiate(spec, beta=args.beta)[-1]
     f_q = qfi(sd)
 
-    seed = args.seed if args.seed is not None else 0
     config_hash = _hash_params({
         "command": "qubit", "epsilon": args.epsilon, "theta": args.theta,
         "beta": args.beta, "tau_min": args.tau_min, "tau_max": args.tau_max,
@@ -551,7 +538,7 @@ def _cmd_qubit(args: argparse.Namespace) -> int:
         f_times_r = f_q * float(R_kernel(args.epsilon * tau, 2.0 * tau / args.beta))
         rows.append([tau, report.c_tau, report.k_tau, k_excess, f_times_r,
                      f_times_r - k_excess, report.lower_thermal, f_q])
-    _emit_grid(args, seed=seed, config_hash=config_hash, header=header, rows=rows)
+    _emit_grid(args, config_hash=config_hash, header=header, rows=rows)
     return 0
 
 
@@ -563,19 +550,12 @@ def _cmd_tfim(args: argparse.Namespace) -> int:
     if not taus or any(t <= 0 for t in taus):
         raise ConfigError("--taus must contain positive times")
     spec = ModelSpec("tfim", {"n": args.sites, "j": args.j, "h": args.h})
-    try:
-        h_op, q_op = build_model(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    eig = hermitian_eig(h_op)
-    state = make_state(eig, beta=math.inf)
-    sd = spectral_data(eig, q_op, state)
+    h_op, q_op, eig, _, sd = _instantiate(spec, beta=math.inf)
     ts = build_spectrum(sd)
     f_q = qfi(sd)
     m2_spec = m2_moment(ts)
     m2_comm = m2_commutator(h_op, q_op, eig.basis[:, 0])
 
-    seed = args.seed if args.seed is not None else 0
     config_hash = _hash_params({"command": "tfim", "sites": args.sites,
                                "j": args.j, "h": args.h, "taus": taus})
     header = ["tau", "k_tau", "k_excess_over_tau2", "m2_spectral",
@@ -586,7 +566,7 @@ def _cmd_tfim(args: argparse.Namespace) -> int:
         curvature = (k_tau - 1.0) / (tau * tau)
         rows.append([tau, k_tau, curvature, m2_spec, m2_comm,
                      abs(curvature - m2_spec) / m2_spec, f_q])
-    _emit_grid(args, seed=seed, config_hash=config_hash, header=header, rows=rows)
+    _emit_grid(args, config_hash=config_hash, header=header, rows=rows)
     return 0
 
 
@@ -595,13 +575,7 @@ def _cmd_ghz(args: argparse.Namespace) -> int:
         raise ConfigError(f"--points must be at least 2, got {args.points}")
     spec = ModelSpec("ghz_effective", {"n": args.sites, "j": args.j,
                                        "omega": args.omega})
-    try:
-        h_op, q_op = build_model(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    eig = hermitian_eig(h_op)
-    state = make_state(eig, index=1)
-    sd = spectral_data(eig, q_op, state)
+    sd = _instantiate(spec, index=1)[-1]
     f_q = qfi(sd)
     n = args.sites
     f_tilde = n * n * f_q / 4.0
@@ -625,7 +599,6 @@ def _cmd_ghz(args: argparse.Namespace) -> int:
         "two_time_bound_at_pi": two_time_at_pi,
     }
 
-    seed = args.seed if args.seed is not None else 0
     config_hash = _hash_params({"command": "ghz", "sites": n, "j": args.j,
                                "omega": args.omega, "points": args.points})
     header = ["omega_tau", "tau", "c_tau", "k_tau", "lower_pure"]
@@ -635,13 +608,8 @@ def _cmd_ghz(args: argparse.Namespace) -> int:
         report = build_report(sd, tau, kp=(3,), include_fsum=False)
         rows.append([float(omega_tau), tau, report.c_tau, report.k_tau,
                      report.lower_pure])
-    fmt = args.format or "csv"
-    _emit_grid(args, seed=seed, config_hash=config_hash, header=header, rows=rows,
-               extra_json={"summary": summary})
-    if fmt == "csv":
-        meta_fields = {"version": __version__, "seed": seed, "config": config_hash}
-        if args.out is not None and args.out != "-":
-            sys.stdout.write(_json_document(meta_fields, {"summary": summary}))
+    _emit_grid(args, config_hash=config_hash, header=header, rows=rows,
+               summary={"summary": summary})
     return 0
 
 
@@ -657,12 +625,13 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     if cfg.protocol is None:
         raise ConfigError(f"{cfg.reader.path}: 'protocol' requires a 'protocol' block")
-    h_op, q_op, eig, state, sd = _instantiate(cfg)
+    h_op, q_op, eig, state, sd = _instantiate(
+        cfg.model_spec, beta=cfg.beta, index=cfg.index, config_path=cfg.reader.path)
     rho = _density_matrix(eig, state)
 
     tau = float(cfg.protocol["tau"])
     shots = int(cfg.protocol["shots"])
-    seed = args.seed if args.seed is not None else int(cfg.protocol["seed"])
+    seed = _seed(args, int(cfg.protocol["seed"]))
     widths = list(cfg.protocol["widths"])
     coupling = float(cfg.protocol["coupling"])
 
@@ -691,10 +660,8 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     rows.append(["projective_chain", "K(tau)", k_est.value, k_est.stderr, k_ref,
                  abs(k_est.value - k_ref), None])
 
-    out = args.out if args.out is not None else cfg.out_path
-    fmt = args.format or cfg.out_format
     _emit_grid(args, seed=seed, config_hash=cfg.hash, header=header, rows=rows,
-               out=out, fmt=fmt)
+               out=cfg.out_path, fmt=cfg.out_format)
     return 0
 
 
@@ -719,13 +686,6 @@ def _seed_type(raw: str) -> int:
     return value
 
 
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", default=None,
@@ -736,8 +696,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output format (default: csv for grids)")
     common.add_argument("--seed", type=_seed_type, default=None, metavar="U64",
                         help="random seed (overrides any config value)")
-    common.add_argument("--threads", type=_positive_int, default=1, metavar="N",
-                        help="worker threads for tau-grid evaluation")
 
     parser = _Parser(prog="lgqfi",
                      description="Temporal correlations, quantum Fisher "
@@ -796,10 +754,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InvariantViolation, NumericsError) as exc:

@@ -186,7 +186,7 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
 
 def _maximize(kernel: Callable[[np.ndarray], np.ndarray], endpoint_value: float,
               x_max: float, n_probes: int) -> tuple[float, float]:
-    """Maximum of a ratio kernel over (0, x_max] plus the x -> 0 endpoint.
+    """Maximum of a kernel over (0, x_max] plus its x -> 0 endpoint value.
 
     Dense uniform probes locate the best candidate; golden-section search on
     the bracketing interval refines it.  Returns (argmax_x, value), with
@@ -291,13 +291,8 @@ def hp_max(p: int) -> float:
     _check_p(p)
     if p == 3:
         return 0.5
-    xs = np.linspace(0.0, 2.0 * math.pi, 100_001)[1:]
-    vals = hp_kernel(p, xs)
-    best = int(np.argmax(vals))
-    lo = xs[best - 1] if best > 0 else 0.5 * xs[0]
-    hi = xs[best + 1] if best + 1 < xs.shape[0] else xs[-1]
-    _, value = _golden_max(lambda x: hp_kernel(p, float(x)), lo, hi)
-    return max(value, float(vals[best]))
+    _, value = _maximize(lambda xs: hp_kernel(p, xs), 0.0, 2.0 * math.pi, 100_000)
+    return value
 
 
 def gamma_zero_temperature() -> float:

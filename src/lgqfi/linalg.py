@@ -20,8 +20,6 @@ import numpy as np
 from .errors import NumericsError
 
 __all__ = [
-    "EigTolerances",
-    "DEFAULT_TOLERANCES",
     "Operator",
     "Eigensystem",
     "hermitian_eig",
@@ -31,24 +29,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EigTolerances:
-    """Centralized numerical tolerances for operator validation.
+#: Max allowed |A_ij - conj(A_ji)| when an :class:`Operator` is constructed.
+HERMITICITY_TOL = 1e-12
 
-    hermiticity     max allowed |A_ij - conj(A_ji)| at construction
-    unitarity       max allowed deviation of V^dag V from the identity
-    reconstruction  max allowed |A - V E V^dag| relative to max|A_ij|
-    degeneracy_tie  relative eigenvalue gap below which levels are treated
-                    as tied for deterministic ordering purposes
-    """
+#: Max allowed deviation of V^dag V from the identity.
+UNITARITY_TOL = 1e-10
 
-    hermiticity: float = 1e-12
-    unitarity: float = 1e-10
-    reconstruction: float = 1e-10
-    degeneracy_tie: float = 1e-12
+#: Max allowed |A - V E V^dag| relative to max |A_ij|.
+RECONSTRUCTION_TOL = 1e-10
 
-
-DEFAULT_TOLERANCES = EigTolerances()
+#: Relative eigenvalue gap below which levels count as tied for ordering.
+DEGENERACY_TIE_TOL = 1e-12
 
 
 def _frozen_array(values: np.ndarray, dtype: type) -> np.ndarray:
@@ -62,7 +53,7 @@ class Operator:
     """An immutable dense Hermitian operator.
 
     The constructor validates Hermiticity entrywise (tolerance
-    ``EigTolerances.hermiticity``) and stores the exactly symmetrized matrix
+    ``HERMITICITY_TOL``) and stores the exactly symmetrized matrix
     ``(A + A^dag)/2`` read-only, so every downstream routine can rely on
     exact Hermiticity.
     """
@@ -76,10 +67,10 @@ class Operator:
         if m.shape[0] < 1:
             raise ValueError("operator dimension must be at least 1")
         deviation = float(np.max(np.abs(m - m.conj().T)))
-        if deviation > DEFAULT_TOLERANCES.hermiticity:
+        if deviation > HERMITICITY_TOL:
             raise ValueError(
                 f"matrix is not Hermitian: max |A_ij - conj(A_ji)| = {deviation:.3e} "
-                f"exceeds {DEFAULT_TOLERANCES.hermiticity:.1e}"
+                f"exceeds {HERMITICITY_TOL:.1e}"
             )
         object.__setattr__(self, "matrix", _frozen_array((m + m.conj().T) / 2.0, np.complex128))
 
@@ -122,8 +113,7 @@ def _fix_phases(basis: np.ndarray) -> np.ndarray:
     return out
 
 
-def _order_ties(energies: np.ndarray, basis: np.ndarray, scale: float,
-                tie_tol: float) -> np.ndarray:
+def _order_ties(energies: np.ndarray, basis: np.ndarray, scale: float) -> np.ndarray:
     """Reorder eigenvector columns inside degenerate clusters.
 
     Within each cluster of numerically tied eigenvalues the columns are
@@ -133,7 +123,7 @@ def _order_ties(energies: np.ndarray, basis: np.ndarray, scale: float,
     reconstruction tolerance absorbs.
     """
     out = np.array(basis, copy=True)
-    gap_tol = tie_tol * max(1.0, scale)
+    gap_tol = DEGENERACY_TIE_TOL * max(1.0, scale)
     n = energies.shape[0]
     start = 0
     while start < n:
@@ -156,7 +146,7 @@ def _order_ties(energies: np.ndarray, basis: np.ndarray, scale: float,
     return out
 
 
-def hermitian_eig(op: Operator, tol: EigTolerances = DEFAULT_TOLERANCES) -> Eigensystem:
+def hermitian_eig(op: Operator) -> Eigensystem:
     """Diagonalize a Hermitian operator with deterministic conventions.
 
     Returns an :class:`Eigensystem` with ascending eigenvalues, phase-fixed
@@ -175,18 +165,18 @@ def hermitian_eig(op: Operator, tol: EigTolerances = DEFAULT_TOLERANCES) -> Eige
         ) from exc
     basis = _fix_phases(basis)
     scale = op.max_abs
-    basis = _order_ties(energies, basis, scale, tol.degeneracy_tie)
+    basis = _order_ties(energies, basis, scale)
 
     gram = basis.conj().T @ basis
     unit_dev = float(np.max(np.abs(gram - np.eye(op.dim))))
-    if unit_dev > tol.unitarity:
+    if unit_dev > UNITARITY_TOL:
         raise NumericsError(
             f"eigenvector matrix for dim-{op.dim} operator is not unitary "
             f"(deviation {unit_dev:.3e})"
         )
     rebuilt = (basis * energies) @ basis.conj().T
     recon_dev = float(np.max(np.abs(rebuilt - op.matrix)))
-    if recon_dev > tol.reconstruction * max(scale, 1e-300):
+    if recon_dev > RECONSTRUCTION_TOL * max(scale, 1e-300):
         raise NumericsError(
             f"spectral reconstruction failed for dim-{op.dim} operator "
             f"(residual {recon_dev:.3e}, scale {scale:.3e})"

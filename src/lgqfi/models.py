@@ -44,20 +44,13 @@ __all__ = [
     "ghz_reduction_residuals",
     "tfim_order_parameter",
     "load_custom",
-    "pauli",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
 
 MAX_SITES = 12
-
-
-def pauli() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Return copies of (sigma_x, sigma_y, sigma_z, identity)."""
-    return SIGMA_X.copy(), SIGMA_Y.copy(), SIGMA_Z.copy(), IDENTITY_2.copy()
 
 
 def _check_sites(n: int, lo: int = 2) -> None:

@@ -30,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
-from .kernels import _golden_max, h_kernel
+from .kernels import _maximize, h_kernel
 from .linalg import Operator
-from .spectral import GROUND_WINDOW, SpectralData
+from .spectral import GROUND_WINDOW, SpectralData, _frozen
 
 __all__ = [
     "TransitionSpectrum",
@@ -82,12 +81,6 @@ class TransitionSpectrum:
     @property
     def n_lines(self) -> int:
         return self.delta.shape[0]
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 def build_spectrum(sd: SpectralData) -> TransitionSpectrum:
@@ -321,13 +314,8 @@ def gamma_H(beta: float, tau: float, omega_star: float) -> float:
             out = (1.0 + np.exp(-z)) * h_pos * np.expm1(z) / z
         return out if out.ndim else float(out)
 
-    omegas = np.linspace(0.0, omega_star, 100_001)[1:]
-    values = np.asarray(phi(omegas), dtype=np.float64)
-    best = int(np.argmax(values))
-    lo = omegas[best - 1] if best > 0 else 0.5 * omegas[0]
-    hi = omegas[best + 1] if best + 1 < omegas.shape[0] else omega_star
-    _, refined = _golden_max(lambda w: float(phi(np.float64(w))), lo, hi)
-    return max(float(values[best]), refined, 0.0)
+    _, value = _maximize(phi, 0.0, omega_star, 100_000)
+    return value
 
 
 @dataclass(frozen=True)

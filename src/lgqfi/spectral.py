@@ -121,8 +121,8 @@ class SpectralData:
     """Everything needed to evaluate correlators and QFI for one instance.
 
     ``elements`` holds Q in the energy eigenbasis, ``omega[n, m]`` the Bohr
-    frequency E_n - E_m; flattened weight/frequency arrays for the correlator
-    sum are precomputed once.  ``q2_expect`` is <Q^2> = Tr[rho Q^2].
+    frequency E_n - E_m (read-only); the flattened pair weights of the
+    correlator sum are precomputed once.  ``q2_expect`` is <Q^2> = Tr[rho Q^2].
     """
 
     energies: np.ndarray
@@ -131,7 +131,6 @@ class SpectralData:
     state: StationaryState
     q2_expect: float
     _weight_flat: np.ndarray
-    _omega_flat: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -157,6 +156,7 @@ def spectral_data(eig: Eigensystem, q: Operator, state: StationaryState) -> Spec
         )
     energies = np.asarray(eig.energies, dtype=np.float64)
     omega = energies[:, None] - energies[None, :]
+    omega.setflags(write=False)
     abs_sq = np.abs(elements) ** 2
     p = state.weights
     weight = 0.5 * (p[:, None] + p[None, :]) * abs_sq
@@ -168,7 +168,6 @@ def spectral_data(eig: Eigensystem, q: Operator, state: StationaryState) -> Spec
         state=state,
         q2_expect=q2,
         _weight_flat=_frozen(weight.ravel()),
-        _omega_flat=_frozen(omega.ravel()),
     )
 
 
@@ -179,7 +178,7 @@ def correlator(sd: SpectralData, tau):
     """
     tau_arr = np.asarray(tau, dtype=np.float64)
     scalar = tau_arr.ndim == 0
-    phases = np.multiply.outer(np.atleast_1d(tau_arr), sd._omega_flat)
+    phases = np.multiply.outer(np.atleast_1d(tau_arr), sd.omega.ravel())
     values = np.cos(phases) @ sd._weight_flat
     return float(values[0]) if scalar else values
 

@@ -100,17 +100,42 @@ def test_certify_csv_and_best_summary(tmp_path, capsys):
     assert summary["meta"]["config"] == digest
 
 
-def test_certify_threads_byte_identical(tmp_path, capsys):
+def test_certify_repeat_byte_identical(tmp_path, capsys):
     cfg = _write_config(tmp_path, _certify_doc(
         tau_grid={"start": 0.1, "stop": 2.0, "points": 12}))
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["certify", "--config", cfg, "--out", str(out1)]) == 0
     stdout1 = capsys.readouterr().out
-    assert main(["certify", "--config", cfg, "--out", str(out2),
-                 "--threads", "3"]) == 0
+    assert main(["certify", "--config", cfg, "--out", str(out2)]) == 0
     stdout2 = capsys.readouterr().out
     assert out1.read_bytes() == out2.read_bytes()
     assert stdout1 == stdout2
+
+
+def test_certify_threads_flag_rejected(tmp_path, capsys):
+    cfg = _write_config(tmp_path, _certify_doc())
+    assert main(["certify", "--config", cfg, "--threads", "2"]) == 1
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_certify_csv_to_stdout_has_no_summary(tmp_path, capsys):
+    cfg = _write_config(tmp_path, _certify_doc())
+    assert main(["certify", "--config", cfg, "--out", "-"]) == 0
+    text = capsys.readouterr().out
+    _, header, rows = _parse_csv(text)
+    assert header[0] == "tau" and len(rows) == 4
+    assert "best" not in text
+
+
+@pytest.mark.parametrize("command,summary_key", [("certify", "best"), ("ghz", "summary")])
+def test_json_to_file_leaves_stdout_empty(command, summary_key, tmp_path, capsys):
+    flags = {"certify": ["--config", _write_config(tmp_path, _certify_doc())],
+             "ghz": ["--sites", "4", "--points", "10"]}[command]
+    out = tmp_path / "doc.json"
+    assert main([command, *flags, "--format", "json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert set(doc) == {"meta", "rows", summary_key}
 
 
 def test_certify_json_format(tmp_path, capsys):
