@@ -38,7 +38,7 @@ from .kernels import (
     gamma_zero_temperature,
 )
 from .response import build_spectrum, fsum_upper
-from .spectral import SpectralData, correlator, lgi_K, lgi_Kp, qfi
+from .spectral import SpectralData, correlator, qfi
 
 __all__ = [
     "BoundReport",
@@ -211,6 +211,18 @@ class BoundReport:
     uninformative: tuple[str, ...]
     depth: int | None
 
+    def lowers(self, families: Mapping[str, bool] | None = None) -> list[tuple[str, float]]:
+        """Clamped lower bounds as (family, value) pairs in column order.
+
+        The order is that of ``raw_lower``: pure, thermal, thermal_weak,
+        two_time, then kp_p in ``kp`` order, each present only when it
+        applies to the state.  Families that ``families`` switches off are
+        left out (absent keys count as on).
+        """
+        families = families or {}
+        return [(name, max(value, 0.0)) for name, value in self.raw_lower.items()
+                if families.get(name, True)]
+
 
 def build_report(sd: SpectralData, tau: float, *, kp: Sequence[int] = (3, 4, 5),
                  include_fsum: bool = True,
@@ -227,7 +239,42 @@ def build_report(sd: SpectralData, tau: float, *, kp: Sequence[int] = (3, 4, 5),
     bound exceeds F_Q beyond tolerance (or the f-sum falls below it); that
     is an implementation-bug signal, never a physics outcome.
     """
-    tau = _check_tau(tau)
+    return best_bound(sd, [tau], kp=kp, include_fsum=include_fsum,
+                      collective_n=collective_n).reports[0]
+
+
+@dataclass(frozen=True)
+class BestBound:
+    """Best certified lower bound over a tau grid, with all per-tau reports.
+
+    ``family`` names the family that attains ``value`` at ``tau``; it is
+    'none' (and ``value`` is -inf) when every family is switched off.
+    """
+
+    value: float
+    tau: float
+    reports: tuple[BoundReport, ...]
+    family: str
+
+
+def best_bound(sd: SpectralData, tau_grid: Sequence[float], *,
+               kp: Sequence[int] = (3, 4, 5), include_fsum: bool = True,
+               collective_n: int | None = None,
+               families: Mapping[str, bool] | None = None) -> BestBound:
+    """Evaluate the bound chain over a tau grid and pick the strongest bound.
+
+    ``reports`` holds the :func:`build_report` of every tau.  What belongs
+    to the instance (state kind, <Q^2>, F_Q, the f-sum and the depth
+    witness) is computed once for the grid; each tau then needs C only at
+    the distinct times tau, 2 tau and (p-1) tau.  The best bound is the
+    largest entry of :meth:`BoundReport.lowers` over the grid, with
+    ``families`` switching families off.  Ties resolve to the earliest tau
+    in grid order, then to the earliest family in column order, so the
+    result is deterministic for a fixed grid.
+    """
+    taus = [_check_tau(t) for t in tau_grid]
+    if not taus:
+        raise ValueError("tau_grid must contain at least one time")
     state = sd.state
     pure_like = state.is_pure or (state.beta is not None and math.isinf(state.beta))
     beta = state.beta if state.kind == "thermal" else None
@@ -236,29 +283,7 @@ def build_report(sd: SpectralData, tau: float, *, kp: Sequence[int] = (3, 4, 5),
         raise ValueError("cannot build a report for a state with no defined beta")
 
     q2 = sd.q2_expect
-    c_tau = float(correlator(sd, tau))
-    c_2tau = float(correlator(sd, 2.0 * tau))
-    k_tau = lgi_K(sd, tau)
-    kp_vals = {int(p): lgi_Kp(sd, int(p), tau) for p in kp}
     f_q = qfi(sd)
-
-    raw: dict[str, float] = {}
-    if pure_like:
-        raw["pure"] = bound_pure(k_tau, q2)
-    raw["thermal"] = bound_thermal(k_tau, q2, tau, kernel_beta)
-    if q2 <= 1.0 + 1e-9:
-        raw["thermal_weak"] = bound_thermal_weak(k_tau, tau, kernel_beta)
-    raw["two_time"] = bound_two_time(q2, c_tau, tau, kernel_beta)
-    for p, kp_val in kp_vals.items():
-        raw[f"kp_{p}"] = bound_Kp(kp_val, q2, p, tau, kernel_beta)
-
-    for name, value in raw.items():
-        if value > f_q + THEOREM_TOL:
-            raise InvariantViolation(
-                f"lower bound '{name}' = {value!r} exceeds F_Q = {f_q!r} "
-                f"at tau = {tau}: implementation bug"
-            )
-
     fsum = None
     if include_fsum and state.kind == "thermal" and not math.isinf(state.beta):
         fsum = fsum_upper(build_spectrum(sd))
@@ -267,83 +292,69 @@ def build_report(sd: SpectralData, tau: float, *, kp: Sequence[int] = (3, 4, 5),
                 f"f-sum upper bound {fsum!r} fell below F_Q = {f_q!r}: "
                 "implementation bug"
             )
-
-    slack = {name: f_q - value for name, value in raw.items()}
-    if fsum is not None:
-        slack["fsum"] = fsum - f_q
-    uninformative = tuple(sorted(name for name, value in raw.items() if value < 0.0))
-    clamped = {name: max(value, 0.0) for name, value in raw.items()}
-
     depth = None
     if collective_n is not None:
         f_tilde = collective_n * collective_n * f_q / 4.0
         depth = depth_witness(f_tilde, collective_n)
+    tau_th = thermal_time(beta) if beta is not None and not math.isinf(beta) else None
+    kp = [int(p) for p in kp]
+    multiples = sorted({1, 2, *(p - 1 for p in kp)})
 
-    return BoundReport(
-        tau=tau,
-        beta=beta,
-        tau_th=(thermal_time(beta) if beta is not None and not math.isinf(beta)
-                else None),
-        q2_expect=q2,
-        c_tau=c_tau,
-        c_2tau=c_2tau,
-        k_tau=k_tau,
-        kp_values=kp_vals,
-        f_q=f_q,
-        lower_pure=clamped.get("pure"),
-        lower_thermal=clamped["thermal"],
-        lower_thermal_weak=clamped.get("thermal_weak"),
-        lower_two_time=clamped["two_time"],
-        lower_kp={p: clamped[f"kp_{p}"] for p in kp_vals},
-        fsum=fsum,
-        slack=slack,
-        raw_lower=raw,
-        uninformative=uninformative,
-        depth=depth,
-    )
+    reports = []
+    for tau in taus:
+        # K and K_p as in spectral.lgi_Kp, sharing one C per distinct time.
+        c = {m: correlator(sd, m * tau) for m in multiples}
+        k_tau = 2 * c[1] - c[2]
+        kp_vals = {p: (p - 1) * c[1] - c[p - 1] for p in kp}
 
+        raw: dict[str, float] = {}
+        if pure_like:
+            raw["pure"] = bound_pure(k_tau, q2)
+        raw["thermal"] = bound_thermal(k_tau, q2, tau, kernel_beta)
+        if q2 <= 1.0 + 1e-9:
+            raw["thermal_weak"] = bound_thermal_weak(k_tau, tau, kernel_beta)
+        raw["two_time"] = bound_two_time(q2, c[1], tau, kernel_beta)
+        for p, kp_val in kp_vals.items():
+            raw[f"kp_{p}"] = bound_Kp(kp_val, q2, p, tau, kernel_beta)
 
-@dataclass(frozen=True)
-class BestBound:
-    """Best certified lower bound over a tau grid, with all per-tau reports."""
+        for name, value in raw.items():
+            if value > f_q + THEOREM_TOL:
+                raise InvariantViolation(
+                    f"lower bound '{name}' = {value!r} exceeds F_Q = {f_q!r} "
+                    f"at tau = {tau}: implementation bug"
+                )
 
-    value: float
-    tau: float
-    reports: tuple[BoundReport, ...]
+        slack = {name: f_q - value for name, value in raw.items()}
+        if fsum is not None:
+            slack["fsum"] = fsum - f_q
+        uninformative = tuple(sorted(name for name, value in raw.items() if value < 0.0))
+        clamped = {name: max(value, 0.0) for name, value in raw.items()}
 
-
-def _report_score(report: BoundReport) -> float:
-    candidates = [report.lower_thermal, report.lower_two_time]
-    if report.lower_pure is not None:
-        candidates.append(report.lower_pure)
-    if report.lower_thermal_weak is not None:
-        candidates.append(report.lower_thermal_weak)
-    candidates.extend(report.lower_kp.values())
-    return max(candidates)
-
-
-def best_bound(sd: SpectralData, tau_grid: Sequence[float], *,
-               kp: Sequence[int] = (3, 4, 5), include_fsum: bool = True,
-               collective_n: int | None = None) -> BestBound:
-    """Scan a tau grid and return the strongest certified lower bound.
-
-    The score of each grid point is the largest clamped lower bound among
-    the evaluated families.  Ties resolve to the earliest tau in grid
-    order, so the result is deterministic for a fixed grid.
-    """
-    taus = [float(t) for t in tau_grid]
-    if not taus:
-        raise ValueError("tau_grid must contain at least one time")
-    reports = tuple(
-        build_report(sd, t, kp=kp, include_fsum=include_fsum,
-                     collective_n=collective_n)
-        for t in taus
-    )
-    best_value = -math.inf
-    best_tau = taus[0]
+        reports.append(BoundReport(
+            tau=tau,
+            beta=beta,
+            tau_th=tau_th,
+            q2_expect=q2,
+            c_tau=c[1],
+            c_2tau=c[2],
+            k_tau=k_tau,
+            kp_values=kp_vals,
+            f_q=f_q,
+            lower_pure=clamped.get("pure"),
+            lower_thermal=clamped["thermal"],
+            lower_thermal_weak=clamped.get("thermal_weak"),
+            lower_two_time=clamped["two_time"],
+            lower_kp={p: clamped[f"kp_{p}"] for p in kp_vals},
+            fsum=fsum,
+            slack=slack,
+            raw_lower=raw,
+            uninformative=uninformative,
+            depth=depth,
+        ))
+    best_value, best_tau, best_family = -math.inf, taus[0], "none"
     for report in reports:
-        score = _report_score(report)
-        if score > best_value:
-            best_value = score
-            best_tau = report.tau
-    return BestBound(value=best_value, tau=best_tau, reports=reports)
+        for family, value in report.lowers(families):
+            if value > best_value:
+                best_value, best_tau, best_family = value, report.tau, family
+    return BestBound(value=best_value, tau=best_tau, reports=tuple(reports),
+                     family=best_family)

@@ -24,7 +24,8 @@ JSON.  ``certify`` and ``ghz`` also produce a summary document (``best`` and
 goes to a file the summary is printed to stdout as its own JSON document.
 Every CSV starts with a metadata comment ``# lgqfi <version>
 seed=<seed> config=<hash12>`` followed by a header row; numbers are printed
-with 17 significant digits so outputs are byte-stable for fixed inputs.
+with 17 significant digits so outputs are byte-stable for fixed inputs at a
+fixed BLAS thread count (the last digits can change with the thread count).
 Exit codes: 0 success, 1 user or configuration error, 2 internal invariant
 violation (an implementation bug, never a physics outcome).
 """
@@ -41,7 +42,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .bounds import BoundReport, bound_two_time, build_report, depth_witness
+from .bounds import BoundReport, best_bound, depth_witness
 from .errors import ConfigError, InvariantViolation, NumericsError
 from .kernels import R_kernel, Y_CRIT, gamma
 from .linalg import Eigensystem, Operator, hermitian_eig
@@ -62,7 +63,9 @@ __all__ = ["main", "entry_point"]
 
 _MAX_SEED = 2**64
 
-_BOUND_FAMILIES = ("pure", "thermal", "weak", "two_time")
+#: Run-config family switch -> the bound family it turns off.
+_BOUND_FAMILIES = {"pure": "pure", "thermal": "thermal", "weak": "thermal_weak",
+                   "two_time": "two_time"}
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +314,10 @@ class RunConfig:
 
         bounds = reader.block("bounds") or {}
         self.families: dict[str, bool] = {}
-        for family in _BOUND_FAMILIES:
-            flag = bounds.pop(family, True)
+        for switch, family in _BOUND_FAMILIES.items():
+            flag = bounds.pop(switch, True)
             if not isinstance(flag, bool):
-                raise reader.fail(family, f"bounds flag '{family}' must be true or false")
+                raise reader.fail(switch, f"bounds flag '{switch}' must be true or false")
             self.families[family] = flag
         kp = bounds.pop("kp", [3, 4, 5])
         if (not isinstance(kp, list)
@@ -437,38 +440,20 @@ def _cmd_gamma_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _enabled_lower_cells(report: BoundReport, families: Mapping[str, bool],
-                         kp: Sequence[int]) -> list[tuple[str, object]]:
-    cells: list[tuple[str, object]] = []
-    if families.get("pure", True) and report.lower_pure is not None:
-        cells.append(("lower_pure", report.lower_pure))
-    if families.get("thermal", True):
-        cells.append(("lower_thermal", report.lower_thermal))
-    if families.get("weak", True) and report.lower_thermal_weak is not None:
-        cells.append(("lower_thermal_weak", report.lower_thermal_weak))
-    if families.get("two_time", True):
-        cells.append(("lower_two_time", report.lower_two_time))
-    for p in kp:
-        cells.append((f"lower_kp_{p}", report.lower_kp[p]))
-    return cells
-
-
-def _report_cells(report: BoundReport, families: Mapping[str, bool],
-                  kp: Sequence[int], fsum: bool,
+def _report_cells(report: BoundReport, families: Mapping[str, bool], fsum: bool,
                   depth_sites: int | None) -> list[tuple[str, object]]:
+    lowers = report.lowers(families)
     cells: list[tuple[str, object]] = [
         ("tau", report.tau),
         ("c_tau", report.c_tau),
         ("c_2tau", report.c_2tau),
         ("k_tau", report.k_tau),
     ]
-    cells.extend(_enabled_lower_cells(report, families, kp))
+    cells.extend((f"lower_{family}", value) for family, value in lowers)
     cells.append(("f_q", report.f_q))
     if fsum:
         cells.append(("fsum_upper", report.fsum))
-    for name, _ in _enabled_lower_cells(report, families, kp):
-        key = name.removeprefix("lower_")
-        cells.append((f"slack_{key}", report.slack[key]))
+    cells.extend((f"slack_{family}", report.slack[family]) for family, _ in lowers)
     if fsum and report.fsum is not None:
         cells.append(("slack_fsum", report.slack["fsum"]))
     if depth_sites is not None:
@@ -482,28 +467,22 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         raise ConfigError(f"{cfg.reader.path}: 'certify' requires a 'tau_grid'")
     sd = _instantiate(cfg.model_spec, beta=cfg.beta, index=cfg.index,
                       config_path=cfg.reader.path)[-1]
-    reports = [build_report(sd, tau, kp=cfg.kp, include_fsum=cfg.fsum,
-                            collective_n=cfg.depth_sites)
-               for tau in cfg.tau_grid]
+    grid = best_bound(sd, cfg.tau_grid, kp=cfg.kp, include_fsum=cfg.fsum,
+                      collective_n=cfg.depth_sites, families=cfg.families)
 
-    cell_rows = [_report_cells(r, cfg.families, cfg.kp, cfg.fsum, cfg.depth_sites)
-                 for r in reports]
+    cell_rows = [_report_cells(r, cfg.families, cfg.fsum, cfg.depth_sites)
+                 for r in grid.reports]
     header = [name for name, _ in cell_rows[0]]
     rows = [[value for _, value in cells] for cells in cell_rows]
 
-    best_value, best_report, best_family = -math.inf, reports[0], "none"
-    for report in reports:
-        for name, value in _enabled_lower_cells(report, cfg.families, cfg.kp):
-            if value is not None and value > best_value:
-                best_value, best_report, best_family = value, report, name
-
+    at_best = next(r for r in grid.reports if r.tau == grid.tau)
     best = {
-        "tau": best_report.tau,
-        "lower": best_value,
-        "family": best_family.removeprefix("lower_"),
-        "f_q": best_report.f_q,
-        "uninformative": list(best_report.uninformative),
-        "depth": best_report.depth,
+        "tau": grid.tau,
+        "lower": grid.value,
+        "family": grid.family,
+        "f_q": at_best.f_q,
+        "uninformative": list(at_best.uninformative),
+        "depth": at_best.depth,
     }
     _emit_grid(args, config_hash=cfg.hash, header=header, rows=rows,
                summary={"best": best}, out=cfg.out_path, fmt=cfg.out_format)
@@ -521,7 +500,9 @@ def _cmd_qubit(args: argparse.Namespace) -> int:
         raise ConfigError(f"--beta must be finite and positive, got {args.beta}")
     spec = ModelSpec("qubit", {"epsilon": args.epsilon, "theta": args.theta})
     sd = _instantiate(spec, beta=args.beta)[-1]
-    f_q = qfi(sd)
+    reports = best_bound(sd, np.linspace(args.tau_min, args.tau_max, args.points),
+                         kp=(3,), include_fsum=False).reports
+    f_q = reports[0].f_q
 
     config_hash = _hash_params({
         "command": "qubit", "epsilon": args.epsilon, "theta": args.theta,
@@ -531,9 +512,8 @@ def _cmd_qubit(args: argparse.Namespace) -> int:
     header = ["tau", "c_tau", "k_tau", "k_excess", "f_times_r", "residual",
               "lower_thermal", "f_q"]
     rows = []
-    for tau in np.linspace(args.tau_min, args.tau_max, args.points):
-        tau = float(tau)
-        report = build_report(sd, tau, kp=(3,), include_fsum=False)
+    for report in reports:
+        tau = report.tau
         k_excess = report.k_tau - 1.0
         f_times_r = f_q * float(R_kernel(args.epsilon * tau, 2.0 * tau / args.beta))
         rows.append([tau, report.c_tau, report.k_tau, k_excess, f_times_r,
@@ -576,7 +556,10 @@ def _cmd_ghz(args: argparse.Namespace) -> int:
     spec = ModelSpec("ghz_effective", {"n": args.sites, "j": args.j,
                                        "omega": args.omega})
     sd = _instantiate(spec, index=1)[-1]
-    f_q = qfi(sd)
+    omega_taus = [float(w) for w in np.linspace(math.pi / args.points, math.pi, args.points)]
+    reports = best_bound(sd, [w / args.omega for w in omega_taus], kp=(3,),
+                         include_fsum=False).reports
+    f_q = reports[0].f_q
     n = args.sites
     f_tilde = n * n * f_q / 4.0
 
@@ -584,9 +567,7 @@ def _cmd_ghz(args: argparse.Namespace) -> int:
     tau_max = omega_tau_max / args.omega
     k_max = lgi_K(sd, tau_max)
     saturation_residual = abs(f_q - 8.0 * (k_max - sd.q2_expect))
-    tau_pi = math.pi / args.omega
-    two_time_at_pi = bound_two_time(sd.q2_expect, float(correlator(sd, tau_pi)),
-                                    tau_pi, math.inf)
+    two_time_at_pi = reports[-1].raw_lower["two_time"]  # the grid ends at omega tau = pi
     summary = {
         "sites": n,
         "k_max": k_max,
@@ -602,12 +583,8 @@ def _cmd_ghz(args: argparse.Namespace) -> int:
     config_hash = _hash_params({"command": "ghz", "sites": n, "j": args.j,
                                "omega": args.omega, "points": args.points})
     header = ["omega_tau", "tau", "c_tau", "k_tau", "lower_pure"]
-    rows = []
-    for omega_tau in np.linspace(math.pi / args.points, math.pi, args.points):
-        tau = float(omega_tau / args.omega)
-        report = build_report(sd, tau, kp=(3,), include_fsum=False)
-        rows.append([float(omega_tau), tau, report.c_tau, report.k_tau,
-                     report.lower_pure])
+    rows = [[w, r.tau, r.c_tau, r.k_tau, r.lower_pure]
+            for w, r in zip(omega_taus, reports)]
     _emit_grid(args, config_hash=config_hash, header=header, rows=rows,
                summary={"summary": summary})
     return 0

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_thermal_instance, random_unit_observable
+from conftest import random_ground_instance, random_thermal_instance, random_unit_observable
 from lgqfi.bounds import (
     best_bound,
     bound_Kp,
@@ -252,6 +252,54 @@ def test_best_bound_scan():
         scores.append(max(c for c in candidates if c is not None))
     assert best.value == max(scores)
     assert best.tau == grid[int(np.argmax(scores))]
+    at_best = best.reports[grid.index(best.tau)]
+    assert (best.family, best.value) in at_best.lowers()
+
+
+def test_best_bound_family_ties_and_switches():
+    # GHZ at omega tau = pi/3 saturates: pure, thermal, weak and K_3 all give 4.
+    h, q = build_ghz_effective(6, 1.0, 1.0)
+    eig = hermitian_eig(h)
+    sd = spectral_data(eig, q, make_state(eig, index=1))
+    grid = [0.5, math.pi / 3.0, 1.5]
+    best = best_bound(sd, grid)
+    assert (best.family, best.tau) == ("pure", grid[1])
+    assert abs(best.value - 4.0) < 1e-10
+    off = {"pure": False}
+    assert best_bound(sd, grid, families=off).family == "thermal"
+    off.update(thermal=False, thermal_weak=False)
+    assert best_bound(sd, grid, families=off).family == "kp_3"
+    off.update(two_time=False)
+    nothing = best_bound(sd, grid, kp=(), families=off)
+    assert (nothing.family, nothing.value, nothing.tau) == ("none", -math.inf, grid[0])
+
+
+def _grid_instances(rng):
+    for _ in range(6):
+        dim = int(rng.integers(2, 7))
+        yield random_thermal_instance(rng, dim, float(rng.uniform(0.2, 6.0))).sd
+        ground = random_ground_instance(rng, dim)
+        yield ground.sd
+        yield spectral_data(ground.eig, ground.q,
+                            make_state(ground.eig, index=int(rng.integers(1, dim))))
+        yield spectral_data(ground.eig, ground.q, make_state(ground.eig, beta=math.inf))
+
+
+def test_grid_reports_match_single_point_reports():
+    rng = np.random.default_rng(83)
+    for sd in _grid_instances(rng):
+        taus = sorted(float(t) for t in rng.uniform(0.01, 5.0, size=5))
+        for kp in [(3, 4, 5), (6, 4)]:
+            best = best_bound(sd, taus, kp=kp, collective_n=3)
+            for tau, report in zip(taus, best.reports):
+                single = build_report(sd, tau, kp=kp, collective_n=3)
+                assert report == single
+                # the shared correlators reproduce the spectral functions bit for bit
+                assert report.c_tau == correlator(sd, tau)
+                assert report.c_2tau == correlator(sd, 2.0 * tau)
+                assert report.k_tau == lgi_K(sd, tau)
+                assert report.kp_values == {p: lgi_Kp(sd, p, tau) for p in kp}
+                assert report.f_q == qfi(sd)
 
 
 def test_best_bound_empty_grid():

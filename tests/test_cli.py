@@ -157,6 +157,48 @@ def test_certify_respects_family_switches(tmp_path, capsys):
     assert "lower_kp_3" in header and "lower_kp_4" not in header
 
 
+def test_certify_best_skips_disabled_families(tmp_path, capsys):
+    # At beta = 0.5 the two-time bound wins while every family is on.
+    doc = _certify_doc(state={"thermal": {"beta": 0.5}}, bounds={"kp": [3]})
+    assert main(["certify", "--config", _write_config(tmp_path, doc),
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["best"]["family"] == "two_time"
+
+    doc["bounds"].update(thermal=False, two_time=False)
+    assert main(["certify", "--config", _write_config(tmp_path, doc),
+                 "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    best = result["best"]
+    assert best["family"] not in ("thermal", "two_time", "none")
+    lowers = [value for row in result["rows"] for key, value in row.items()
+              if key.startswith("lower_")]
+    assert best["lower"] == max(lowers)
+    row = next(row for row in result["rows"] if row["tau"] == best["tau"])
+    assert row[f"lower_{best['family']}"] == best["lower"]
+
+
+def test_certify_instance_work_runs_once(tmp_path, capsys, monkeypatch):
+    import lgqfi.bounds
+
+    calls = {"build_spectrum": 0, "qfi": 0}
+
+    def counted(name):
+        fn = getattr(lgqfi.bounds, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(lgqfi.bounds, name, counted(name))
+    cfg = _write_config(tmp_path, _certify_doc())
+    assert main(["certify", "--config", cfg]) == 0
+    _, header, rows = _parse_csv(capsys.readouterr().out)
+    assert len(rows) == 4 and "fsum_upper" in header
+    assert calls == {"build_spectrum": 1, "qfi": 1}
+
+
 def test_certify_depth_column(tmp_path, capsys):
     cfg = _write_config(tmp_path, _certify_doc(bounds={"depth_sites": 4}))
     assert main(["certify", "--config", cfg]) == 0
@@ -234,7 +276,7 @@ def test_internal_failure_exits_two(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise InvariantViolation("synthetic failure")
 
-    monkeypatch.setattr("lgqfi.cli.build_report", boom)
+    monkeypatch.setattr("lgqfi.cli.best_bound", boom)
     cfg = _write_config(tmp_path, _certify_doc())
     assert main(["certify", "--config", cfg]) == 2
     assert "internal error: synthetic failure" in capsys.readouterr().err
