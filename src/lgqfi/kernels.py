@@ -17,12 +17,12 @@ and two-time analogues).  The certified conversion factors
 
 turn measured correlation combinations into quantum Fisher information
 lower bounds.  gamma has the closed form y^2/4 for y >= sqrt(8/7); all other
-cases are maximized numerically by dense probing plus golden-section
-refinement, with the x -> 0 endpoint handled through a series expansion.
+maxima come from one maximizer, coarse probes plus a nested zoom on every
+local maximum, with the x -> 0 endpoint value (a series) as a candidate.
 
 The oscillatory factors are 2*pi-periodic while coth^2(x/y) is strictly
-decreasing in x, so the global maximum over x > 0 always lies in the first
-period; search domains are chosen to cover it with margin.
+decreasing in x > 0, so where the oscillation is positive at x > 2 pi the
+kernel is below its value at x - 2 pi: the maximum lies in (0, 2 pi].
 """
 
 from __future__ import annotations
@@ -55,7 +55,10 @@ __all__ = [
 #: Critical scaled time y_c = sqrt(8/7) above which gamma(y) = y^2/4 exactly.
 Y_CRIT = math.sqrt(8.0 / 7.0)
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Most coarse probes of one kernel maximization (16 MB of float64).
+MAX_PROBES = 2_000_000
+#: Least probes per period of the fastest oscillation and in all; zoom points.
+_PROBES_PER_PERIOD, _MIN_PROBES, _ZOOM_POINTS = 64, 1024, 33
 
 
 @dataclass(frozen=True)
@@ -164,44 +167,43 @@ def rtilde_kernel(x, y: float):
     return _ratio_kernel(lambda xs: 2.0 * np.sin(0.5 * xs) ** 2, 0.5, -1.0 / 24.0, x, y)
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                iters: int = 90) -> tuple[float, float]:
-    """Maximize a scalar function on [lo, hi] by golden-section search."""
-    a, b = float(lo), float(hi)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    mid = 0.5 * (a + b)
-    return mid, f(mid)
-
-
 def _maximize(kernel: Callable[[np.ndarray], np.ndarray], endpoint_value: float,
-              x_max: float, n_probes: int) -> tuple[float, float]:
+              x_max: float, periods: float, cause: str) -> tuple[float, float]:
     """Maximum of a kernel over (0, x_max] plus its x -> 0 endpoint value.
 
-    Dense uniform probes locate the best candidate; golden-section search on
-    the bracketing interval refines it.  Returns (argmax_x, value), with
-    argmax_x = 0.0 when the endpoint value wins.
+    ``periods`` counts periods of the fastest oscillation on (0, x_max]
+    (2 pi for h and 1 - cos x, 2 pi / (p-1) for h_p).  Coarse probes find
+    every local maximum; all brackets of neighbouring probes zoom together,
+    one kernel call per level on a 2-D grid, to a few ulp.  Returns
+    (argmax_x, value) of the largest value seen, or (0.0, endpoint_value)
+    when that is strictly larger.  Over MAX_PROBES probes raise ValueError
+    naming ``cause``, before allocating.
     """
-    xs = np.linspace(0.0, x_max, n_probes + 1)[1:]
-    vals = np.asarray(kernel(xs), dtype=np.float64)
-    best = int(np.argmax(vals))
-    lo = xs[best - 1] if best > 0 else 0.5 * xs[0]
-    hi = xs[best + 1] if best + 1 < xs.shape[0] else x_max
-    x_ref, v_ref = _golden_max(lambda x: float(kernel(np.float64(x))), lo, hi)
-    candidates = [(float(xs[best]), float(vals[best])), (x_ref, v_ref),
-                  (0.0, endpoint_value)]
-    x_star, v_star = max(candidates, key=lambda pair: pair[1])
-    return x_star, v_star
+    needed = _PROBES_PER_PERIOD * periods
+    if not needed <= MAX_PROBES:
+        raise ValueError(f"{cause} needs {needed:.4g} kernel probes, over {MAX_PROBES}")
+    n = max(_MIN_PROBES, math.ceil(needed))
+    xs = np.linspace(0.0, x_max, n + 1)[1:]
+    vals = kernel(xs)
+    padded = np.concatenate(([-np.inf], vals, [-np.inf]))
+    peaks = np.flatnonzero((vals > padded[:-2]) & (vals >= padded[2:]))
+    lo = np.where(peaks > 0, xs[np.maximum(peaks - 1, 0)], 0.5 * xs[0])
+    hi = xs[np.minimum(peaks + 1, n - 1)]
+    best_x, best_v = xs[peaks], vals[peaks]
+    while np.any(hi - lo > 4.0 * np.spacing(hi)):
+        step = (hi - lo) / (_ZOOM_POINTS - 1)
+        level = kernel(lo[:, None] + step[:, None] * np.arange(_ZOOM_POINTS))
+        top = np.argmax(level, axis=1)
+        top_v = np.max(level, axis=1)
+        better = top_v > best_v
+        best_x = np.where(better, lo + step * top, best_x)
+        best_v = np.where(better, top_v, best_v)
+        hi = lo + step * np.minimum(top + 1, _ZOOM_POINTS - 1)
+        lo = lo + step * np.maximum(top - 1, 0)
+    k = int(np.argmax(best_v))
+    if endpoint_value > best_v[k]:
+        return 0.0, float(endpoint_value)
+    return float(best_x[k]), float(best_v[k])
 
 
 @lru_cache(maxsize=4096)
@@ -209,17 +211,17 @@ def _gamma_cached(y: float) -> KernelResult:
     if y >= Y_CRIT:
         return KernelResult(y=y, value=0.25 * y * y, argmax_x=0.0, method="closed-form")
     x_star, value = _maximize(lambda xs: R_kernel(xs, y), 0.25 * y * y,
-                              0.5 * math.pi, 4096)
+                              0.5 * math.pi, 0.25, "gamma")
     return KernelResult(y=y, value=value, argmax_x=x_star, method="numeric")
 
 
 def gamma(y: float) -> KernelResult:
     """Conversion factor gamma(y) = max_x R(x, y) for the three-time bound.
 
-    Closed form y^2/4 for y >= sqrt(8/7); otherwise a numeric maximization
-    over (0, pi/2], which contains the global maximizer, refined by
-    golden-section search.  gamma decreases to 1/8 as y -> 0.  Results are
-    cached by y.
+    Closed form y^2/4 for y >= sqrt(8/7); otherwise the shared maximizer
+    over (0, pi/2], which contains the global maximizer, with the endpoint
+    value y^2/4 as a candidate.  gamma decreases to 1/8 as y -> 0.  Results
+    are cached by y.
     """
     return _gamma_cached(_check_y(y))
 
@@ -227,23 +229,21 @@ def gamma(y: float) -> KernelResult:
 def gamma_numeric(y: float) -> KernelResult:
     """Probe-based evaluation of gamma(y) regardless of branch.
 
-    Exposed for cross-checks of the closed form against the numeric
-    maximizer; uses the same probe density and refinement as the numeric
-    branch of :func:`gamma` but searches (0, 2 pi] so it is meaningful on
-    both sides of y_c.
+    Exposed for cross-checks of the closed form: the maximizer of the
+    numeric branch of :func:`gamma`, run over (0, 2 pi] so it is meaningful
+    on both sides of y_c.
     """
     y = _check_y(y)
     x_star, value = _maximize(lambda xs: R_kernel(xs, y), 0.25 * y * y,
-                              2.0 * math.pi, 8192)
+                              2.0 * math.pi, 1.0, "gamma")
     return KernelResult(y=y, value=value, argmax_x=x_star, method="numeric")
 
 
 @lru_cache(maxsize=4096)
 def _gamma_p_cached(p: int, y: float) -> KernelResult:
     alpha, _ = _hp_series_coefficients(p)
-    x_max = max(4.0 * math.pi, 8.0 * y)
-    x_star, value = _maximize(lambda xs: rp_kernel(p, xs, y),
-                              0.25 * alpha * y * y, x_max, 100_000)
+    x_star, value = _maximize(lambda xs: rp_kernel(p, xs, y), 0.25 * alpha * y * y,
+                              2.0 * math.pi, p - 1, f"gamma_p with p = {p}")
     return KernelResult(y=y, value=value, argmax_x=x_star, method="numeric")
 
 
@@ -252,10 +252,10 @@ def gamma_p(p: int, y: float) -> KernelResult:
 
     For p = 3 this is gamma(y) exactly (h_3 = h) and the call is delegated,
     so downstream p = 3 bounds coincide bitwise with the three-time bound.
-    Other p are maximized over (0, max(4 pi, 8 y)] with 1e5 probes plus
-    golden-section refinement and the x -> 0 endpoint value
-    y^2 (p-1)(p-2)/8 as an explicit candidate.  Grows like p^2 y^2 / 8 at
-    fixed y.  Results are cached by (p, y).
+    Other p are maximized over (0, 2 pi] with max(1024, 64 (p-1)) coarse
+    probes and the x -> 0 endpoint value y^2 (p-1)(p-2)/8 as an explicit
+    candidate; raises ValueError when p needs more than MAX_PROBES probes.
+    Grows like p^2 y^2 / 8 at fixed y.  Results are cached by (p, y).
     """
     _check_p(p)
     y = _check_y(y)
@@ -266,16 +266,15 @@ def gamma_p(p: int, y: float) -> KernelResult:
 
 @lru_cache(maxsize=4096)
 def _gamma_tilde_cached(y: float) -> KernelResult:
-    x_max = max(4.0 * math.pi, 8.0 * y)
-    x_star, value = _maximize(lambda xs: rtilde_kernel(xs, y),
-                              0.125 * y * y, x_max, 100_000)
+    x_star, value = _maximize(lambda xs: rtilde_kernel(xs, y), 0.125 * y * y,
+                              2.0 * math.pi, 1.0, "gamma_tilde")
     return KernelResult(y=y, value=value, argmax_x=x_star, method="numeric")
 
 
 def gamma_tilde(y: float) -> KernelResult:
     """Conversion factor gamma_tilde(y) = max_x (1/4) coth^2(x/y) (1 - cos x).
 
-    Maximized numerically like :func:`gamma_p`, with the x -> 0 endpoint
+    Maximized over (0, 2 pi] like :func:`gamma_p`, with the x -> 0 endpoint
     value y^2/8 as a candidate (it is the maximum for large y).  Approaches
     1/2 as y -> 0, attained at x = pi.  Results are cached by y.
     """
@@ -284,14 +283,15 @@ def gamma_tilde(y: float) -> KernelResult:
 
 @lru_cache(maxsize=256)
 def hp_max(p: int) -> float:
-    """Supremum of h_p over one period (0, 2 pi], computed numerically.
+    """Supremum of h_p over one period (0, 2 pi], maximized like :func:`gamma_p`.
 
     Strictly below 2 for every finite p and approaching 2 as p -> infinity.
     """
     _check_p(p)
     if p == 3:
         return 0.5
-    _, value = _maximize(lambda xs: hp_kernel(p, xs), 0.0, 2.0 * math.pi, 100_000)
+    _, value = _maximize(lambda xs: hp_kernel(p, xs), 0.0, 2.0 * math.pi, p - 1,
+                         f"hp_max with p = {p}")
     return value
 
 

@@ -294,7 +294,8 @@ def gamma_H(beta: float, tau: float, omega_star: float) -> float:
     built so that each line satisfies
     (p_n + p_m) |Q_nm|^2 h(Delta tau) <= gamma_H * w_S(Delta) * kernel(Delta)
     for Gibbs weights, giving H_QQ >= [K(tau) - <Q^2>] / gamma_H whenever
-    the spectrum lies below omega_star.
+    the spectrum lies below omega_star.  The maximizer probes 64 times per
+    period 2 pi / tau and raises ValueError past omega_star * tau = 1.96e5.
     """
     beta = float(beta)
     tau = float(tau)
@@ -306,15 +307,14 @@ def gamma_H(beta: float, tau: float, omega_star: float) -> float:
     if not omega_star > 0.0:
         raise ValueError(f"omega_star must be positive, got {omega_star}")
 
-    def phi(omega):
-        omega = np.asarray(omega, dtype=np.float64)
+    def phi(omega: np.ndarray) -> np.ndarray:
         z = beta * omega
         h_pos = np.maximum(h_kernel(omega * tau), 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = (1.0 + np.exp(-z)) * h_pos * np.expm1(z) / z
-        return out if out.ndim else float(out)
+            return (1.0 + np.exp(-z)) * h_pos * np.expm1(z) / z
 
-    _, value = _maximize(phi, 0.0, omega_star, 100_000)
+    _, value = _maximize(phi, 0.0, omega_star, omega_star * tau / (2.0 * math.pi),
+                         f"gamma_H with omega_star * tau = {omega_star * tau:g}")
     return value
 
 

@@ -256,6 +256,14 @@ def test_state_blocks_are_exclusive(tmp_path, capsys):
     assert "exactly one of" in capsys.readouterr().err
 
 
+def test_kernel_probe_cap_exits_one(tmp_path, capsys):
+    doc = _certify_doc()
+    doc["bounds"] = {"kp": [3, 10**6]}
+    cfg = _write_config(tmp_path, doc)
+    assert main(["certify", "--config", cfg]) == 1
+    assert "gamma_p with p = 1000000" in capsys.readouterr().err
+
+
 def test_no_task_enabled(tmp_path, capsys):
     doc = _certify_doc()
     del doc["tau_grid"]

@@ -221,6 +221,36 @@ def test_gamma_tilde_brute_force_and_limits():
     assert abs(gamma_tilde(10.0).value - 12.5) < 1e-9
 
 
+@pytest.mark.parametrize("kernel,value", [
+    (rtilde_kernel, lambda y: gamma_tilde(y).value),
+    (lambda x, y: rp_kernel(4, x, y), lambda y: gamma_p(4, y).value),
+    (lambda x, y: rp_kernel(5, x, y), lambda y: gamma_p(5, y).value),
+    (lambda x, y: rp_kernel(8, x, y), lambda y: gamma_p(8, y).value),
+], ids=["tilde", "p4", "p5", "p8"])
+def test_first_period_holds_the_maximum(kernel, value):
+    # the search covers (0, 2 pi] only; beyond it coth^2 is smaller and the
+    # oscillation repeats.  For small y, coth^2 rounds to 1 past 2 pi and
+    # the periods tie up to rounding of the oscillation, hence 4 eps.
+    for y in (0.05, 0.3, 1.0, 2.5, 10.0):
+        x_hi = max(4.0 * math.pi, 8.0 * y)
+        xs = np.linspace(2.0 * math.pi, x_hi, 200_001)[1:]
+        tail = float(np.max(kernel(xs, y)))
+        assert tail <= value(y) * (1.0 + 4.0 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("call,cause", [
+    (lambda: gamma_p(10**6, 1.0), "gamma_p with p = 1000000"),
+    (lambda: hp_max(10**6), "hp_max with p = 1000000"),
+])
+def test_probe_cap_fails_before_allocating(call, cause, monkeypatch):
+    def no_probes(*args, **kwargs):
+        raise AssertionError("probe array built")
+
+    monkeypatch.setattr(np, "linspace", no_probes)
+    with pytest.raises(ValueError, match=cause):
+        call()
+
+
 def test_gamma_decay_hierarchy():
     # at fixed y the p-family maxima grow with p, so the converted bounds
     # weaken; check the kernel side of that statement

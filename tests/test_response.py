@@ -13,6 +13,7 @@ from conftest import (
     random_thermal_instance,
     random_unit_observable,
 )
+from lgqfi.kernels import h_kernel
 from lgqfi.linalg import Operator, hermitian_eig
 from lgqfi.models import build_qubit, build_tfim
 from lgqfi.response import (
@@ -320,6 +321,32 @@ def test_gamma_h_validation():
         gamma_H(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         gamma_H(1.0, 1.0, -1.0)
+
+
+def test_gamma_h_large_omega_tau_not_underestimated():
+    # omega_star * tau = 2e4 spans about 3,200 periods of h(omega tau); a
+    # probe grid that does not grow with it falls below one probe per lobe
+    # and misses the peak by 0.56 %.  The envelope (1 + e^-z)(e^z - 1)/z
+    # grows with omega, so the maximum lies in the last period
+    # [omega_star - 2 pi / tau, omega_star], which a dense reference
+    # resolves to about 1e-8 relative.
+    beta, tau, omega_star = 1.0, 2000.0, 10.0
+    omega = np.linspace(omega_star - 2.0 * math.pi / tau, omega_star, 200_001)
+    z = beta * omega
+    ref = float(np.max((1.0 + np.exp(-z)) * np.maximum(h_kernel(omega * tau), 0.0)
+                       * np.expm1(z) / z))
+    value = gamma_H(beta, tau, omega_star)
+    assert value >= ref * (1.0 - 1e-9)
+    assert value <= ref * (1.0 + 1e-6)
+
+
+def test_gamma_h_probe_cap_fails_before_allocating(monkeypatch):
+    def no_probes(*args, **kwargs):
+        raise AssertionError("probe array built")
+
+    monkeypatch.setattr(np, "linspace", no_probes)
+    with pytest.raises(ValueError, match=r"omega_star \* tau = 1e\+07"):
+        gamma_H(1.0, 1e6, 10.0)
 
 
 def test_holevo_bound_dominated_on_random_instances():
