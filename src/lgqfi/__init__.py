@@ -57,6 +57,7 @@ from .protocols import (
     JointDistribution,
     MeterConfig,
     ProtocolEstimate,
+    ProtocolInstance,
     lgi_from_protocol,
     macrorealist_oracle,
     projective_joint,
@@ -121,7 +122,7 @@ __all__ = [
     "m2_moment", "m2_commutator", "mn_moment", "mn_gapped_lower", "holevo",
     "gamma_H", "HolevoBound", "holevo_bound",
     # protocols
-    "MeterConfig", "ProtocolEstimate", "JointDistribution", "projective_joint",
-    "projective_mc", "symmetrized_correlator", "weak_two_meter",
-    "lgi_from_protocol", "macrorealist_oracle",
+    "MeterConfig", "ProtocolEstimate", "ProtocolInstance", "JointDistribution",
+    "projective_joint", "projective_mc", "symmetrized_correlator",
+    "weak_two_meter", "lgi_from_protocol", "macrorealist_oracle",
 ]

@@ -45,23 +45,27 @@ from . import __version__
 from .bounds import BoundReport, best_bound, depth_witness
 from .errors import ConfigError, InvariantViolation, NumericsError
 from .kernels import R_kernel, Y_CRIT, gamma
-from .linalg import Eigensystem, Operator, hermitian_eig
+from .linalg import hermitian_eig
 from .models import ModelSpec, build_model
 from .protocols import (
     MeterConfig,
-    ProtocolEstimate,
-    lgi_from_protocol,
+    ProtocolInstance,
     projective_joint,
     projective_mc,
-    symmetrized_correlator,
     weak_two_meter,
 )
 from .response import build_spectrum, m2_commutator, m2_moment
-from .spectral import StationaryState, correlator, lgi_K, make_state, qfi, spectral_data
+from .spectral import correlator, lgi_K, make_state, qfi, spectral_data
 
 __all__ = ["main", "entry_point"]
 
 _MAX_SEED = 2**64
+
+#: Run-size ceilings, checked while parsing and before anything is allocated:
+#: the Monte Carlo holds about 32 bytes per shot, and every tau point costs a
+#: full bound evaluation.
+_MAX_SHOTS = 10**7
+_MAX_TAU_POINTS = 10**4
 
 #: Run-config family switch -> the bound family it turns off.
 _BOUND_FAMILIES = {"pure": "pure", "thermal": "thermal", "weak": "thermal_weak",
@@ -245,10 +249,15 @@ def _parse_tau_grid(reader: _ConfigReader, raw: object) -> tuple[float, ...]:
                 "tau_grid", "tau_grid object needs 'start', 'stop' and 'points'"
             ) from exc
         _check_no_extras(reader, "tau_grid", spec)
-        if not isinstance(points, int) or isinstance(points, bool) or points < 2:
-            raise reader.fail("tau_grid", f"'points' must be an integer >= 2, got {points!r}")
+        if (not isinstance(points, int) or isinstance(points, bool)
+                or not 2 <= points <= _MAX_TAU_POINTS):
+            raise reader.fail("tau_grid", f"'points' must be an integer in "
+                                          f"[2, {_MAX_TAU_POINTS}], got {points!r}")
         taus = [float(t) for t in np.linspace(start, stop, points)]
     elif isinstance(raw, list):
+        if len(raw) > _MAX_TAU_POINTS:
+            raise reader.fail("tau_grid", f"'tau_grid' has {len(raw)} values, "
+                                          f"over {_MAX_TAU_POINTS}")
         taus = [_number(reader, "tau_grid", t) for t in raw]
     else:
         raise reader.fail("tau_grid", "'tau_grid' must be a list or a start/stop/points object")
@@ -343,8 +352,10 @@ class RunConfig:
             if tau <= 0.0:
                 raise reader.fail("tau", f"'protocol.tau' must be positive, got {tau}")
             shots = protocol.pop("shots", 100_000)
-            if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
-                raise reader.fail("shots", f"'protocol.shots' must be a positive integer, got {shots!r}")
+            if (not isinstance(shots, int) or isinstance(shots, bool)
+                    or not 1 <= shots <= _MAX_SHOTS):
+                raise reader.fail("shots", f"'protocol.shots' must be an integer in "
+                                           f"[1, {_MAX_SHOTS}], got {shots!r}")
             seed = protocol.pop("seed", 0)
             if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < _MAX_SEED:
                 raise reader.fail("seed", f"'protocol.seed' must be an integer in [0, 2^64), got {seed!r}")
@@ -411,10 +422,6 @@ def _instantiate(spec: ModelSpec, *, beta: float | None = None,
     except ValueError as exc:
         raise fail("state", exc) from exc
     return h_op, q_op, eig, state, spectral_data(eig, q_op, state)
-
-
-def _density_matrix(eig: Eigensystem, state: StationaryState) -> np.ndarray:
-    return (eig.basis * state.weights) @ eig.basis.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -590,21 +597,13 @@ def _cmd_ghz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _exact_estimate(h_op: Operator, q_op: Operator, rho: np.ndarray,
-                    t1: float, t2: float) -> ProtocolEstimate:
-    joint = projective_joint(h_op, q_op, rho, t1, t2)
-    exact = symmetrized_correlator(h_op, q_op, rho, t1, t2)
-    return ProtocolEstimate(value=joint.correlator(), stderr=0.0, shots=0,
-                            exact_ref=exact, seed=None, times=(t1, t2))
-
-
 def _cmd_protocol(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     if cfg.protocol is None:
         raise ConfigError(f"{cfg.reader.path}: 'protocol' requires a 'protocol' block")
-    h_op, q_op, eig, state, sd = _instantiate(
+    _, q_op, eig, state, sd = _instantiate(
         cfg.model_spec, beta=cfg.beta, index=cfg.index, config_path=cfg.reader.path)
-    rho = _density_matrix(eig, state)
+    inst = ProtocolInstance(eig, q_op, (eig.basis * state.weights) @ eig.basis.conj().T)
 
     tau = float(cfg.protocol["tau"])
     shots = int(cfg.protocol["shots"])
@@ -615,27 +614,26 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     c_ref = float(correlator(sd, tau))
     k_ref = lgi_K(sd, tau)
 
-    e_01 = _exact_estimate(h_op, q_op, rho, 0.0, tau)
-    e_12 = _exact_estimate(h_op, q_op, rho, tau, 2.0 * tau)
-    e_02 = _exact_estimate(h_op, q_op, rho, 0.0, 2.0 * tau)
-    k_est = lgi_from_protocol(e_01, e_12, e_02)
-    mc = projective_mc(h_op, q_op, rho, 0.0, tau, shots, seed)
+    c_01 = projective_joint(inst, 0.0, tau).correlator()
+    c_12 = projective_joint(inst, tau, 2.0 * tau).correlator()
+    c_02 = projective_joint(inst, 0.0, 2.0 * tau).correlator()
+    k_value = c_01 + c_12 - c_02
+    mc = projective_mc(inst, 0.0, tau, shots, seed)
 
     header = ["protocol", "quantity", "value", "stderr", "spectral_ref",
               "abs_error", "within_gate"]
     rows: list[list[object]] = [
         ["spectral", "C(tau)", c_ref, 0.0, c_ref, 0.0, None],
-        ["projective_exact", "C(tau)", e_01.value, 0.0, c_ref,
-         abs(e_01.value - c_ref), None],
+        ["projective_exact", "C(tau)", c_01, 0.0, c_ref, abs(c_01 - c_ref), None],
         ["projective_mc", f"C(tau) shots={shots}", mc.value, mc.stderr, c_ref,
          abs(mc.value - c_ref), mc.within_gate],
     ]
     for width in widths:
-        est = weak_two_meter(h_op, q_op, rho, tau, MeterConfig(coupling, width))
+        est = weak_two_meter(inst, tau, MeterConfig(coupling, width))
         rows.append(["weak_two_meter", f"C(tau) width={width:g}", est.value, 0.0,
                      c_ref, abs(est.value - c_ref), None])
-    rows.append(["projective_chain", "K(tau)", k_est.value, k_est.stderr, k_ref,
-                 abs(k_est.value - k_ref), None])
+    rows.append(["projective_chain", "K(tau)", k_value, 0.0, k_ref,
+                 abs(k_value - k_ref), None])
 
     _emit_grid(args, seed=seed, config_hash=cfg.hash, header=header, rows=rows,
                out=cfg.out_path, fmt=cfg.out_format)

@@ -1,6 +1,8 @@
 """Measurement protocols for temporal correlations.
 
-Three routes to the two-time correlator are provided:
+Every protocol runs on one :class:`ProtocolInstance` (H's eigensystem, Q
+diagonalized once, a validated state).  Three routes to the two-time
+correlator are provided:
 
 * exact projective statistics: the joint outcome distribution of ideal
   projective measurements of Q at two times, with the correlator read off
@@ -23,17 +25,18 @@ statistics can never violate the three-time inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .linalg import Operator, hermitian_eig
+from .linalg import Eigensystem, Operator, hermitian_eig
 
 __all__ = [
     "MeterConfig",
     "ProtocolEstimate",
     "JointDistribution",
+    "ProtocolInstance",
     "cluster_eigenvalues",
     "projective_joint",
     "projective_mc",
@@ -143,14 +146,43 @@ def _as_density_matrix(rho0: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
-def _propagator(h_eig, dt: float) -> np.ndarray:
-    basis = h_eig.basis
-    phases = np.exp(-1j * h_eig.energies * dt)
-    return (basis * phases) @ basis.conj().T
+@dataclass(frozen=True, eq=False)
+class ProtocolInstance:
+    """One validated (H, Q, state) instance, shared by every protocol run on it.
+
+    Built as ``ProtocolInstance(h_eig, q, rho0)`` from H's eigensystem, Q and
+    a state vector or density matrix (kept as the density matrix ``rho``);
+    Q is diagonalized and its outcome projectors are built once.
+    """
+
+    h_eig: Eigensystem
+    q: Operator
+    rho: np.ndarray
+    q_eig: Eigensystem = field(init=False)
+    outcomes: np.ndarray = field(init=False)
+    projectors: tuple[np.ndarray, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.h_eig.dim != self.q.dim:
+            raise ValueError(
+                f"H has dimension {self.h_eig.dim} but Q has dimension {self.q.dim}"
+            )
+        object.__setattr__(self, "rho", _as_density_matrix(self.rho, self.h_eig.dim))
+        q_eig = hermitian_eig(self.q)
+        outcomes, members = cluster_eigenvalues(q_eig.energies)
+        object.__setattr__(self, "q_eig", q_eig)
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "projectors", tuple(
+            q_eig.basis[:, idx] @ q_eig.basis[:, idx].conj().T for idx in members))
+
+    def propagator(self, dt: float) -> np.ndarray:
+        """U(dt) = exp(-i H dt)."""
+        basis = self.h_eig.basis
+        phases = np.exp(-1j * self.h_eig.energies * dt)
+        return (basis * phases) @ basis.conj().T
 
 
-def projective_joint(h: Operator, q: Operator, rho0: np.ndarray,
-                     t1: float, t2: float) -> JointDistribution:
+def projective_joint(inst: ProtocolInstance, t1: float, t2: float) -> JointDistribution:
     """Exact joint statistics of projective Q measurements at t1 then t2.
 
     The first measurement collapses the state onto the outcome eigenspace;
@@ -158,26 +190,16 @@ def projective_joint(h: Operator, q: Operator, rho0: np.ndarray,
 
         p(a, b) = Tr[ P_b U P_a U_1 rho U_1^+ P_a U^+ ],   U = U(t2 - t1).
     """
-    if h.dim != q.dim:
-        raise ValueError(f"H has dimension {h.dim} but Q has dimension {q.dim}")
     t1, t2 = float(t1), float(t2)
     if t2 < t1:
         raise ValueError(f"measurement times must be ordered, got t1={t1} > t2={t2}")
-    rho = _as_density_matrix(rho0, h.dim)
+    rho_t1 = inst.propagator(t1) @ inst.rho @ inst.propagator(-t1)
+    u_gap = inst.propagator(t2 - t1)
 
-    h_eig = hermitian_eig(h)
-    q_eig = hermitian_eig(q)
-    outcomes, members = cluster_eigenvalues(q_eig.energies)
-    projectors = [q_eig.basis[:, idx] @ q_eig.basis[:, idx].conj().T
-                  for idx in members]
-
-    rho_t1 = _propagator(h_eig, t1) @ rho @ _propagator(h_eig, -t1)
-    u_gap = _propagator(h_eig, t2 - t1)
-
-    probs = np.empty((len(outcomes), len(outcomes)))
-    for a, p_a in enumerate(projectors):
+    probs = np.empty((len(inst.outcomes), len(inst.outcomes)))
+    for a, p_a in enumerate(inst.projectors):
         collapsed = u_gap @ (p_a @ rho_t1 @ p_a) @ u_gap.conj().T
-        for b, p_b in enumerate(projectors):
+        for b, p_b in enumerate(inst.projectors):
             probs[a, b] = np.trace(p_b @ collapsed).real
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
@@ -185,12 +207,13 @@ def projective_joint(h: Operator, q: Operator, rho0: np.ndarray,
         raise InvariantViolation(
             f"projective joint probabilities sum to {total!r}, expected 1"
         )
-    return JointDistribution(outcomes_first=outcomes, outcomes_second=outcomes,
-                             probs=probs, times=(t1, t2))
+    return JointDistribution(outcomes_first=inst.outcomes,
+                             outcomes_second=inst.outcomes, probs=probs,
+                             times=(t1, t2))
 
 
-def projective_mc(h: Operator, q: Operator, rho0: np.ndarray,
-                  t1: float, t2: float, shots: int, seed: int) -> ProtocolEstimate:
+def projective_mc(inst: ProtocolInstance, t1: float, t2: float, shots: int,
+                  seed: int) -> ProtocolEstimate:
     """Monte Carlo estimate of the projective two-time correlator.
 
     Sampling uses a counter-based generator keyed by ``seed``: each shot
@@ -209,15 +232,15 @@ def projective_mc(h: Operator, q: Operator, rho0: np.ndarray,
     if not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
 
-    joint = projective_joint(h, q, rho0, t1, t2)
+    joint = projective_joint(inst, t1, t2)
     flat_probs = joint.probs.ravel()
     flat_products = np.outer(joint.outcomes_first, joint.outcomes_second).ravel()
     cdf = np.cumsum(flat_probs)
     cdf[-1] = 1.0
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    draws = rng.random(shots)
-    samples = flat_products[np.searchsorted(cdf, draws, side="right")]
+    # the uniform draws are a temporary, freed before the mean and error pass
+    samples = flat_products[np.searchsorted(cdf, rng.random(shots), side="right")]
 
     value = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(shots)) if shots > 1 else 0.0
@@ -226,24 +249,18 @@ def projective_mc(h: Operator, q: Operator, rho0: np.ndarray,
                             times=(float(t1), float(t2)))
 
 
-def symmetrized_correlator(h: Operator, q: Operator, rho0: np.ndarray,
-                           t1: float, t2: float) -> float:
+def symmetrized_correlator(inst: ProtocolInstance, t1: float, t2: float) -> float:
     """Symmetrized correlator (1/2) Tr[rho {Q(t1), Q(t2)}] for any state."""
-    if h.dim != q.dim:
-        raise ValueError(f"H has dimension {h.dim} but Q has dimension {q.dim}")
-    rho = _as_density_matrix(rho0, h.dim)
-    h_eig = hermitian_eig(h)
-
     def heisenberg(t: float) -> np.ndarray:
-        u = _propagator(h_eig, t)
-        return u.conj().T @ q.matrix @ u
+        u = inst.propagator(t)
+        return u.conj().T @ inst.q.matrix @ u
 
     q1 = heisenberg(float(t1))
     q2 = heisenberg(float(t2))
-    return float(0.5 * np.trace(rho @ (q1 @ q2 + q2 @ q1)).real)
+    return float(0.5 * np.trace(inst.rho @ (q1 @ q2 + q2 @ q1)).real)
 
 
-def weak_two_meter(h: Operator, q: Operator, rho0: np.ndarray, tau: float,
+def weak_two_meter(inst: ProtocolInstance, tau: float,
                    cfg: MeterConfig) -> ProtocolEstimate:
     """Closed-form weak two-meter correlator estimate at times (0, tau).
 
@@ -257,18 +274,12 @@ def weak_two_meter(h: Operator, q: Operator, rho0: np.ndarray, tau: float,
     back-action; it disappears for dichotomic observables, where the weak
     scheme reproduces the symmetrized correlator at any meter strength.
     """
-    if h.dim != q.dim:
-        raise ValueError(f"H has dimension {h.dim} but Q has dimension {q.dim}")
     tau = float(tau)
-    rho = _as_density_matrix(rho0, h.dim)
-    h_eig = hermitian_eig(h)
-    q_eig = hermitian_eig(q)
-
-    w = q_eig.basis
-    qvals = q_eig.energies
-    u = _propagator(h_eig, tau)
-    q_tau_w = w.conj().T @ (u.conj().T @ q.matrix @ u) @ w
-    rho_w = w.conj().T @ rho @ w
+    w = inst.q_eig.basis
+    qvals = inst.q_eig.energies
+    u = inst.propagator(tau)
+    q_tau_w = w.conj().T @ (u.conj().T @ inst.q.matrix @ u) @ w
+    rho_w = w.conj().T @ inst.rho @ w
 
     half_sum = 0.5 * (qvals[:, None] + qvals[None, :])
     gap = qvals[:, None] - qvals[None, :]
@@ -279,7 +290,7 @@ def weak_two_meter(h: Operator, q: Operator, rho0: np.ndarray, tau: float,
         raise InvariantViolation(
             f"weak-meter correlator has imaginary part {value_c.imag!r}"
         )
-    exact = symmetrized_correlator(h, q, rho0, 0.0, tau)
+    exact = symmetrized_correlator(inst, 0.0, tau)
     return ProtocolEstimate(value=float(value_c.real), stderr=0.0, shots=0,
                             exact_ref=exact, seed=None, times=(0.0, tau))
 

@@ -56,6 +56,9 @@ LINE_MERGE_TOL = 1e-10
 #: Weight floor below which a line does not count for the infrared gap.
 LINE_WEIGHT_FLOOR = 1e-14
 
+#: Largest z with e^z finite in double precision.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class TransitionSpectrum:
@@ -296,6 +299,9 @@ def gamma_H(beta: float, tau: float, omega_star: float) -> float:
     for Gibbs weights, giving H_QQ >= [K(tau) - <Q^2>] / gamma_H whenever
     the spectrum lies below omega_star.  The maximizer probes 64 times per
     period 2 pi / tau and raises ValueError past omega_star * tau = 1.96e5.
+    It raises ValueError before probing once beta * omega_star passes
+    ln(float max) ~ 709.78, where e^(beta omega) overflows and the maximum
+    is not finite.
     """
     beta = float(beta)
     tau = float(tau)
@@ -306,6 +312,10 @@ def gamma_H(beta: float, tau: float, omega_star: float) -> float:
         raise ValueError(f"tau must be positive, got {tau}")
     if not omega_star > 0.0:
         raise ValueError(f"omega_star must be positive, got {omega_star}")
+    if beta * omega_star > _LOG_FLOAT_MAX:
+        raise ValueError(f"gamma_H is not finite at beta * omega_star = "
+                         f"{beta * omega_star:g}: e^(beta omega) overflows past "
+                         f"{_LOG_FLOAT_MAX:.6g}")
 
     def phi(omega: np.ndarray) -> np.ndarray:
         z = beta * omega

@@ -29,6 +29,7 @@ from lgqfi.models import (
 from lgqfi.protocols import (
     MeterConfig,
     ProtocolEstimate,
+    ProtocolInstance,
     lgi_from_protocol,
     macrorealist_oracle,
     projective_joint,
@@ -153,10 +154,10 @@ def test_criterion_4_ghz_saturation(capsys):
             h_eff, q_eff = build_ghz_effective(n, 1.0, omega)
             eig_eff = hermitian_eig(h_eff)
             sd_eff = spectral_data(eig_eff, q_eff, make_state(eig_eff, index=1))
-            psi = ghz_state(n, +1)
+            inst = ProtocolInstance(hermitian_eig(h_full), q_full, ghz_state(n, +1))
             for tau in np.linspace(0.2, 6.0, 7):
                 tau = float(tau)
-                c_full = symmetrized_correlator(h_full, q_full, psi, 0.0, tau)
+                c_full = symmetrized_correlator(inst, 0.0, tau)
                 assert abs(c_full - float(correlator(sd_eff, tau))) <= 1e-10
 
 
@@ -204,15 +205,17 @@ def test_criterion_7_protocol_equivalence(capsys):
             state = make_state(eig, beta=beta)
             sd = spectral_data(eig, q, state)
             rho = (eig.basis * state.weights) @ eig.basis.conj().T
+            inst = ProtocolInstance(eig, q, rho)
             for tau in (0.3, 1.1):
-                joint = projective_joint(h, q, rho, 0.0, tau)
+                joint = projective_joint(inst, 0.0, tau)
                 assert abs(joint.correlator() - float(correlator(sd, tau))) <= 1e-10
 
         h, q = build_qubit(1.2, 0.8)
         eig = hermitian_eig(h)
         state = make_state(eig, beta=1.5)
         rho = (eig.basis * state.weights) @ eig.basis.conj().T
-        est = projective_mc(h, q, rho, 0.0, 0.9, shots=100_000, seed=2025)
+        est = projective_mc(ProtocolInstance(eig, q, rho), 0.0, 0.9,
+                            shots=100_000, seed=2025)
         assert est.stderr < 5e-3
         assert abs(est.value - est.exact_ref) <= 5.0 * est.stderr
 
@@ -223,11 +226,12 @@ def test_criterion_7_protocol_equivalence(capsys):
         eig3 = hermitian_eig(h3)
         state3 = make_state(eig3, beta=1.0)
         rho3 = (eig3.basis * state3.weights) @ eig3.basis.conj().T
+        inst3 = ProtocolInstance(eig3, q3, rho3)
         tau = 0.7
-        ideal = symmetrized_correlator(h3, q3, rho3, 0.0, tau)
+        ideal = symmetrized_correlator(inst3, 0.0, tau)
         ratios = []
         for width in (1e-1, 1e-2, 1e-3):
-            est = weak_two_meter(h3, q3, rho3, tau, MeterConfig(1.0, width))
+            est = weak_two_meter(inst3, tau, MeterConfig(1.0, width))
             ratios.append(abs(est.value - ideal) / width**2)
         assert ratios[0] > 0.0
         assert max(ratios) / min(ratios) < 1.05
@@ -245,11 +249,11 @@ def test_criterion_8_macrorealist_oracle(capsys):
 
         h, q = build_ghz_effective(6, 1.0, 1.0)
         eig = hermitian_eig(h)
-        psi = eig.basis[:, 1]
+        inst = ProtocolInstance(eig, q, eig.basis[:, 1])
         tau = math.pi / 3.0
 
         def exact(t1, t2):
-            joint = projective_joint(h, q, psi, t1, t2)
+            joint = projective_joint(inst, t1, t2)
             value = joint.correlator()
             return ProtocolEstimate(value=value, stderr=0.0, shots=0,
                                     exact_ref=value, seed=None, times=(t1, t2))

@@ -264,6 +264,32 @@ def test_kernel_probe_cap_exits_one(tmp_path, capsys):
     assert "gamma_p with p = 1000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, accepted", [
+    ({"start": 0.1, "stop": 2.0, "points": 10_000}, True),
+    ({"start": 0.1, "stop": 2.0, "points": 10_001}, False),
+    ([0.001 * (k + 1) for k in range(10_001)], False),
+])
+def test_tau_grid_ceiling(tmp_path, capsys, grid, accepted):
+    # run under 'protocol', which parses the grid but never evaluates it
+    doc = _protocol_doc()
+    doc["tau_grid"] = grid
+    cfg = _write_config(tmp_path, doc)
+    assert main(["protocol", "--config", cfg]) == (0 if accepted else 1)
+    if not accepted:
+        assert "10000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shots, accepted", [(10**7, True), (10**7 + 1, False)])
+def test_protocol_shots_ceiling(tmp_path, capsys, shots, accepted):
+    # run under 'certify', which parses the protocol block but draws no shots
+    doc = _certify_doc(protocol={"tau": 0.8, "shots": shots})
+    cfg = _write_config(tmp_path, doc)
+    assert main(["certify", "--config", cfg]) == (0 if accepted else 1)
+    if not accepted:
+        assert "'protocol.shots' must be an integer in [1, 10000000]" in (
+            capsys.readouterr().err)
+
+
 def test_no_task_enabled(tmp_path, capsys):
     doc = _certify_doc()
     del doc["tau_grid"]
@@ -366,6 +392,36 @@ def test_protocol_table(tmp_path, capsys):
     assert float(by_name["weak_two_meter"][err_idx]) < 1e-10  # dichotomic probe
     assert float(by_name["projective_chain"][err_idx]) < 1e-10
     assert by_name["projective_mc"][gate_idx] == "true"
+
+
+def test_protocol_instance_work_runs_once(tmp_path, capsys, monkeypatch):
+    import lgqfi.cli
+    import lgqfi.protocols
+
+    calls = {"hermitian_eig": 0, "_as_density_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    eig = counted("hermitian_eig", lgqfi.cli.hermitian_eig)
+    monkeypatch.setattr(lgqfi.cli, "hermitian_eig", eig)
+    monkeypatch.setattr(lgqfi.protocols, "hermitian_eig", eig)
+    monkeypatch.setattr(lgqfi.protocols, "_as_density_matrix", counted(
+        "_as_density_matrix", lgqfi.protocols._as_density_matrix))
+    doc = {
+        "model": {"kind": "tfim", "params": {"n": 3, "j": 1.0, "h": 0.7}},
+        "state": {"thermal": {"beta": 1.2}},
+        "protocol": {"tau": 0.6, "shots": 2000, "seed": 3,
+                     "widths": [0.1, 0.01, 0.001]},
+    }
+    cfg = _write_config(tmp_path, doc)
+    assert main(["protocol", "--config", cfg]) == 0
+    _, _, rows = _parse_csv(capsys.readouterr().out)
+    assert [row[0] for row in rows].count("weak_two_meter") == 3
+    assert calls == {"hermitian_eig": 2, "_as_density_matrix": 1}
 
 
 def test_protocol_seed_override(tmp_path, capsys):

@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 
 import pytest
+from mpmath import mp
 
 from lgqfi.kernels import Y_CRIT, gamma, gamma_p, gamma_tilde, hp_max
 from lgqfi.response import gamma_H
-
-mp = pytest.importorskip("mpmath").mp
 
 RTOL = 1e-14
 PROBES = 600

@@ -14,6 +14,7 @@ from lgqfi.models import build_ghz_effective, build_qubit, build_tfim
 from lgqfi.protocols import (
     MeterConfig,
     ProtocolEstimate,
+    ProtocolInstance,
     cluster_eigenvalues,
     lgi_from_protocol,
     macrorealist_oracle,
@@ -26,8 +27,12 @@ from lgqfi.protocols import (
 from lgqfi.spectral import correlator, make_state, spectral_data
 
 
-def _exact_estimate(h, q, rho, t1, t2):
-    joint = projective_joint(h, q, rho, t1, t2)
+def _instance(h, q, rho):
+    return ProtocolInstance(hermitian_eig(h), q, rho)
+
+
+def _exact_estimate(inst, t1, t2):
+    joint = projective_joint(inst, t1, t2)
     value = joint.correlator()
     return ProtocolEstimate(value=value, stderr=0.0, shots=0, exact_ref=value,
                             seed=None, times=joint.times)
@@ -70,9 +75,9 @@ def test_projective_correlator_matches_spectral(case):
     eig = hermitian_eig(h)
     state = make_state(eig, beta=beta)
     sd = spectral_data(eig, q, state)
-    rho = gibbs_density(h.matrix, beta)
+    inst = ProtocolInstance(eig, q, gibbs_density(h.matrix, beta))
     for tau in (0.3, 1.1, 2.7):
-        joint = projective_joint(h, q, rho, 0.0, tau)
+        joint = projective_joint(inst, 0.0, tau)
         assert np.all(joint.probs >= 0.0)
         assert abs(joint.probs.sum() - 1.0) < 1e-12
         assert abs(joint.correlator() - float(correlator(sd, tau))) < 1e-10
@@ -80,55 +85,56 @@ def test_projective_correlator_matches_spectral(case):
 
 def test_projective_stationarity():
     h, q = build_qubit(1.3, 0.7)
-    rho = gibbs_density(h.matrix, 1.4)
+    inst = _instance(h, q, gibbs_density(h.matrix, 1.4))
     tau = 0.9
-    a = projective_joint(h, q, rho, 0.0, tau).correlator()
-    b = projective_joint(h, q, rho, 0.7, 0.7 + tau).correlator()
+    a = projective_joint(inst, 0.0, tau).correlator()
+    b = projective_joint(inst, 0.7, 0.7 + tau).correlator()
     assert abs(a - b) < 1e-12
 
 
 def test_projective_matches_symmetrized_for_dichotomic():
     h, q = build_tfim(3, 0.8, 0.5)
-    rho = gibbs_density(h.matrix, 0.7)
+    inst = _instance(h, q, gibbs_density(h.matrix, 0.7))
     for tau in (0.4, 1.6):
-        assert abs(projective_joint(h, q, rho, 0.0, tau).correlator()
-                   - symmetrized_correlator(h, q, rho, 0.0, tau)) < 1e-10
+        assert abs(projective_joint(inst, 0.0, tau).correlator()
+                   - symmetrized_correlator(inst, 0.0, tau)) < 1e-10
 
 
 def test_projective_accepts_state_vector():
     h, q = build_qubit(1.0, 0.9)
     eig = hermitian_eig(h)
     psi = eig.basis[:, 0]
-    joint = projective_joint(h, q, psi, 0.0, 0.5)
+    joint = projective_joint(ProtocolInstance(eig, q, psi), 0.0, 0.5)
     assert abs(joint.probs.sum() - 1.0) < 1e-12
 
 
 def test_projective_state_validation():
     h, q = build_qubit(1.0, 0.9)
+    eig = hermitian_eig(h)
     with pytest.raises(ValueError):
-        projective_joint(h, q, np.array([1.0, 1.0]), 0.0, 0.5)  # not normalized
+        ProtocolInstance(eig, q, np.array([1.0, 1.0]))  # not normalized
     with pytest.raises(ValueError):
-        projective_joint(h, q, np.array([[1.0, 0.5], [0.0, 0.0]]), 0.0, 0.5)
+        ProtocolInstance(eig, q, np.array([[1.0, 0.5], [0.0, 0.0]]))
     with pytest.raises(ValueError):
-        projective_joint(h, q, np.diag([2.0, -1.0]), 0.0, 0.5)
+        ProtocolInstance(eig, q, np.diag([2.0, -1.0]))
     with pytest.raises(ValueError):
-        projective_joint(h, q, np.eye(3) / 3.0, 0.0, 0.5)
+        ProtocolInstance(eig, q, np.eye(3) / 3.0)
 
 
 def test_projective_rejects_reversed_times():
     h, q = build_qubit(1.0, 0.9)
-    rho = gibbs_density(h.matrix, 1.0)
+    inst = _instance(h, q, gibbs_density(h.matrix, 1.0))
     with pytest.raises(ValueError):
-        projective_joint(h, q, rho, 1.0, 0.5)
+        projective_joint(inst, 1.0, 0.5)
 
 
 def test_projective_mc_reproducible_and_gated():
     h, q = build_qubit(1.2, 0.8)
-    rho = gibbs_density(h.matrix, 1.5)
-    est1 = projective_mc(h, q, rho, 0.0, 0.9, shots=20_000, seed=42)
-    est2 = projective_mc(h, q, rho, 0.0, 0.9, shots=20_000, seed=42)
+    inst = _instance(h, q, gibbs_density(h.matrix, 1.5))
+    est1 = projective_mc(inst, 0.0, 0.9, shots=20_000, seed=42)
+    est2 = projective_mc(inst, 0.0, 0.9, shots=20_000, seed=42)
     assert est1.value == est2.value and est1.stderr == est2.stderr
-    est3 = projective_mc(h, q, rho, 0.0, 0.9, shots=20_000, seed=43)
+    est3 = projective_mc(inst, 0.0, 0.9, shots=20_000, seed=43)
     assert est3.value != est1.value
     assert est1.within_gate is True
     assert est1.stderr > 0.0
@@ -137,23 +143,23 @@ def test_projective_mc_reproducible_and_gated():
 
 def test_projective_mc_validation():
     h, q = build_qubit(1.0, 0.9)
-    rho = gibbs_density(h.matrix, 1.0)
+    inst = _instance(h, q, gibbs_density(h.matrix, 1.0))
     with pytest.raises(ValueError):
-        projective_mc(h, q, rho, 0.0, 0.5, shots=0, seed=1)
+        projective_mc(inst, 0.0, 0.5, shots=0, seed=1)
     with pytest.raises(ValueError):
-        projective_mc(h, q, rho, 0.0, 0.5, shots=10.5, seed=1)
+        projective_mc(inst, 0.0, 0.5, shots=10.5, seed=1)
     with pytest.raises(ValueError):
-        projective_mc(h, q, rho, 0.0, 0.5, shots=True, seed=1)
+        projective_mc(inst, 0.0, 0.5, shots=True, seed=1)
     with pytest.raises(ValueError):
-        projective_mc(h, q, rho, 0.0, 0.5, shots=10, seed=-1)
+        projective_mc(inst, 0.0, 0.5, shots=10, seed=-1)
     with pytest.raises(ValueError):
-        projective_mc(h, q, rho, 0.0, 0.5, shots=10, seed=2**64)
+        projective_mc(inst, 0.0, 0.5, shots=10, seed=2**64)
 
 
 def test_single_shot_has_zero_stderr():
     h, q = build_qubit(1.0, 0.9)
-    rho = gibbs_density(h.matrix, 1.0)
-    est = projective_mc(h, q, rho, 0.0, 0.5, shots=1, seed=7)
+    inst = _instance(h, q, gibbs_density(h.matrix, 1.0))
+    est = projective_mc(inst, 0.0, 0.5, shots=1, seed=7)
     assert est.stderr == 0.0
     assert est.within_gate is None or est.within_gate in (True, False)
 
@@ -164,11 +170,11 @@ def test_single_shot_has_zero_stderr():
 
 def test_weak_meter_exact_for_dichotomic():
     h, q = build_qubit(1.1, 0.7)
-    rho = gibbs_density(h.matrix, 1.3)
+    inst = _instance(h, q, gibbs_density(h.matrix, 1.3))
     tau = 0.8
-    reference = symmetrized_correlator(h, q, rho, 0.0, tau)
+    reference = symmetrized_correlator(inst, 0.0, tau)
     for width in (0.1, 1.0, 10.0):
-        est = weak_two_meter(h, q, rho, tau, MeterConfig(coupling=1.0, width=width))
+        est = weak_two_meter(inst, tau, MeterConfig(coupling=1.0, width=width))
         assert abs(est.value - reference) < 1e-12
         assert abs(est.value - est.exact_ref) < 1e-12
         assert est.seed is None and est.within_gate is None
@@ -178,12 +184,12 @@ def test_weak_meter_quadratic_backaction_for_qutrit():
     rng = np.random.default_rng(23)
     h = Operator(random_hermitian(rng, 3))
     q = Operator(np.diag([1.0, 0.0, -1.0]))
-    rho = gibbs_density(h.matrix, 1.0)
+    inst = _instance(h, q, gibbs_density(h.matrix, 1.0))
     tau = 0.7
-    ideal = symmetrized_correlator(h, q, rho, 0.0, tau)
+    ideal = symmetrized_correlator(inst, 0.0, tau)
     ratios = []
     for width in (1e-1, 1e-2, 1e-3):
-        est = weak_two_meter(h, q, rho, tau, MeterConfig(coupling=1.0, width=width))
+        est = weak_two_meter(inst, tau, MeterConfig(coupling=1.0, width=width))
         ratios.append(abs(est.value - ideal) / width**2)
     assert ratios[0] > 0.0
     assert max(ratios) / min(ratios) < 1.05
@@ -193,8 +199,8 @@ def test_weak_meter_zero_width_is_ideal():
     rng = np.random.default_rng(29)
     h = Operator(random_hermitian(rng, 3))
     q = Operator(np.diag([1.0, 0.0, -1.0]))
-    rho = gibbs_density(h.matrix, 0.8)
-    est = weak_two_meter(h, q, rho, 0.5, MeterConfig(coupling=2.0, width=0.0))
+    inst = _instance(h, q, gibbs_density(h.matrix, 0.8))
+    est = weak_two_meter(inst, 0.5, MeterConfig(coupling=2.0, width=0.0))
     assert abs(est.value - est.exact_ref) < 1e-12
 
 
@@ -205,11 +211,11 @@ def test_weak_meter_zero_width_is_ideal():
 def test_lgi_chain_exact_ghz():
     h, q = build_ghz_effective(6, 1.0, 1.0)
     eig = hermitian_eig(h)
-    psi = eig.basis[:, 1]
+    inst = ProtocolInstance(eig, q, eig.basis[:, 1])
     tau = math.pi / 3.0  # Omega tau = pi/3
-    e12 = _exact_estimate(h, q, psi, 0.0, tau)
-    e23 = _exact_estimate(h, q, psi, tau, 2.0 * tau)
-    e13 = _exact_estimate(h, q, psi, 0.0, 2.0 * tau)
+    e12 = _exact_estimate(inst, 0.0, tau)
+    e23 = _exact_estimate(inst, tau, 2.0 * tau)
+    e13 = _exact_estimate(inst, 0.0, 2.0 * tau)
     chain = lgi_from_protocol(e12, e23, e13)
     assert abs(chain.value - 1.5) < 1e-12
     assert chain.stderr == 0.0
@@ -218,11 +224,11 @@ def test_lgi_chain_exact_ghz():
 
 def test_lgi_chain_quadrature_stderr():
     h, q = build_qubit(1.0, 0.9)
-    rho = gibbs_density(h.matrix, 1.2)
+    inst = _instance(h, q, gibbs_density(h.matrix, 1.2))
     tau = 0.6
-    e12 = projective_mc(h, q, rho, 0.0, tau, shots=5_000, seed=11)
-    e23 = projective_mc(h, q, rho, tau, 2 * tau, shots=5_000, seed=12)
-    e13 = projective_mc(h, q, rho, 0.0, 2 * tau, shots=5_000, seed=13)
+    e12 = projective_mc(inst, 0.0, tau, shots=5_000, seed=11)
+    e23 = projective_mc(inst, tau, 2 * tau, shots=5_000, seed=12)
+    e13 = projective_mc(inst, 0.0, 2 * tau, shots=5_000, seed=13)
     chain = lgi_from_protocol(e12, e23, e13)
     expected = math.sqrt(e12.stderr**2 + e23.stderr**2 + e13.stderr**2)
     assert abs(chain.stderr - expected) < 1e-15
@@ -232,14 +238,14 @@ def test_lgi_chain_quadrature_stderr():
 
 def test_lgi_chain_spacing_validation():
     h, q = build_qubit(1.0, 0.9)
-    rho = gibbs_density(h.matrix, 1.0)
-    e12 = _exact_estimate(h, q, rho, 0.0, 0.5)
-    e23_bad = _exact_estimate(h, q, rho, 0.5, 1.2)
-    e13 = _exact_estimate(h, q, rho, 0.0, 1.0)
+    inst = _instance(h, q, gibbs_density(h.matrix, 1.0))
+    e12 = _exact_estimate(inst, 0.0, 0.5)
+    e23_bad = _exact_estimate(inst, 0.5, 1.2)
+    e13 = _exact_estimate(inst, 0.0, 1.0)
     with pytest.raises(ValueError):
         lgi_from_protocol(e12, e23_bad, e13)
-    e23 = _exact_estimate(h, q, rho, 0.5, 1.0)
-    e13_bad = _exact_estimate(h, q, rho, 0.0, 1.1)
+    e23 = _exact_estimate(inst, 0.5, 1.0)
+    e13_bad = _exact_estimate(inst, 0.0, 1.1)
     with pytest.raises(ValueError):
         lgi_from_protocol(e12, e23, e13_bad)
 

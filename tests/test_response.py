@@ -349,6 +349,17 @@ def test_gamma_h_probe_cap_fails_before_allocating(monkeypatch):
         gamma_H(1.0, 1e6, 10.0)
 
 
+def test_gamma_h_overflow_raises():
+    # e^(beta omega) overflows past beta * omega_star ~ 709.78: the maximum
+    # came out inf (a Holevo bound of 0) or, where the overflowing probes
+    # were nan, a finite value below the true maximum
+    with pytest.raises(ValueError, match=r"beta \* omega_star = 1000"):
+        gamma_H(1.0, 1.0, 1000.0)
+    with pytest.raises(ValueError, match=r"beta \* omega_star = 800"):
+        gamma_H(2.0, 1.0, 400.0)
+    assert math.isfinite(gamma_H(1.0, 1.0, 709.0))
+
+
 def test_holevo_bound_dominated_on_random_instances():
     rng = np.random.default_rng(113)
     for _ in range(15):
