@@ -55,7 +55,7 @@ from .protocols import (
     weak_two_meter,
 )
 from .response import build_spectrum, m2_commutator, m2_moment
-from .spectral import correlator, lgi_K, make_state, qfi, spectral_data
+from .spectral import _pair_correlator, correlator, lgi_K, make_state, qfi, spectral_data
 
 __all__ = ["main", "entry_point"]
 
@@ -234,6 +234,8 @@ def _number(reader: _ConfigReader, key: str, value: object, *,
         return math.inf
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise reader.fail(key, f"'{key}' must be a number, got {value!r}")
+    if math.isnan(value) or (math.isinf(value) and not allow_inf):
+        raise reader.fail(key, f"'{key}' must be a finite number, got {float(value)!r}")
     return float(value)
 
 
@@ -428,12 +430,16 @@ def _instantiate(spec: ModelSpec, *, beta: float | None = None,
 # subcommands
 
 
+def _check_points(points: int, minimum: int) -> None:
+    if not minimum <= points <= _MAX_TAU_POINTS:
+        raise ConfigError(f"--points must be in [{minimum}, {_MAX_TAU_POINTS}], got {points}")
+
+
 def _cmd_gamma_table(args: argparse.Namespace) -> int:
     y_min, y_max, points = args.y_min, args.y_max, args.points
     if not 0.0 < y_min < y_max:
         raise ConfigError(f"need 0 < y_min < y_max, got y_min={y_min}, y_max={y_max}")
-    if points < 2:
-        raise ConfigError(f"--points must be at least 2, got {points}")
+    _check_points(points, 2)
     config_hash = _hash_params({"command": "gamma-table", "y_min": y_min,
                                 "y_max": y_max, "points": points})
     header = ["y", "gamma", "closed_form", "branch", "y_c"]
@@ -497,8 +503,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_qubit(args: argparse.Namespace) -> int:
-    if args.points < 1:
-        raise ConfigError(f"--points must be at least 1, got {args.points}")
+    _check_points(args.points, 1)
     if not 0.0 < args.tau_min <= args.tau_max:
         raise ConfigError(
             f"need 0 < tau-min <= tau-max, got {args.tau_min}, {args.tau_max}"
@@ -549,7 +554,7 @@ def _cmd_tfim(args: argparse.Namespace) -> int:
               "m2_commutator", "rel_error_vs_m2", "f_q"]
     rows = []
     for tau in taus:
-        k_tau = lgi_K(sd, tau)
+        k_tau = 2 * _pair_correlator(sd, tau) - _pair_correlator(sd, 2 * tau)
         curvature = (k_tau - 1.0) / (tau * tau)
         rows.append([tau, k_tau, curvature, m2_spec, m2_comm,
                      abs(curvature - m2_spec) / m2_spec, f_q])
@@ -558,8 +563,7 @@ def _cmd_tfim(args: argparse.Namespace) -> int:
 
 
 def _cmd_ghz(args: argparse.Namespace) -> int:
-    if args.points < 2:
-        raise ConfigError(f"--points must be at least 2, got {args.points}")
+    _check_points(args.points, 2)
     spec = ModelSpec("ghz_effective", {"n": args.sites, "j": args.j,
                                        "omega": args.omega})
     sd = _instantiate(spec, index=1)[-1]

@@ -9,7 +9,10 @@ dissipative response weight are
     w_chi(Delta) = -pi (p_n - p_m) |Q_nm|^2   (chi'' line, <= 0 thermally)
 
 with diagonal and degenerate-pair contributions carried on a separate
-zero-frequency line.  Everything downstream is a weighted sum over lines:
+zero-frequency line.  :func:`lgqfi.spectral.spectral_data` merges the level
+pairs into these lines once per instance, and C(tau) is read from the same
+lines; :func:`build_spectrum` only classifies the state and wraps them.
+Everything downstream is a weighted sum over lines:
 
 * QFI through the fluctuation-dissipation identity
   F_Q = -(4/pi) sum tanh(beta Delta / 2) w_chi(Delta), exact for thermal
@@ -32,26 +35,13 @@ import numpy as np
 
 from .kernels import _maximize, h_kernel
 from .linalg import Operator
-from .spectral import GROUND_WINDOW, SpectralData, _frozen
+from .spectral import GROUND_WINDOW, LINE_MERGE_TOL, SpectralData
 
 __all__ = [
-    "TransitionSpectrum",
-    "HolevoBound",
-    "build_spectrum",
-    "qfi_response",
-    "fsum_upper",
-    "m2_moment",
-    "m2_commutator",
-    "mn_moment",
-    "mn_gapped_lower",
-    "holevo",
-    "gamma_H",
-    "holevo_bound",
-    "export_spectrum",
+    "TransitionSpectrum", "HolevoBound", "build_spectrum", "qfi_response", "fsum_upper",
+    "m2_moment", "m2_commutator", "mn_moment", "mn_gapped_lower", "holevo", "gamma_H",
+    "holevo_bound", "export_spectrum",
 ]
-
-#: Frequencies closer than this are merged into a single line.
-LINE_MERGE_TOL = 1e-10
 
 #: Weight floor below which a line does not count for the infrared gap.
 LINE_WEIGHT_FLOOR = 1e-14
@@ -87,76 +77,22 @@ class TransitionSpectrum:
 
 
 def build_spectrum(sd: SpectralData) -> TransitionSpectrum:
-    """Aggregate a :class:`~lgqfi.spectral.SpectralData` into transition lines.
-
-    Per unordered level pair (n below m) with Delta = E_m - E_n above the
-    merge tolerance, the positive-frequency line collects w_S = p_n |Q_nm|^2
-    and w_chi = -pi (p_n - p_m) |Q_nm|^2; lines within 1e-10 in Delta are
-    merged.  Diagonal terms and both orderings of numerically degenerate
-    pairs are carried on the zero-frequency line.
-    """
-    energies = sd.energies
-    p = sd.state.weights
-    abs_sq = np.abs(sd.elements) ** 2
-    dim = energies.shape[0]
-
-    w_s_zero = float(np.sum(p * np.diag(abs_sq)))
-    i_idx, j_idx = np.triu_indices(dim, k=1)
-    deltas = energies[j_idx] - energies[i_idx]
-    pair_sq = abs_sq[i_idx, j_idx]
-    zero_mask = deltas <= LINE_MERGE_TOL
-    w_s_zero += float(np.sum((p[i_idx] + p[j_idx])[zero_mask] * pair_sq[zero_mask]))
-
-    pos = ~zero_mask
-    pos_delta = deltas[pos]
-    pos_ws = p[i_idx][pos] * pair_sq[pos]
-    pos_wchi = -math.pi * (p[i_idx][pos] - p[j_idx][pos]) * pair_sq[pos]
-
-    order = np.argsort(pos_delta, kind="stable")
-    pos_delta = pos_delta[order]
-    pos_ws = pos_ws[order]
-    pos_wchi = pos_wchi[order]
-
-    merged_delta: list[float] = [0.0]
-    merged_ws: list[float] = [w_s_zero]
-    merged_wchi: list[float] = [0.0]
-    start = 0
-    n_pos = pos_delta.shape[0]
-    while start < n_pos:
-        stop = start + 1
-        while stop < n_pos and pos_delta[stop] - pos_delta[stop - 1] <= LINE_MERGE_TOL:
-            stop += 1
-        merged_delta.append(float(np.mean(pos_delta[start:stop])))
-        merged_ws.append(float(np.sum(pos_ws[start:stop])))
-        merged_wchi.append(float(np.sum(pos_wchi[start:stop])))
-        start = stop
-
+    """Classify the state of ``sd`` and wrap the lines that
+    :func:`~lgqfi.spectral.spectral_data` merged; nothing is copied."""
     state = sd.state
     if state.kind == "thermal":
-        beta = state.beta
-        thermal = True
-        ground = math.isinf(beta)
+        beta, thermal, ground = state.beta, True, math.isinf(state.beta)
     else:
-        manifold = energies - energies[0] <= GROUND_WINDOW
+        manifold = sd.energies - sd.energies[0] <= GROUND_WINDOW
         ground = bool(manifold[state.index])
         thermal = ground and int(np.count_nonzero(manifold)) == 1
         beta = math.inf if thermal else None
 
-    delta_ir = 0.0
-    for k in range(1, len(merged_delta)):
-        if max(merged_ws[k], abs(merged_wchi[k]) / math.pi) > LINE_WEIGHT_FLOOR:
-            delta_ir = merged_delta[k]
-            break
-
-    return TransitionSpectrum(
-        delta=_frozen(np.array(merged_delta)),
-        w_s=_frozen(np.array(merged_ws)),
-        w_chi=_frozen(np.array(merged_wchi)),
-        beta=beta,
-        thermal=thermal,
-        ground=ground,
-        delta_ir=delta_ir,
-    )
+    weighted = np.flatnonzero(np.maximum(sd.w_s, np.abs(sd.w_chi) / math.pi)[1:]
+                              > LINE_WEIGHT_FLOOR)
+    delta_ir = float(sd.delta[1 + weighted[0]]) if weighted.size else 0.0
+    return TransitionSpectrum(delta=sd.delta, w_s=sd.w_s, w_chi=sd.w_chi, beta=beta,
+                              thermal=thermal, ground=ground, delta_ir=delta_ir)
 
 
 def _require_thermal(ts: TransitionSpectrum, what: str) -> float:
@@ -196,22 +132,13 @@ def fsum_upper(ts: TransitionSpectrum) -> float:
     return float(-(2.0 * beta / math.pi) * np.sum(ts.delta[1:] * ts.w_chi[1:]))
 
 
-def _require_ground(ts: TransitionSpectrum, what: str) -> None:
-    if not ts.ground:
-        raise ValueError(
-            f"{what} is a zero-temperature quantity; build the spectrum from a "
-            "ground-manifold state"
-        )
-
-
 def m2_moment(ts: TransitionSpectrum) -> float:
     """Second spectral moment M_2 = -(1/pi) sum Delta^2 w_chi at T = 0.
 
     Equals the commutator expectation <[H, Q]^dag [H, Q]> in the ground
     state (see :func:`m2_commutator` for the independent evaluation).
     """
-    _require_ground(ts, "M_2")
-    return float(-(1.0 / math.pi) * np.sum(ts.delta[1:] ** 2 * ts.w_chi[1:]))
+    return mn_moment(ts, 2)
 
 
 def m2_commutator(h_op: Operator, q_op: Operator, state: np.ndarray) -> float:
@@ -251,7 +178,9 @@ def mn_moment(ts: TransitionSpectrum, order: int) -> float:
         raise ValueError(f"moment order must be an integer, got {order!r}")
     if order < 2:
         raise ValueError(f"moment order must be at least 2, got {order}")
-    _require_ground(ts, f"M_{order}")
+    if not ts.ground:
+        raise ValueError(f"M_{order} is a zero-temperature quantity; build the "
+                         "spectrum from a ground-manifold state")
     return float(-(1.0 / math.pi) * np.sum(ts.delta[1:] ** order * ts.w_chi[1:]))
 
 

@@ -55,6 +55,18 @@ def random_ground_instance(rng: np.random.Generator, dim: int) -> Instance:
     return Instance(h, q, eig, state, spectral_data(eig, q, state), np.inf)
 
 
+def chained_gap_instance(rng: np.random.Generator, beta: float) -> Instance:
+    """Diagonal H whose levels 1 + k * 0.9e-10 chain, step by step, within the
+    1e-10 line-merge tolerance, so merged lines span up to ~8e-10."""
+    cluster = 1.0 + 0.9e-10 * np.arange(10)
+    energies = np.concatenate(([0.0], cluster, [2.5, 3.7]))
+    h = Operator(np.diag(energies).astype(complex))
+    q = Operator(random_unit_observable(rng, energies.shape[0]))
+    eig = hermitian_eig(h)
+    state = make_state(eig, beta=beta)
+    return Instance(h, q, eig, state, spectral_data(eig, q, state), beta)
+
+
 def gibbs_density(h_matrix: np.ndarray, beta: float) -> np.ndarray:
     """Gibbs state exp(-beta H)/Z via a direct matrix exponential."""
     shifted = h_matrix - np.min(np.linalg.eigvalsh(h_matrix)) * np.eye(h_matrix.shape[0])

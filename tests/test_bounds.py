@@ -7,8 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_ground_instance, random_thermal_instance, random_unit_observable
+from conftest import (
+    chained_gap_instance,
+    random_ground_instance,
+    random_thermal_instance,
+    random_unit_observable,
+)
 from lgqfi.bounds import (
+    THEOREM_TOL,
     best_bound,
     bound_Kp,
     bound_pure,
@@ -20,6 +26,7 @@ from lgqfi.bounds import (
     depth_witness,
     thermal_time,
 )
+from lgqfi.errors import InvariantViolation
 from lgqfi.kernels import gamma, gamma_p, gamma_tilde
 from lgqfi.linalg import Operator, hermitian_eig
 from lgqfi.models import build_ghz_effective, build_qubit, build_tfim
@@ -306,6 +313,31 @@ def test_best_bound_empty_grid():
     sd = _qubit_sd()
     with pytest.raises(ValueError):
         best_bound(sd, [])
+
+
+@pytest.mark.parametrize("slope_in_tol, raises", [(3.0, False), (0.5, True)])
+def test_violation_check_allows_the_line_merge_error(monkeypatch, slope_in_tol, raises):
+    # C is a line sum, so K is known only to within err_k of the level-pair
+    # value; a bound that exceeds F_Q at the line K but not everywhere on
+    # [K - err_k, K + err_k] is not a violation.
+    import lgqfi.bounds
+
+    sd = chained_gap_instance(np.random.default_rng(84), 0.7).sd
+    tau = 30.0
+    err_k = 2.0 * sd.merge_error(tau) + sd.merge_error(2.0 * tau)
+    assert err_k > 10.0 * THEOREM_TOL
+    f_q, k_line = qfi(sd), lgi_K(sd, tau)
+    slope = slope_in_tol * THEOREM_TOL / err_k
+
+    def fake_thermal(k_value, q2, tau, beta):
+        return f_q + 2.0 * THEOREM_TOL + slope * (k_value - k_line)
+
+    monkeypatch.setattr(lgqfi.bounds, "bound_thermal", fake_thermal)
+    if raises:
+        with pytest.raises(InvariantViolation, match="'thermal'"):
+            best_bound(sd, [tau], kp=(3,))
+    else:
+        assert best_bound(sd, [tau], kp=(3,)).reports[0].raw_lower["thermal"] > f_q
 
 
 def test_best_bound_never_exceeds_qfi():

@@ -199,6 +199,35 @@ def test_certify_instance_work_runs_once(tmp_path, capsys, monkeypatch):
     assert calls == {"build_spectrum": 1, "qfi": 1}
 
 
+def test_certify_merges_lines_once(tmp_path, capsys, monkeypatch):
+    import lgqfi.spectral
+    from lgqfi.response import build_spectrum
+
+    merges = []
+    merge = lgqfi.spectral._merge_lines
+
+    def counted(*args):
+        merges.append(args[0].shape[0])
+        return merge(*args)
+
+    monkeypatch.setattr(lgqfi.spectral, "_merge_lines", counted)
+    cfg = _write_config(tmp_path, _certify_doc())
+    assert main(["certify", "--config", cfg]) == 0
+    _, header, rows = _parse_csv(capsys.readouterr().out)
+    assert len(rows) == 4 and "fsum_upper" in header
+    assert merges == [2]
+
+    from lgqfi.linalg import hermitian_eig
+    from lgqfi.models import build_qubit
+    from lgqfi.spectral import make_state, spectral_data
+    h, q = build_qubit(1.0, 1.1)
+    eig = hermitian_eig(h)
+    sd = spectral_data(eig, q, make_state(eig, beta=2.0))
+    ts = build_spectrum(sd)
+    assert len(merges) == 2
+    assert ts.delta is sd.delta and ts.w_s is sd.w_s and ts.w_chi is sd.w_chi
+
+
 def test_certify_depth_column(tmp_path, capsys):
     cfg = _write_config(tmp_path, _certify_doc(bounds={"depth_sites": 4}))
     assert main(["certify", "--config", cfg]) == 0
@@ -277,6 +306,46 @@ def test_tau_grid_ceiling(tmp_path, capsys, grid, accepted):
     assert main(["protocol", "--config", cfg]) == (0 if accepted else 1)
     if not accepted:
         assert "10000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [
+    [0.2, float("nan"), 0.9],
+    {"start": float("nan"), "stop": 2.0, "points": 5},
+    [0.2, float("inf")],
+])
+def test_tau_grid_rejects_non_finite(tmp_path, capsys, grid):
+    cfg = _write_config(tmp_path, _certify_doc(tau_grid=grid))
+    assert main(["certify", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:" in err and "'tau_grid' must be a finite number" in err
+
+
+@pytest.mark.parametrize("beta, accepted", [
+    (float("inf"), True), ("inf", True), (float("nan"), False)])
+def test_beta_accepts_inf_but_not_nan(tmp_path, capsys, beta, accepted):
+    cfg = _write_config(tmp_path, _certify_doc(state={"thermal": {"beta": beta}}))
+    assert main(["certify", "--config", cfg]) == (0 if accepted else 1)
+    if not accepted:
+        assert "'beta' must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma-table"], ["qubit"], ["ghz", "--sites", "4"]], ids=lambda a: a[0])
+def test_preset_points_ceiling(monkeypatch, capsys, argv):
+    import numpy as np
+
+    asked = []
+    linspace = np.linspace
+
+    def spy(start, stop, num=50, *args, **kwargs):
+        asked.append(num)
+        assert num <= 10_000, f"np.linspace asked for {num} points"
+        return linspace(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", spy)
+    assert main(argv + ["--points", "1000000000"]) == 1
+    assert "--points must be in" in capsys.readouterr().err
+    assert asked == []
 
 
 @pytest.mark.parametrize("shots, accepted", [(10**7, True), (10**7 + 1, False)])

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import (
+    chained_gap_instance,
     gibbs_density,
     oracle_correlator,
     oracle_qfi_fidelity,
@@ -17,8 +19,10 @@ from conftest import (
 )
 from lgqfi.errors import InvariantViolation
 from lgqfi.linalg import Operator, hermitian_eig
-from lgqfi.models import build_collective, build_qubit, ghz_state
+from lgqfi.models import build_collective, build_qubit, build_tfim, ghz_state
 from lgqfi.spectral import (
+    LINE_MERGE_TOL,
+    _pair_correlator,
     correlator,
     f_terms,
     kappa_terms,
@@ -161,6 +165,83 @@ def test_kappa_terms_sum_to_k_excess():
     tau = 0.8
     terms = kappa_terms(inst.sd, tau)
     assert abs(terms.sum() - (lgi_K(inst.sd, tau) - inst.sd.q2_expect)) < 1e-12
+
+
+# --------------------------------------------------------------------------
+# transition lines
+
+
+def _line_cases():
+    """(label, SpectralData) for the line-versus-pair comparisons."""
+    for n in (6, 7, 8, 9):
+        h, q = build_tfim(n, 1.0, 0.7)
+        eig = hermitian_eig(h)
+        for beta in (1.3, math.inf):
+            yield f"tfim{n}-beta{beta}", spectral_data(eig, q, make_state(eig, beta=beta))
+    dense = random_thermal_instance(np.random.default_rng(61), 128, beta=0.8)
+    yield "dense128", dense.sd
+    for beta in (0.5, math.inf):
+        yield f"chained-beta{beta}", chained_gap_instance(np.random.default_rng(62), beta).sd
+
+
+def _loop_lines(sd):
+    """The level-pair merge as a plain loop over Delta-sorted pairs."""
+    e, p = sd.energies, sd.state.weights
+    abs_sq = np.abs(sd.elements) ** 2
+    zero_ws = float(np.sum(p * np.diag(abs_sq)))
+    pairs = []
+    for n in range(sd.dim):
+        for m in range(n + 1, sd.dim):
+            d, w = e[m] - e[n], abs_sq[n, m]
+            if d <= LINE_MERGE_TOL:
+                zero_ws += (p[n] + p[m]) * w
+            else:
+                pairs.append((d, p[n] * w, -math.pi * (p[n] - p[m]) * w))
+    pairs.sort(key=lambda pair: pair[0])
+    lines = [[0.0, zero_ws, 0.0]]
+    group: list = []
+    for pair in pairs + [None]:
+        if group and (pair is None or pair[0] - group[-1][0] > LINE_MERGE_TOL):
+            cols = np.array(group)
+            lines.append([cols[:, 0].mean(), cols[:, 1].sum(), cols[:, 2].sum()])
+            group = []
+        if pair is not None:
+            group.append(pair)
+    return np.array(lines)
+
+
+def test_line_correlator_within_merge_error_of_pair_sum():
+    taus = [1e-3, 0.37, 2.0, 11.5, 140.0]
+    for label, sd in _line_cases():
+        weight = np.where(np.arange(sd.delta.shape[0]) == 0, sd.w_s,
+                          2.0 * sd.w_s + sd.w_chi / math.pi)
+        for tau in taus:
+            gap = abs(correlator(sd, tau) - _pair_correlator(sd, tau))
+            allowed = sd.line_span * tau * float(np.sum(np.abs(weight)))
+            assert sd.merge_error(tau) == pytest.approx(allowed, rel=1e-12, abs=0.0)
+            assert gap <= allowed + 1e-14, (label, tau, gap, allowed)
+        if label.startswith("chained"):
+            assert sd.line_span > 5.0 * LINE_MERGE_TOL
+
+
+def test_vectorized_merge_matches_loop():
+    for label, sd in _line_cases():
+        if sd.dim > 256:
+            continue
+        loop = _loop_lines(sd)
+        assert sd.delta.shape[0] == loop.shape[0], label
+        for got, col in ((sd.delta, 0), (sd.w_s, 1), (sd.w_chi, 2)):
+            np.testing.assert_allclose(got, loop[:, col], rtol=0.0, atol=1e-14,
+                                       err_msg=label)
+
+
+def test_spectral_data_holds_no_pair_arrays():
+    sd = random_thermal_instance(np.random.default_rng(63), 16, beta=1.0).sd
+    for field in dataclasses.fields(sd):
+        value = getattr(sd, field.name)
+        if field.name != "elements" and isinstance(value, np.ndarray):
+            assert value.size < sd.dim ** 2, field.name
+            assert not value.flags.writeable, field.name
 
 
 def test_qubit_correlator_analytic():
