@@ -29,7 +29,6 @@ from .kernels import (
     R_kernel,
     Y_CRIT,
     gamma,
-    gamma_numeric,
     gamma_p,
     gamma_p_zero_temperature,
     gamma_tilde,
@@ -67,8 +66,6 @@ from .protocols import (
 )
 from .response import (
     HolevoBound,
-    TransitionSpectrum,
-    build_spectrum,
     fsum_upper,
     gamma_H,
     holevo,
@@ -106,7 +103,7 @@ __all__ = [
     "build_ghz_effective", "build_collective", "ghz_state", "load_custom",
     # kernels
     "KernelResult", "Y_CRIT", "h_kernel", "hp_kernel", "hp_max", "R_kernel",
-    "rp_kernel", "rtilde_kernel", "gamma", "gamma_numeric", "gamma_p",
+    "rp_kernel", "rtilde_kernel", "gamma", "gamma_p",
     "gamma_tilde", "gamma_zero_temperature", "gamma_p_zero_temperature",
     "gamma_tilde_zero_temperature",
     # spectral
@@ -118,9 +115,8 @@ __all__ = [
     "bound_thermal_weak", "bound_thermal_time", "bound_two_time", "bound_Kp",
     "depth_witness", "build_report", "best_bound",
     # response
-    "TransitionSpectrum", "build_spectrum", "qfi_response", "fsum_upper",
-    "m2_moment", "m2_commutator", "mn_moment", "mn_gapped_lower", "holevo",
-    "gamma_H", "HolevoBound", "holevo_bound",
+    "qfi_response", "fsum_upper", "m2_moment", "m2_commutator", "mn_moment",
+    "mn_gapped_lower", "holevo", "gamma_H", "HolevoBound", "holevo_bound",
     # protocols
     "MeterConfig", "ProtocolEstimate", "ProtocolInstance", "JointDistribution",
     "projective_joint", "projective_mc", "symmetrized_correlator",

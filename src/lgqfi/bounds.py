@@ -37,7 +37,7 @@ from .kernels import (
     gamma_tilde_zero_temperature,
     gamma_zero_temperature,
 )
-from .response import build_spectrum, fsum_upper
+from .response import fsum_upper
 from .spectral import SpectralData, correlator, qfi
 
 __all__ = [
@@ -287,7 +287,7 @@ def best_bound(sd: SpectralData, tau_grid: Sequence[float], *,
     f_q = qfi(sd)
     fsum = None
     if include_fsum and state.kind == "thermal" and not math.isinf(state.beta):
-        fsum = fsum_upper(build_spectrum(sd))
+        fsum = fsum_upper(sd)
         if fsum < f_q - THEOREM_TOL:
             raise InvariantViolation(
                 f"f-sum upper bound {fsum!r} fell below F_Q = {f_q!r}: "

@@ -54,7 +54,7 @@ from .protocols import (
     projective_mc,
     weak_two_meter,
 )
-from .response import build_spectrum, m2_commutator, m2_moment
+from .response import m2_commutator, m2_moment
 from .spectral import _pair_correlator, correlator, lgi_K, make_state, qfi, spectral_data
 
 __all__ = ["main", "entry_point"]
@@ -234,9 +234,13 @@ def _number(reader: _ConfigReader, key: str, value: object, *,
         return math.inf
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise reader.fail(key, f"'{key}' must be a number, got {value!r}")
-    if math.isnan(value) or (math.isinf(value) and not allow_inf):
-        raise reader.fail(key, f"'{key}' must be a finite number, got {float(value)!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise reader.fail(key, f"'{key}' is an integer too large for a float") from None
+    if math.isnan(number) or (math.isinf(number) and not allow_inf):
+        raise reader.fail(key, f"'{key}' must be a finite number, got {number!r}")
+    return number
 
 
 def _parse_tau_grid(reader: _ConfigReader, raw: object) -> tuple[float, ...]:
@@ -543,9 +547,8 @@ def _cmd_tfim(args: argparse.Namespace) -> int:
         raise ConfigError("--taus must contain positive times")
     spec = ModelSpec("tfim", {"n": args.sites, "j": args.j, "h": args.h})
     h_op, q_op, eig, _, sd = _instantiate(spec, beta=math.inf)
-    ts = build_spectrum(sd)
     f_q = qfi(sd)
-    m2_spec = m2_moment(ts)
+    m2_spec = m2_moment(sd)
     m2_comm = m2_commutator(h_op, q_op, eig.basis[:, 0])
 
     config_hash = _hash_params({"command": "tfim", "sites": args.sites,

@@ -43,7 +43,6 @@ __all__ = [
     "rp_kernel",
     "rtilde_kernel",
     "gamma",
-    "gamma_numeric",
     "gamma_p",
     "gamma_tilde",
     "hp_max",
@@ -224,19 +223,6 @@ def gamma(y: float) -> KernelResult:
     are cached by y.
     """
     return _gamma_cached(_check_y(y))
-
-
-def gamma_numeric(y: float) -> KernelResult:
-    """Probe-based evaluation of gamma(y) regardless of branch.
-
-    Exposed for cross-checks of the closed form: the maximizer of the
-    numeric branch of :func:`gamma`, run over (0, 2 pi] so it is meaningful
-    on both sides of y_c.
-    """
-    y = _check_y(y)
-    x_star, value = _maximize(lambda xs: R_kernel(xs, y), 0.25 * y * y,
-                              2.0 * math.pi, 1.0, "gamma")
-    return KernelResult(y=y, value=value, argmax_x=x_star, method="numeric")
 
 
 @lru_cache(maxsize=4096)

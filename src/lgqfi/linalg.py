@@ -52,10 +52,10 @@ def _frozen_array(values: np.ndarray, dtype: type) -> np.ndarray:
 class Operator:
     """An immutable dense Hermitian operator.
 
-    The constructor validates Hermiticity entrywise (tolerance
-    ``HERMITICITY_TOL``) and stores the exactly symmetrized matrix
-    ``(A + A^dag)/2`` read-only, so every downstream routine can rely on
-    exact Hermiticity.
+    The constructor rejects non-finite entries, validates Hermiticity
+    entrywise (tolerance ``HERMITICITY_TOL``) and stores the exactly
+    symmetrized matrix ``(A + A^dag)/2`` read-only, so every downstream
+    routine can rely on exact Hermiticity.
     """
 
     matrix: np.ndarray
@@ -66,7 +66,11 @@ class Operator:
             raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
         if m.shape[0] < 1:
             raise ValueError("operator dimension must be at least 1")
-        deviation = float(np.max(np.abs(m - m.conj().T)))
+        with np.errstate(invalid="ignore"):
+            deviation = float(np.max(np.abs(m - m.conj().T)))
+        # a NaN or inf entry makes its own deviation NaN or inf
+        if not np.isfinite(deviation):
+            raise ValueError("matrix has a non-finite (NaN or inf) entry")
         if deviation > HERMITICITY_TOL:
             raise ValueError(
                 f"matrix is not Hermitian: max |A_ij - conj(A_ji)| = {deviation:.3e} "

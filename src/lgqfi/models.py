@@ -347,24 +347,31 @@ def build_model(spec: ModelSpec) -> tuple[Operator, Operator]:
             raise ValueError(f"model kind '{spec.kind}' requires parameter '{name}'")
         return params.pop(name, default)
 
+    def real(name: str) -> float:
+        value = take(name, required=True)
+        try:
+            return float(value)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"model parameter '{name}': {exc}") from exc
+
+    def integer(name: str, required: bool = True) -> int | None:
+        value = take(name, required=required)
+        if value is None and not required:
+            return None
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"model parameter '{name}' must be an integer, got {value!r}")
+        return int(value)
+
     if spec.kind == "qubit":
-        epsilon = float(take("epsilon", required=True))
-        theta = float(take("theta", required=True))
-        pair = build_qubit(epsilon, theta)
+        pair = build_qubit(real("epsilon"), real("theta"))
     elif spec.kind == "tfim":
-        n = int(take("n", required=True))
-        j = float(take("j", required=True))
-        h = float(take("h", required=True))
+        n, j, h = integer("n"), real("j"), real("h")
         if h == 0.0:
             raise ValueError("tfim model specs require a nonzero transverse field h")
         boundary = str(take("boundary", "open"))
-        site_raw = take("site", None)
-        site = None if site_raw is None else int(site_raw)
-        pair = build_tfim(n, j, h, boundary=boundary, site=site)
+        pair = build_tfim(n, j, h, boundary=boundary, site=integer("site", required=False))
     elif spec.kind == "ghz":
-        n = int(take("n", required=True))
-        j = float(take("j", required=True))
-        omega = float(take("omega", required=True))
+        n, j, omega = integer("n"), real("j"), real("omega")
         ham, q = build_ghz(n, j, omega)
         if spec.observable == "collective_rescaled":
             q = build_collective(n)[1]
@@ -375,10 +382,7 @@ def build_model(spec: ModelSpec) -> tuple[Operator, Operator]:
             )
         pair = (ham, q)
     elif spec.kind == "ghz_effective":
-        n = int(take("n", required=True))
-        j = float(take("j", required=True))
-        omega = float(take("omega", required=True))
-        pair = build_ghz_effective(n, j, omega)
+        pair = build_ghz_effective(integer("n"), real("j"), real("omega"))
     elif spec.kind == "custom":
         path = take("path", required=True)
         pair = load_custom(str(path))

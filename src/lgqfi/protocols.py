@@ -51,6 +51,8 @@ __all__ = [
 OUTCOME_TOL = 1e-9
 
 _MAX_SEED = 2**64
+#: Shots drawn per block in ``projective_mc`` (512 KB of uniforms at a time).
+_MC_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -239,11 +241,17 @@ def projective_mc(inst: ProtocolInstance, t1: float, t2: float, shots: int,
     cdf[-1] = 1.0
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    # the uniform draws are a temporary, freed before the mean and error pass
-    samples = flat_products[np.searchsorted(cdf, rng.random(shots), side="right")]
+    # one stream drawn block by block: no second shot-sized array is ever live
+    samples = np.empty(shots)
+    for lo in range(0, shots, _MC_BLOCK):
+        block = samples[lo:lo + _MC_BLOCK]
+        block[:] = flat_products[np.searchsorted(cdf, rng.random(block.size), side="right")]
 
     value = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(shots)) if shots > 1 else 0.0
+    # samples.std(ddof=1), with its deviations and squares written in place
+    samples -= value
+    stderr = (math.sqrt(float(np.square(samples, out=samples).sum()) / (shots - 1))
+              / math.sqrt(shots)) if shots > 1 else 0.0
     return ProtocolEstimate(value=value, stderr=stderr, shots=shots,
                             exact_ref=joint.correlator(), seed=seed,
                             times=(float(t1), float(t2)))

@@ -1,4 +1,4 @@
-"""Transition spectra, response-based QFI, sum rules, and the Holevo weight.
+"""Response-based QFI, sum rules, and the Holevo weight of a transition spectrum.
 
 For a stationary state with weights p_n the two-point function of Q defines
 a discrete transition spectrum: at each positive Bohr frequency
@@ -10,9 +10,10 @@ dissipative response weight are
 
 with diagonal and degenerate-pair contributions carried on a separate
 zero-frequency line.  :func:`lgqfi.spectral.spectral_data` merges the level
-pairs into these lines once per instance, and C(tau) is read from the same
-lines; :func:`build_spectrum` only classifies the state and wraps them.
-Everything downstream is a weighted sum over lines:
+pairs into these lines once per instance; C(tau) and every function here
+read them, with the state's classification (``gibbs_beta``, ``ground``,
+``delta_ir``), from one :class:`~lgqfi.spectral.SpectralData`.  Each is a
+weighted sum over lines:
 
 * QFI through the fluctuation-dissipation identity
   F_Q = -(4/pi) sum tanh(beta Delta / 2) w_chi(Delta), exact for thermal
@@ -35,90 +36,42 @@ import numpy as np
 
 from .kernels import _maximize, h_kernel
 from .linalg import Operator
-from .spectral import GROUND_WINDOW, LINE_MERGE_TOL, SpectralData
+from .spectral import LINE_MERGE_TOL, SpectralData
 
 __all__ = [
-    "TransitionSpectrum", "HolevoBound", "build_spectrum", "qfi_response", "fsum_upper",
-    "m2_moment", "m2_commutator", "mn_moment", "mn_gapped_lower", "holevo", "gamma_H",
-    "holevo_bound", "export_spectrum",
+    "HolevoBound", "qfi_response", "fsum_upper", "m2_moment", "m2_commutator", "mn_moment",
+    "mn_gapped_lower", "holevo", "gamma_H", "holevo_bound", "export_spectrum",
 ]
-
-#: Weight floor below which a line does not count for the infrared gap.
-LINE_WEIGHT_FLOOR = 1e-14
 
 #: Largest z with e^z finite in double precision.
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
-@dataclass(frozen=True)
-class TransitionSpectrum:
-    """Discrete transition lines of one (state, observable) instance.
-
-    ``delta`` is ascending with ``delta[0] = 0`` holding the zero-frequency
-    line (diagonal plus degenerate-pair weight; its w_chi is identically 0).
-    ``thermal`` marks states with Gibbs weights (including the beta = inf
-    ground-manifold limit when that manifold is nondegenerate); ``ground``
-    marks states supported on the ground manifold.  ``delta_ir`` is the
-    smallest positive line frequency carrying weight, or 0.0 if there is
-    none.
-    """
-
-    delta: np.ndarray
-    w_s: np.ndarray
-    w_chi: np.ndarray
-    beta: float | None
-    thermal: bool
-    ground: bool
-    delta_ir: float
-
-    @property
-    def n_lines(self) -> int:
-        return self.delta.shape[0]
-
-
-def build_spectrum(sd: SpectralData) -> TransitionSpectrum:
-    """Classify the state of ``sd`` and wrap the lines that
-    :func:`~lgqfi.spectral.spectral_data` merged; nothing is copied."""
-    state = sd.state
-    if state.kind == "thermal":
-        beta, thermal, ground = state.beta, True, math.isinf(state.beta)
-    else:
-        manifold = sd.energies - sd.energies[0] <= GROUND_WINDOW
-        ground = bool(manifold[state.index])
-        thermal = ground and int(np.count_nonzero(manifold)) == 1
-        beta = math.inf if thermal else None
-
-    weighted = np.flatnonzero(np.maximum(sd.w_s, np.abs(sd.w_chi) / math.pi)[1:]
-                              > LINE_WEIGHT_FLOOR)
-    delta_ir = float(sd.delta[1 + weighted[0]]) if weighted.size else 0.0
-    return TransitionSpectrum(delta=sd.delta, w_s=sd.w_s, w_chi=sd.w_chi, beta=beta,
-                              thermal=thermal, ground=ground, delta_ir=delta_ir)
-
-
-def _require_thermal(ts: TransitionSpectrum, what: str) -> float:
-    if not ts.thermal or ts.beta is None:
+def _require_thermal(sd: SpectralData, what: str) -> float:
+    beta = sd.gibbs_beta
+    if beta is None:
         raise ValueError(
             f"{what} requires Gibbs weights; this spectrum was built from a "
             "non-thermal stationary state"
         )
-    return ts.beta
+    return beta
 
 
-def qfi_response(ts: TransitionSpectrum) -> float:
+def qfi_response(sd: SpectralData) -> float:
     """QFI from the dissipative response:
     F_Q = -(4/pi) sum tanh(beta Delta / 2) w_chi(Delta).
 
     Exact for thermal states (beta = inf included); raises ``ValueError``
     for spectra built from non-thermal states, where the identity fails.
     """
-    beta = _require_thermal(ts, "the response-based QFI")
-    delta = ts.delta[1:]
-    w_chi = ts.w_chi[1:]
+    beta = _require_thermal(sd, "the response-based QFI")
+    delta = sd.delta[1:]
+    w_chi = sd.w_chi[1:]
     factor = np.ones_like(delta) if math.isinf(beta) else np.tanh(0.5 * beta * delta)
     return float(-(4.0 / math.pi) * np.sum(factor * w_chi))
 
 
-def fsum_upper(ts: TransitionSpectrum) -> float:
+def fsum_upper(sd: SpectralData) -> float:
     """f-sum upper bound on the QFI: -(2 beta / pi) sum Delta w_chi(Delta).
 
     Follows from tanh(z) <= z applied linewise, so it always dominates
@@ -126,19 +79,19 @@ def fsum_upper(ts: TransitionSpectrum) -> float:
     beta lim omega^2 chi'(omega) by Kramers-Kronig.  Diverges (returns inf)
     at beta = inf.
     """
-    beta = _require_thermal(ts, "the f-sum bound")
+    beta = _require_thermal(sd, "the f-sum bound")
     if math.isinf(beta):
         return math.inf
-    return float(-(2.0 * beta / math.pi) * np.sum(ts.delta[1:] * ts.w_chi[1:]))
+    return float(-(2.0 * beta / math.pi) * np.sum(sd.delta[1:] * sd.w_chi[1:]))
 
 
-def m2_moment(ts: TransitionSpectrum) -> float:
+def m2_moment(sd: SpectralData) -> float:
     """Second spectral moment M_2 = -(1/pi) sum Delta^2 w_chi at T = 0.
 
     Equals the commutator expectation <[H, Q]^dag [H, Q]> in the ground
     state (see :func:`m2_commutator` for the independent evaluation).
     """
-    return mn_moment(ts, 2)
+    return mn_moment(sd, 2)
 
 
 def m2_commutator(h_op: Operator, q_op: Operator, state: np.ndarray) -> float:
@@ -169,7 +122,7 @@ def m2_commutator(h_op: Operator, q_op: Operator, state: np.ndarray) -> float:
     return float(np.real(np.trace(state @ comm.conj().T @ comm)))
 
 
-def mn_moment(ts: TransitionSpectrum, order: int) -> float:
+def mn_moment(sd: SpectralData, order: int) -> float:
     """n-th spectral moment M_n = -(1/pi) sum Delta^n w_chi at T = 0.
 
     Requires integer order >= 2; order 2 reproduces :func:`m2_moment`.
@@ -178,25 +131,26 @@ def mn_moment(ts: TransitionSpectrum, order: int) -> float:
         raise ValueError(f"moment order must be an integer, got {order!r}")
     if order < 2:
         raise ValueError(f"moment order must be at least 2, got {order}")
-    if not ts.ground:
+    if not sd.ground:
         raise ValueError(f"M_{order} is a zero-temperature quantity; build the "
                          "spectrum from a ground-manifold state")
-    return float(-(1.0 / math.pi) * np.sum(ts.delta[1:] ** order * ts.w_chi[1:]))
+    return float(-(1.0 / math.pi) * np.sum(sd.delta[1:] ** order * sd.w_chi[1:]))
 
 
-def mn_gapped_lower(ts: TransitionSpectrum, order: int) -> float | None:
+def mn_gapped_lower(sd: SpectralData, order: int) -> float | None:
     """Gap lower bound Delta_IR^(n-2) M_2 on M_n, or None when gapless.
 
     The bound applies only when the spectrum has an infrared gap
     (delta_ir > 0); gapless instances return None so callers can skip the
     comparison explicitly.
     """
-    if ts.delta_ir <= LINE_MERGE_TOL:
+    delta_ir = sd.delta_ir
+    if delta_ir <= LINE_MERGE_TOL:
         return None
-    return float(ts.delta_ir ** (order - 2) * m2_moment(ts))
+    return float(delta_ir ** (order - 2) * m2_moment(sd))
 
 
-def holevo(ts: TransitionSpectrum, include_zero: bool = True) -> float:
+def holevo(sd: SpectralData, include_zero: bool = True) -> float:
     """Holevo spectral weight H_QQ = sum w_S(Delta) beta Delta / (e^(beta Delta) - 1).
 
     The thermal kernel weights each structure-factor line by the detailed
@@ -205,16 +159,16 @@ def holevo(ts: TransitionSpectrum, include_zero: bool = True) -> float:
     for observables with diagonal weight).  At beta = inf every positive
     line is exponentially suppressed to zero.
     """
-    beta = _require_thermal(ts, "the Holevo weight")
-    delta = ts.delta[1:]
+    beta = _require_thermal(sd, "the Holevo weight")
+    delta = sd.delta[1:]
     if math.isinf(beta):
         total = 0.0
     else:
         with np.errstate(over="ignore"):
             kernel = np.where(delta > 0.0, beta * delta / np.expm1(beta * delta), 1.0)
-        total = float(np.sum(ts.w_s[1:] * kernel))
+        total = float(np.sum(sd.w_s[1:] * kernel))
     if include_zero:
-        total += float(ts.w_s[0])
+        total += float(sd.w_s[0])
     return total
 
 
@@ -266,7 +220,7 @@ class HolevoBound:
     lower: float
 
 
-def holevo_bound(ts: TransitionSpectrum, tau: float, omega_star: float,
+def holevo_bound(sd: SpectralData, tau: float, omega_star: float,
                  k_value: float, q2: float) -> HolevoBound:
     """Correlation lower bound H_QQ >= [K(tau) - <Q^2>] / gamma_H.
 
@@ -274,11 +228,10 @@ def holevo_bound(ts: TransitionSpectrum, tau: float, omega_star: float,
     line lies above it the bound is reported inapplicable rather than
     evaluated.
     """
-    beta = _require_thermal(ts, "the Holevo bound")
+    beta = _require_thermal(sd, "the Holevo bound")
     if math.isinf(beta):
         raise ValueError("the Holevo bound requires a finite inverse temperature")
-    top = float(ts.delta[-1]) if ts.n_lines > 1 else 0.0
-    if omega_star < top - 1e-12:
+    if omega_star < float(sd.delta[-1]) - 1e-12:
         return HolevoBound(applicable=False, gamma_h=math.nan, lower=math.nan)
     g = gamma_H(beta, tau, omega_star)
     if g <= 0.0:
@@ -288,11 +241,9 @@ def holevo_bound(ts: TransitionSpectrum, tau: float, omega_star: float,
     return HolevoBound(applicable=True, gamma_h=g, lower=(k_value - q2) / g)
 
 
-def export_spectrum(ts: TransitionSpectrum, path: str) -> None:
+def export_spectrum(sd: SpectralData, path: str) -> None:
     """Write the transition lines to ``path`` as CSV (delta, w_S, w_chi)."""
     with open(path, "w", encoding="utf-8", newline="\n") as stream:
         stream.write("delta,w_S,w_chi\n")
-        for k in range(ts.n_lines):
-            stream.write(
-                f"{ts.delta[k]:.17g},{ts.w_s[k]:.17g},{ts.w_chi[k]:.17g}\n"
-            )
+        for delta, w_s, w_chi in zip(sd.delta, sd.w_s, sd.w_chi):
+            stream.write(f"{delta:.17g},{w_s:.17g},{w_chi:.17g}\n")

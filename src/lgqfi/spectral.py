@@ -7,7 +7,7 @@ eigenbasis, the symmetrized two-time correlator of an observable Q is
              * cos(omega_nm tau),            omega_nm = E_n - E_m.
 
 :func:`spectral_data` merges the level pairs once per instance into the
-transition lines of :mod:`lgqfi.response` (frequencies chaining within
+transition lines read by :mod:`lgqfi.response` (frequencies chaining within
 ``LINE_MERGE_TOL`` share one line at their mean), and C is a line sum:
 
     C(tau) = w_S[0] + sum_{Delta > 0} (2 w_S + w_chi / pi) cos(Delta tau).
@@ -51,6 +51,9 @@ WEIGHT_FLOOR = 1e-14
 
 #: Frequencies closer than this are merged into a single line.
 LINE_MERGE_TOL = 1e-10
+
+#: Weight floor below which a line does not count for the infrared gap.
+LINE_WEIGHT_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -123,13 +126,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Everything needed to evaluate correlators and QFI for one instance.
+    """Everything needed to evaluate correlators, QFI and response for one instance.
 
     ``elements`` holds Q in the energy eigenbasis and ``q2_expect`` is
     <Q^2> = Tr[rho Q^2].  ``delta``, ``w_s`` and ``w_chi`` are the transition
-    lines of :class:`~lgqfi.response.TransitionSpectrum`, built once, and
-    ``line_span`` the widest frequency range merged into one line, which
-    bounds how far a pair frequency lies from its line.  Arrays are read-only.
+    lines, built once: ``delta`` ascends from ``delta[0] = 0``, the
+    zero-frequency line of diagonal and degenerate-pair weight (its w_chi is
+    identically 0).  ``line_span`` is the widest frequency range merged into
+    one line, which bounds how far a pair frequency lies from its line.
+    Arrays are read-only.
     """
 
     energies: np.ndarray
@@ -145,6 +150,29 @@ class SpectralData:
     @property
     def dim(self) -> int:
         return self.energies.shape[0]
+
+    @property
+    def gibbs_beta(self) -> float | None:
+        """Gibbs inverse temperature (inf for a pure nondegenerate ground level), else None."""
+        if self.state.kind == "thermal":
+            return self.state.beta
+        manifold = self.energies - self.energies[0] <= GROUND_WINDOW
+        nondegenerate = manifold[self.state.index] and np.count_nonzero(manifold) == 1
+        return math.inf if nondegenerate else None
+
+    @property
+    def ground(self) -> bool:
+        """Whether the state is supported on the ground manifold."""
+        if self.state.kind == "thermal":
+            return math.isinf(self.state.beta)
+        return bool(self.energies[self.state.index] - self.energies[0] <= GROUND_WINDOW)
+
+    @property
+    def delta_ir(self) -> float:
+        """Smallest positive line frequency carrying weight, or 0.0 if none."""
+        weighted = np.flatnonzero(np.maximum(self.w_s, np.abs(self.w_chi) / math.pi)[1:]
+                                  > LINE_WEIGHT_FLOOR)
+        return float(self.delta[1 + weighted[0]]) if weighted.size else 0.0
 
     def merge_error(self, tau: float) -> float:
         """Largest |C(tau)| difference between the line and level-pair sums."""

@@ -180,7 +180,7 @@ def test_certify_best_skips_disabled_families(tmp_path, capsys):
 def test_certify_instance_work_runs_once(tmp_path, capsys, monkeypatch):
     import lgqfi.bounds
 
-    calls = {"build_spectrum": 0, "qfi": 0}
+    calls = {"fsum_upper": 0, "qfi": 0}
 
     def counted(name):
         fn = getattr(lgqfi.bounds, name)
@@ -196,12 +196,11 @@ def test_certify_instance_work_runs_once(tmp_path, capsys, monkeypatch):
     assert main(["certify", "--config", cfg]) == 0
     _, header, rows = _parse_csv(capsys.readouterr().out)
     assert len(rows) == 4 and "fsum_upper" in header
-    assert calls == {"build_spectrum": 1, "qfi": 1}
+    assert calls == {"fsum_upper": 1, "qfi": 1}
 
 
 def test_certify_merges_lines_once(tmp_path, capsys, monkeypatch):
     import lgqfi.spectral
-    from lgqfi.response import build_spectrum
 
     merges = []
     merge = lgqfi.spectral._merge_lines
@@ -216,16 +215,6 @@ def test_certify_merges_lines_once(tmp_path, capsys, monkeypatch):
     _, header, rows = _parse_csv(capsys.readouterr().out)
     assert len(rows) == 4 and "fsum_upper" in header
     assert merges == [2]
-
-    from lgqfi.linalg import hermitian_eig
-    from lgqfi.models import build_qubit
-    from lgqfi.spectral import make_state, spectral_data
-    h, q = build_qubit(1.0, 1.1)
-    eig = hermitian_eig(h)
-    sd = spectral_data(eig, q, make_state(eig, beta=2.0))
-    ts = build_spectrum(sd)
-    assert len(merges) == 2
-    assert ts.delta is sd.delta and ts.w_s is sd.w_s and ts.w_chi is sd.w_chi
 
 
 def test_certify_depth_column(tmp_path, capsys):
@@ -327,6 +316,38 @@ def test_beta_accepts_inf_but_not_nan(tmp_path, capsys, beta, accepted):
     assert main(["certify", "--config", cfg]) == (0 if accepted else 1)
     if not accepted:
         assert "'beta' must be a finite number" in capsys.readouterr().err
+
+
+_HUGE = 10**400  # an integer literal that no float can hold
+
+
+@pytest.mark.parametrize("key, doc", [
+    ("beta", _certify_doc(state={"thermal": {"beta": _HUGE}})),
+    ("tau_grid", _certify_doc(tau_grid=[0.2, _HUGE])),
+    ("epsilon", _certify_doc(model={"kind": "qubit",
+                                    "params": {"epsilon": _HUGE, "theta": 1.1}})),
+])
+def test_huge_integer_literal_is_a_config_error(tmp_path, capsys, key, doc):
+    cfg = _write_config(tmp_path, doc)
+    assert main(["certify", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}") and f"'{key}'" in err
+
+
+def test_non_finite_model_entries_exit_one(tmp_path, capsys):
+    nan_h = [[[float("nan"), 0.0], [0.2, 0.0]], [[0.2, 0.0], [1.0, 0.0]]]
+    q = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"dim": 2, "H": nan_h, "Q": q}), encoding="utf-8")
+    docs = [_certify_doc(model={"kind": "custom", "params": {"path": str(model)}}),
+            _certify_doc(model={"kind": "tfim",
+                                "params": {"n": 4, "j": 1.0, "h": float("nan")}})]
+    for doc in docs:
+        cfg = _write_config(tmp_path, doc)
+        assert main(["certify", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "non-finite" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

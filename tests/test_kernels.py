@@ -11,7 +11,6 @@ from lgqfi.kernels import (
     R_kernel,
     Y_CRIT,
     gamma,
-    gamma_numeric,
     gamma_p,
     gamma_p_zero_temperature,
     gamma_tilde,
@@ -145,11 +144,6 @@ def test_gamma_branch_continuity():
     below = gamma(Y_CRIT * (1.0 - 1e-9)).value
     above = gamma(Y_CRIT * (1.0 + 1e-9)).value
     assert abs(below - above) < 1e-7
-
-
-def test_gamma_numeric_cross_check():
-    for y in (0.3, 0.8, Y_CRIT, 1.5, 3.0):
-        assert abs(gamma(y).value - gamma_numeric(y).value) < 1e-9
 
 
 def test_gamma_dominates_brute_force_global():

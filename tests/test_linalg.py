@@ -26,6 +26,15 @@ def test_operator_rejects_non_hermitian():
         Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_operator_rejects_non_finite(bad, where):
+    m = np.array([[0.0, 0.5], [0.5, 1.0]], dtype=complex)
+    m[where] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        Operator(m)
+
+
 def test_operator_symmetrizes_storage():
     m = np.array([[1.0, 0.5 + 1e-13j], [0.5, -1.0]])
     op = Operator(m)

@@ -285,6 +285,26 @@ def test_build_model_errors():
                               observable="site"))
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("tfim", {"n": 4.7, "j": 1.0, "h": 0.5}),
+    ("tfim", {"n": "6", "j": 1.0, "h": 0.5}),
+    ("tfim", {"n": True, "j": 1.0, "h": 0.5}),
+    ("tfim", {"n": 4, "j": 1.0, "h": 0.5, "site": 2.9}),
+    ("ghz", {"n": 3.0, "j": 1.0, "omega": 0.2}),
+    ("ghz_effective", {"n": "4", "j": 1.0, "omega": 0.2}),
+])
+def test_build_model_rejects_non_integer_counts(kind, params):
+    name = "site" if "site" in params else "n"
+    with pytest.raises(ValueError, match=f"parameter '{name}' must be an integer"):
+        build_model(ModelSpec(kind, params))
+
+
+def test_build_model_accepts_numpy_integers():
+    h, _ = build_model(ModelSpec("tfim", {"n": np.int64(3), "j": 1.0, "h": 0.5,
+                                          "site": np.int32(1)}))
+    assert h.dim == 8
+
+
 def test_ground_state_ordering_ghz_effective():
     # ascending energies put the antisymmetric combination first
     ham, _ = build_ghz_effective(4, 1.0, 0.8)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,30 @@ def test_projective_mc_reproducible_and_gated():
     assert est1.within_gate is True
     assert est1.stderr > 0.0
     assert abs(est1.value - est1.exact_ref) <= 5.0 * est1.stderr
+
+
+def test_projective_mc_blocks_match_one_draw_in_one_float_per_shot():
+    # the draws come block by block and the variance is taken in place, with
+    # the bits of one shot-sized draw and np.std, and no second shot array
+    h, q = build_qubit(1.2, 0.8)
+    inst = _instance(h, q, gibbs_density(h.matrix, 1.5))
+    shots = 300_001
+    tracemalloc.start()
+    try:
+        est = projective_mc(inst, 0.0, 0.9, shots=shots, seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * shots
+
+    joint = projective_joint(inst, 0.0, 0.9)
+    cdf = np.cumsum(joint.probs.ravel())
+    cdf[-1] = 1.0
+    draws = np.random.Generator(np.random.Philox(key=42)).random(shots)
+    products = np.outer(joint.outcomes_first, joint.outcomes_second).ravel()
+    samples = products[np.searchsorted(cdf, draws, side="right")]
+    assert est.value == float(samples.mean())
+    assert est.stderr == float(samples.std(ddof=1) / math.sqrt(shots))
 
 
 def test_projective_mc_validation():

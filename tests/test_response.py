@@ -1,4 +1,4 @@
-"""Transition spectra, response QFI, spectral moments, and Holevo weight."""
+"""Transition lines, state classification, response QFI, moments, Holevo weight."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from lgqfi.kernels import h_kernel
 from lgqfi.linalg import Operator, hermitian_eig
 from lgqfi.models import build_qubit, build_tfim
 from lgqfi.response import (
-    build_spectrum,
     export_spectrum,
     fsum_upper,
     gamma_H,
@@ -35,9 +34,7 @@ from lgqfi.spectral import lgi_K, make_state, qfi, spectral_data
 def _qubit_spectrum(eps=1.0, theta=0.9, *, beta=None, index=None):
     h, q = build_qubit(eps, theta)
     eig = hermitian_eig(h)
-    state = make_state(eig, beta=beta, index=index)
-    sd = spectral_data(eig, q, state)
-    return sd, build_spectrum(sd)
+    return spectral_data(eig, q, make_state(eig, beta=beta, index=index))
 
 
 # --------------------------------------------------------------------------
@@ -45,25 +42,24 @@ def _qubit_spectrum(eps=1.0, theta=0.9, *, beta=None, index=None):
 
 
 def test_spectrum_layout():
-    sd, ts = _qubit_spectrum(beta=2.0)
-    assert ts.delta[0] == 0.0
-    assert ts.w_chi[0] == 0.0
-    assert np.all(np.diff(ts.delta) > 0)
-    assert not ts.delta.flags.writeable
-    assert ts.thermal and not ts.ground
-    assert ts.beta == 2.0
+    sd = _qubit_spectrum(beta=2.0)
+    assert sd.delta[0] == 0.0
+    assert sd.w_chi[0] == 0.0
+    assert np.all(np.diff(sd.delta) > 0)
+    assert not sd.delta.flags.writeable
+    assert sd.gibbs_beta == 2.0 and not sd.ground
 
 
 def test_qubit_ground_sigma_x_single_line():
     eps = 1.7
-    sd, ts = _qubit_spectrum(eps, math.pi / 2.0, index=0)
-    assert ts.n_lines == 2
-    assert abs(ts.delta[1] - eps) < 1e-12
-    assert abs(ts.w_chi[1] + math.pi) < 1e-12
-    assert abs(ts.w_s[1] - 1.0) < 1e-12
-    assert abs(ts.w_s[0]) < 1e-12  # probe axis has no diagonal weight
-    assert ts.ground and ts.thermal and ts.beta == math.inf
-    assert abs(ts.delta_ir - eps) < 1e-12
+    sd = _qubit_spectrum(eps, math.pi / 2.0, index=0)
+    assert sd.delta.shape[0] == 2
+    assert abs(sd.delta[1] - eps) < 1e-12
+    assert abs(sd.w_chi[1] + math.pi) < 1e-12
+    assert abs(sd.w_s[1] - 1.0) < 1e-12
+    assert abs(sd.w_s[0]) < 1e-12  # probe axis has no diagonal weight
+    assert sd.ground and sd.gibbs_beta == math.inf
+    assert abs(sd.delta_ir - eps) < 1e-12
 
 
 def test_commuting_observable_all_weight_on_zero_line():
@@ -71,12 +67,11 @@ def test_commuting_observable_all_weight_on_zero_line():
     q = Operator(np.diag([1.0, -1.0, 0.25]))
     eig = hermitian_eig(h)
     sd = spectral_data(eig, q, make_state(eig, beta=1.0))
-    ts = build_spectrum(sd)
     # positive-frequency lines exist for each level pair but carry no weight
-    assert np.all(ts.w_s[1:] == 0.0)
-    assert np.all(ts.w_chi[1:] == 0.0)
-    assert ts.delta_ir == 0.0
-    assert abs(ts.w_s[0] - sd.q2_expect) < 1e-12
+    assert np.all(sd.w_s[1:] == 0.0)
+    assert np.all(sd.w_chi[1:] == 0.0)
+    assert sd.delta_ir == 0.0
+    assert abs(sd.w_s[0] - sd.q2_expect) < 1e-12
 
 
 def test_near_uniform_weights_suppress_w_chi():
@@ -85,8 +80,7 @@ def test_near_uniform_weights_suppress_w_chi():
     q = Operator(random_unit_observable(rng, 4))
     eig = hermitian_eig(h)
     sd = spectral_data(eig, q, make_state(eig, beta=1e-12))
-    ts = build_spectrum(sd)
-    assert np.max(np.abs(ts.w_chi)) < 1e-10
+    assert np.max(np.abs(sd.w_chi)) < 1e-10
 
 
 def test_degenerate_levels_merge_onto_zero_and_shared_lines():
@@ -96,19 +90,18 @@ def test_degenerate_levels_merge_onto_zero_and_shared_lines():
     eig = hermitian_eig(h)
     state = make_state(eig, beta=1.5)
     sd = spectral_data(eig, q, state)
-    ts = build_spectrum(sd)
     # one zero line plus a single merged line at Delta = 1 shared by both
     # transitions out of the degenerate manifold
-    assert ts.n_lines == 2
-    assert abs(ts.delta[1] - 1.0) < 1e-12
+    assert sd.delta.shape[0] == 2
+    assert abs(sd.delta[1] - 1.0) < 1e-12
     p = state.weights
     el = np.abs(sd.elements) ** 2
     zero = p[0] * el[0, 0] + p[1] * el[1, 1] + p[2] * el[2, 2]
     zero += (p[0] + p[1]) * el[0, 1]
-    assert abs(ts.w_s[0] - zero) < 1e-14
-    assert abs(ts.w_s[1] - (p[0] * el[0, 2] + p[1] * el[1, 2])) < 1e-14
+    assert abs(sd.w_s[0] - zero) < 1e-14
+    assert abs(sd.w_s[1] - (p[0] * el[0, 2] + p[1] * el[1, 2])) < 1e-14
     expected_chi = -math.pi * ((p[0] - p[2]) * el[0, 2] + (p[1] - p[2]) * el[1, 2])
-    assert abs(ts.w_chi[1] - expected_chi) < 1e-14
+    assert abs(sd.w_chi[1] - expected_chi) < 1e-14
 
 
 def test_degenerate_ground_manifold_is_not_thermal():
@@ -117,20 +110,19 @@ def test_degenerate_ground_manifold_is_not_thermal():
     q = Operator(random_unit_observable(rng, 3))
     eig = hermitian_eig(h)
     sd = spectral_data(eig, q, make_state(eig, index=0))
-    ts = build_spectrum(sd)
-    assert ts.ground and not ts.thermal
-    assert ts.beta is None
+    assert sd.ground and sd.gibbs_beta is None
+    assert abs(sd.delta_ir - 1.0) < 1e-12
 
 
 def test_excited_pure_state_is_neither_thermal_nor_ground():
-    sd, ts = _qubit_spectrum(index=1)
-    assert not ts.thermal and not ts.ground
+    sd = _qubit_spectrum(index=1)
+    assert sd.gibbs_beta is None and not sd.ground
     with pytest.raises(ValueError):
-        qfi_response(ts)
+        qfi_response(sd)
     with pytest.raises(ValueError):
-        fsum_upper(ts)
+        fsum_upper(sd)
     with pytest.raises(ValueError):
-        holevo(ts)
+        holevo(sd)
 
 
 # --------------------------------------------------------------------------
@@ -143,16 +135,16 @@ def test_qfi_response_matches_spectral_qfi():
         dim = int(rng.integers(2, 8))
         beta = float(rng.uniform(0.1, 10.0))
         inst = random_thermal_instance(rng, dim, beta)
-        ts = build_spectrum(inst.sd)
-        assert abs(qfi_response(ts) - qfi(inst.sd)) < 1e-10
+        sd = inst.sd
+        assert abs(qfi_response(sd) - qfi(sd)) < 1e-10
 
 
 def test_qfi_response_zero_temperature():
     rng = np.random.default_rng(99)
     inst = random_thermal_instance(rng, 5, math.inf)
-    ts = build_spectrum(inst.sd)
-    assert ts.beta == math.inf
-    assert abs(qfi_response(ts) - qfi(inst.sd)) < 1e-10
+    sd = inst.sd
+    assert sd.gibbs_beta == math.inf and sd.ground
+    assert abs(qfi_response(sd) - qfi(sd)) < 1e-10
 
 
 def test_fsum_dominates_qfi():
@@ -160,20 +152,20 @@ def test_fsum_dominates_qfi():
     for _ in range(20):
         inst = random_thermal_instance(rng, int(rng.integers(2, 7)),
                                        float(rng.uniform(0.2, 6.0)))
-        ts = build_spectrum(inst.sd)
-        assert fsum_upper(ts) >= qfi_response(ts) - 1e-12
+        sd = inst.sd
+        assert fsum_upper(sd) >= qfi_response(sd) - 1e-12
 
 
 def test_fsum_qubit_closed_form():
     eps, theta, beta = 1.3, 0.8, 2.4
-    _, ts = _qubit_spectrum(eps, theta, beta=beta)
+    sd = _qubit_spectrum(eps, theta, beta=beta)
     expected = 2.0 * beta * eps * math.tanh(0.5 * beta * eps) * math.sin(theta) ** 2
-    assert abs(fsum_upper(ts) - expected) < 1e-12
+    assert abs(fsum_upper(sd) - expected) < 1e-12
 
 
 def test_fsum_diverges_at_zero_temperature():
-    _, ts = _qubit_spectrum(beta=math.inf)
-    assert fsum_upper(ts) == math.inf
+    sd = _qubit_spectrum(beta=math.inf)
+    assert fsum_upper(sd) == math.inf
 
 
 # --------------------------------------------------------------------------
@@ -181,9 +173,9 @@ def test_fsum_diverges_at_zero_temperature():
 
 
 def test_m2_requires_ground_state():
-    _, ts = _qubit_spectrum(beta=2.0)
+    sd = _qubit_spectrum(beta=2.0)
     with pytest.raises(ValueError):
-        m2_moment(ts)
+        m2_moment(sd)
 
 
 def test_tfim_m2_equals_4h_squared_both_paths():
@@ -191,9 +183,8 @@ def test_tfim_m2_equals_4h_squared_both_paths():
     h_op, q_op = build_tfim(n, j, h_field)
     eig = hermitian_eig(h_op)
     sd = spectral_data(eig, q_op, make_state(eig, beta=math.inf))
-    ts = build_spectrum(sd)
     target = 4.0 * h_field**2
-    assert abs(m2_moment(ts) - target) < 1e-9
+    assert abs(m2_moment(sd) - target) < 1e-9
     ground = eig.basis[:, 0]
     assert abs(m2_commutator(h_op, q_op, ground) - target) < 1e-12
 
@@ -213,9 +204,9 @@ def test_m2_paths_agree_on_random_ground_instances():
     for _ in range(10):
         dim = int(rng.integers(2, 8))
         inst = random_ground_instance(rng, dim)
-        ts = build_spectrum(inst.sd)
+        sd = inst.sd
         ground = inst.eig.basis[:, 0]
-        assert abs(m2_moment(ts) - m2_commutator(inst.h, inst.q, ground)) < 1e-10
+        assert abs(m2_moment(sd) - m2_commutator(inst.h, inst.q, ground)) < 1e-10
 
 
 def test_m2_commutator_density_matrix_and_validation():
@@ -232,23 +223,23 @@ def test_m2_commutator_density_matrix_and_validation():
 
 def test_qubit_moments_are_gap_powers():
     eps = 1.9
-    _, ts = _qubit_spectrum(eps, math.pi / 2.0, index=0)
-    assert abs(m2_moment(ts) - eps**2) < 1e-12
+    sd = _qubit_spectrum(eps, math.pi / 2.0, index=0)
+    assert abs(m2_moment(sd) - eps**2) < 1e-12
     for order in (2, 3, 4, 6):
-        value = mn_moment(ts, order)
+        value = mn_moment(sd, order)
         assert abs(value - eps**order) < 1e-10
         # single line: the gap bound is saturated
-        assert abs(mn_gapped_lower(ts, order) - value) < 1e-10
+        assert abs(mn_gapped_lower(sd, order) - value) < 1e-10
 
 
 def test_mn_moment_validation():
-    _, ts = _qubit_spectrum(index=0)
+    sd = _qubit_spectrum(index=0)
     with pytest.raises(ValueError):
-        mn_moment(ts, 1)
+        mn_moment(sd, 1)
     with pytest.raises(ValueError):
-        mn_moment(ts, 2.5)
+        mn_moment(sd, 2.5)
     with pytest.raises(ValueError):
-        mn_moment(ts, True)
+        mn_moment(sd, True)
 
 
 def test_mn_gapped_lower_none_when_gapless():
@@ -256,19 +247,18 @@ def test_mn_gapped_lower_none_when_gapless():
     q = Operator(np.diag([1.0, -1.0]))
     eig = hermitian_eig(h)
     sd = spectral_data(eig, q, make_state(eig, index=0))
-    ts = build_spectrum(sd)
-    assert ts.delta_ir == 0.0
-    assert mn_gapped_lower(ts, 4) is None
+    assert sd.delta_ir == 0.0
+    assert mn_gapped_lower(sd, 4) is None
 
 
 def test_mn_gap_bound_dominated_by_moment():
     rng = np.random.default_rng(107)
     for _ in range(10):
         inst = random_ground_instance(rng, int(rng.integers(2, 7)))
-        ts = build_spectrum(inst.sd)
-        lower = mn_gapped_lower(ts, 4)
+        sd = inst.sd
+        lower = mn_gapped_lower(sd, 4)
         if lower is not None:
-            assert mn_moment(ts, 4) >= lower - 1e-10
+            assert mn_moment(sd, 4) >= lower - 1e-10
 
 
 def test_short_time_curvature_bounded_by_m2():
@@ -276,10 +266,10 @@ def test_short_time_curvature_bounded_by_m2():
     rng = np.random.default_rng(109)
     for _ in range(8):
         inst = random_ground_instance(rng, int(rng.integers(2, 7)))
-        ts = build_spectrum(inst.sd)
-        m2 = m2_moment(ts)
+        sd = inst.sd
+        m2 = m2_moment(sd)
         for tau in (0.02, 0.1, 0.5, 1.0, 2.0):
-            excess = lgi_K(inst.sd, tau) - inst.sd.q2_expect
+            excess = lgi_K(sd, tau) - sd.q2_expect
             assert excess / tau**2 <= m2 + 1e-9
 
 
@@ -289,18 +279,18 @@ def test_short_time_curvature_bounded_by_m2():
 
 def test_holevo_qubit_closed_form():
     eps, theta, beta = 1.2, 0.7, 1.8
-    _, ts = _qubit_spectrum(eps, theta, beta=beta)
+    sd = _qubit_spectrum(eps, theta, beta=beta)
     z = beta * eps
     expected = math.cos(theta) ** 2 + math.sin(theta) ** 2 * z / (2.0 * math.sinh(z))
-    assert abs(holevo(ts) - expected) < 1e-12
-    assert abs(holevo(ts, include_zero=False)
+    assert abs(holevo(sd) - expected) < 1e-12
+    assert abs(holevo(sd, include_zero=False)
                - math.sin(theta) ** 2 * z / (2.0 * math.sinh(z))) < 1e-12
 
 
 def test_holevo_zero_temperature_keeps_only_zero_line():
-    _, ts = _qubit_spectrum(1.0, 0.6, beta=math.inf)
-    assert holevo(ts) == ts.w_s[0]
-    assert holevo(ts, include_zero=False) == 0.0
+    sd = _qubit_spectrum(1.0, 0.6, beta=math.inf)
+    assert holevo(sd) == sd.w_s[0]
+    assert holevo(sd, include_zero=False) == 0.0
 
 
 def test_holevo_commuting_observable_is_q2():
@@ -308,8 +298,7 @@ def test_holevo_commuting_observable_is_q2():
     q = Operator(np.diag([1.0, -1.0, 0.25]))
     eig = hermitian_eig(h)
     sd = spectral_data(eig, q, make_state(eig, beta=0.9))
-    ts = build_spectrum(sd)
-    assert abs(holevo(ts) - sd.q2_expect) < 1e-12
+    assert abs(holevo(sd) - sd.q2_expect) < 1e-12
 
 
 def test_gamma_h_validation():
@@ -366,37 +355,36 @@ def test_holevo_bound_dominated_on_random_instances():
         dim = int(rng.integers(2, 7))
         beta = float(rng.uniform(0.3, 5.0))
         inst = random_thermal_instance(rng, dim, beta)
-        ts = build_spectrum(inst.sd)
+        sd = inst.sd
         tau = float(rng.uniform(0.1, 2.0))
-        omega_star = float(ts.delta[-1]) if ts.n_lines > 1 else 1.0
-        hb = holevo_bound(ts, tau, omega_star,
-                          lgi_K(inst.sd, tau), inst.sd.q2_expect)
+        omega_star = float(sd.delta[-1]) if sd.delta.shape[0] > 1 else 1.0
+        hb = holevo_bound(sd, tau, omega_star, lgi_K(sd, tau), sd.q2_expect)
         assert hb.applicable
-        assert holevo(ts) >= hb.lower - 1e-9
+        assert holevo(sd) >= hb.lower - 1e-9
 
 
 def test_holevo_bound_inapplicable_below_top_line():
-    sd, ts = _qubit_spectrum(2.0, 0.9, beta=1.0)
-    hb = holevo_bound(ts, 0.5, 1.0, lgi_K(sd, 0.5), sd.q2_expect)
+    sd = _qubit_spectrum(2.0, 0.9, beta=1.0)
+    hb = holevo_bound(sd, 0.5, 1.0, lgi_K(sd, 0.5), sd.q2_expect)
     assert not hb.applicable
     assert math.isnan(hb.gamma_h) and math.isnan(hb.lower)
 
 
 def test_holevo_bound_rejects_zero_temperature():
-    sd, ts = _qubit_spectrum(beta=math.inf)
+    sd = _qubit_spectrum(beta=math.inf)
     with pytest.raises(ValueError):
-        holevo_bound(ts, 0.5, 2.0, lgi_K(sd, 0.5), sd.q2_expect)
+        holevo_bound(sd, 0.5, 2.0, lgi_K(sd, 0.5), sd.q2_expect)
 
 
 def test_holevo_contrast_family():
     # fixed correlation excess, Holevo weight shrinking as z / sinh(z)
     ratios = []
     for eps in (1.0, 2.0, 4.0, 8.0):
-        sd, ts = _qubit_spectrum(eps, math.pi / 2.0, beta=1.0)
+        sd = _qubit_spectrum(eps, math.pi / 2.0, beta=1.0)
         tau = math.pi / (3.0 * eps)
         excess = lgi_K(sd, tau) - sd.q2_expect
         assert abs(excess - 0.5) < 1e-12
-        ratio = holevo(ts) / excess
+        ratio = holevo(sd) / excess
         assert abs(ratio - eps / math.sinh(eps)) < 1e-10
         ratios.append(ratio)
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
@@ -409,10 +397,10 @@ def test_holevo_contrast_family():
 def test_export_spectrum_roundtrip(tmp_path):
     rng = np.random.default_rng(127)
     inst = random_thermal_instance(rng, 4, 1.3)
-    ts = build_spectrum(inst.sd)
+    sd = inst.sd
     path = tmp_path / "lines.csv"
-    export_spectrum(ts, str(path))
+    export_spectrum(sd, str(path))
     data = np.genfromtxt(path, delimiter=",", names=True)
-    assert np.array_equal(data["delta"], ts.delta)
-    assert np.array_equal(data["w_S"], ts.w_s)
-    assert np.array_equal(data["w_chi"], ts.w_chi)
+    assert np.array_equal(data["delta"], sd.delta)
+    assert np.array_equal(data["w_S"], sd.w_s)
+    assert np.array_equal(data["w_chi"], sd.w_chi)
