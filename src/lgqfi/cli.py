@@ -621,11 +621,11 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     c_ref = float(correlator(sd, tau))
     k_ref = lgi_K(sd, tau)
 
-    c_01 = projective_joint(inst, 0.0, tau).correlator()
+    mc = projective_mc(inst, 0.0, tau, shots, seed)
+    c_01 = mc.exact_ref  # the (0, tau) joint distribution's correlator, computed once
     c_12 = projective_joint(inst, tau, 2.0 * tau).correlator()
     c_02 = projective_joint(inst, 0.0, 2.0 * tau).correlator()
     k_value = c_01 + c_12 - c_02
-    mc = projective_mc(inst, 0.0, tau, shots, seed)
 
     header = ["protocol", "quantity", "value", "stderr", "spectral_ref",
               "abs_error", "within_gate"]

@@ -43,7 +43,7 @@ DEGENERACY_TIE_TOL = 1e-12
 
 
 def _frozen_array(values: np.ndarray, dtype: type) -> np.ndarray:
-    out = np.array(values, dtype=dtype, copy=True, order="C")
+    out = np.ascontiguousarray(values, dtype=dtype)  # callers pass arrays they own
     out.setflags(write=False)
     return out
 
@@ -54,7 +54,7 @@ class Operator:
 
     The constructor rejects non-finite entries, validates Hermiticity
     entrywise (tolerance ``HERMITICITY_TOL``) and stores the exactly
-    symmetrized matrix ``(A + A^dag)/2`` read-only, so every downstream
+    symmetrized matrix ``A/2 + A^dag/2`` read-only, so every downstream
     routine can rely on exact Hermiticity.
     """
 
@@ -76,7 +76,8 @@ class Operator:
                 f"matrix is not Hermitian: max |A_ij - conj(A_ji)| = {deviation:.3e} "
                 f"exceeds {HERMITICITY_TOL:.1e}"
             )
-        object.__setattr__(self, "matrix", _frozen_array((m + m.conj().T) / 2.0, np.complex128))
+        sym = m / 2.0  # halved first: entries near the float maximum cannot overflow
+        object.__setattr__(self, "matrix", _frozen_array(np.add(sym, sym.conj().T, out=sym), np.complex128))
 
     @property
     def dim(self) -> int:

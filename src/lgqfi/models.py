@@ -349,10 +349,15 @@ def build_model(spec: ModelSpec) -> tuple[Operator, Operator]:
 
     def real(name: str) -> float:
         value = take(name, required=True)
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"model parameter '{name}' must be a number, got {value!r}")
         try:
-            return float(value)
-        except (TypeError, OverflowError) as exc:
+            number = float(value)
+        except OverflowError as exc:
             raise ValueError(f"model parameter '{name}': {exc}") from exc
+        if not math.isfinite(number):
+            raise ValueError(f"model parameter '{name}' is non-finite: {number!r}")
+        return number
 
     def integer(name: str, required: bool = True) -> int | None:
         value = take(name, required=required)

@@ -1,8 +1,8 @@
 """Measurement protocols for temporal correlations.
 
-Every protocol runs on one :class:`ProtocolInstance` (H's eigensystem, Q
-diagonalized once, a validated state).  Three routes to the two-time
-correlator are provided:
+Every protocol runs on one :class:`ProtocolInstance`, which holds the state
+and Q in H's and Q's eigenbases, where time evolution is a phase per level
+and a projector a block of columns.  Three routes to the correlator:
 
 * exact projective statistics: the joint outcome distribution of ideal
   projective measurements of Q at two times, with the correlator read off
@@ -25,7 +25,7 @@ statistics can never violate the three-time inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -152,36 +152,39 @@ def _as_density_matrix(rho0: np.ndarray, dim: int) -> np.ndarray:
 class ProtocolInstance:
     """One validated (H, Q, state) instance, shared by every protocol run on it.
 
-    Built as ``ProtocolInstance(h_eig, q, rho0)`` from H's eigensystem, Q and
-    a state vector or density matrix (kept as the density matrix ``rho``);
-    Q is diagonalized and its outcome projectors are built once.
+    Built as ``ProtocolInstance(h_eig, q, rho)`` from H's eigensystem (basis
+    V), Q and a state vector or density matrix.  Made once: the overlap
+    ``overlap = V^+ W`` with Q's eigenbasis W (eigenvalues ``q_values``,
+    grouped into ``outcomes`` by column indices ``members``), the state and
+    Q in H's basis (``rho_h``, ``q_h``) and the state in Q's basis (``rho_w``).
     """
 
     h_eig: Eigensystem
     q: Operator
-    rho: np.ndarray
-    q_eig: Eigensystem = field(init=False)
+    rho: InitVar[np.ndarray]
     outcomes: np.ndarray = field(init=False)
-    projectors: tuple[np.ndarray, ...] = field(init=False)
+    members: tuple[np.ndarray, ...] = field(init=False)
+    q_values: np.ndarray = field(init=False)
+    overlap: np.ndarray = field(init=False)
+    rho_h: np.ndarray = field(init=False)
+    q_h: np.ndarray = field(init=False)
+    rho_w: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, rho: np.ndarray) -> None:
         if self.h_eig.dim != self.q.dim:
             raise ValueError(
                 f"H has dimension {self.h_eig.dim} but Q has dimension {self.q.dim}"
             )
-        object.__setattr__(self, "rho", _as_density_matrix(self.rho, self.h_eig.dim))
+        v = self.h_eig.basis
+        rho_h = v.conj().T @ _as_density_matrix(rho, self.h_eig.dim) @ v
         q_eig = hermitian_eig(self.q)
         outcomes, members = cluster_eigenvalues(q_eig.energies)
-        object.__setattr__(self, "q_eig", q_eig)
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "projectors", tuple(
-            q_eig.basis[:, idx] @ q_eig.basis[:, idx].conj().T for idx in members))
-
-    def propagator(self, dt: float) -> np.ndarray:
-        """U(dt) = exp(-i H dt)."""
-        basis = self.h_eig.basis
-        phases = np.exp(-1j * self.h_eig.energies * dt)
-        return (basis * phases) @ basis.conj().T
+        overlap = v.conj().T @ q_eig.basis
+        for name, value in (("outcomes", outcomes), ("members", tuple(members)),
+                            ("q_values", q_eig.energies), ("overlap", overlap),
+                            ("rho_h", rho_h), ("q_h", v.conj().T @ self.q.matrix @ v),
+                            ("rho_w", overlap.conj().T @ rho_h @ overlap)):
+            object.__setattr__(self, name, value)
 
 
 def projective_joint(inst: ProtocolInstance, t1: float, t2: float) -> JointDistribution:
@@ -191,18 +194,22 @@ def projective_joint(inst: ProtocolInstance, t1: float, t2: float) -> JointDistr
     the collapsed state evolves to t2 and is measured again:
 
         p(a, b) = Tr[ P_b U P_a U_1 rho U_1^+ P_a U^+ ],   U = U(t2 - t1).
+
+    In Q's basis, with U~ = W^+ U W and rho~ = W^+ rho(t1) W, p(a, b) sums
+    the diagonal of U~[:, a] rho~[a, a] U~[:, a]^+ over b's rows.
     """
     t1, t2 = float(t1), float(t2)
     if t2 < t1:
         raise ValueError(f"measurement times must be ordered, got t1={t1} > t2={t2}")
-    rho_t1 = inst.propagator(t1) @ inst.rho @ inst.propagator(-t1)
-    u_gap = inst.propagator(t2 - t1)
+    ph, ov = np.exp(-1j * inst.h_eig.energies * t1), inst.overlap
+    rho_ov = (ph[:, None] * inst.rho_h * ph.conj()) @ ov  # rho(t1) in H's basis, times V^+ W
+    u_gap = (ov.conj().T * np.exp(-1j * inst.h_eig.energies * (t2 - t1))) @ ov
 
     probs = np.empty((len(inst.outcomes), len(inst.outcomes)))
-    for a, p_a in enumerate(inst.projectors):
-        collapsed = u_gap @ (p_a @ rho_t1 @ p_a) @ u_gap.conj().T
-        for b, p_b in enumerate(inst.projectors):
-            probs[a, b] = np.trace(p_b @ collapsed).real
+    for a, cols in enumerate(inst.members):
+        u_a = u_gap[:, cols]
+        diag = ((u_a @ (ov[:, cols].conj().T @ rho_ov[:, cols])) * u_a.conj()).real.sum(axis=1)
+        probs[a] = [diag[rows].sum() for rows in inst.members]
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if abs(total - 1.0) > 1e-10:
@@ -257,15 +264,20 @@ def projective_mc(inst: ProtocolInstance, t1: float, t2: float, shots: int,
                             times=(float(t1), float(t2)))
 
 
-def symmetrized_correlator(inst: ProtocolInstance, t1: float, t2: float) -> float:
-    """Symmetrized correlator (1/2) Tr[rho {Q(t1), Q(t2)}] for any state."""
-    def heisenberg(t: float) -> np.ndarray:
-        u = inst.propagator(t)
-        return u.conj().T @ inst.q.matrix @ u
+def _heisenberg_h(inst: ProtocolInstance, t: float) -> np.ndarray:
+    """Q(t) = U(t)^+ Q U(t) in H's basis."""
+    ph = np.exp(-1j * inst.h_eig.energies * t)
+    return ph.conj()[:, None] * inst.q_h * ph
 
-    q1 = heisenberg(float(t1))
-    q2 = heisenberg(float(t2))
-    return float(0.5 * np.trace(inst.rho @ (q1 @ q2 + q2 @ q1)).real)
+
+def symmetrized_correlator(inst: ProtocolInstance, t1: float, t2: float) -> float:
+    """Symmetrized correlator (1/2) Tr[rho {Q(t1), Q(t2)}] for any state.
+
+    Summed in H's basis as (1/2) Tr[(rho Q1 + Q1 rho) Q2], by cyclicity.
+    """
+    q1 = _heisenberg_h(inst, float(t1))
+    q2 = _heisenberg_h(inst, float(t2))
+    return float(0.5 * np.sum((inst.rho_h @ q1 + q1 @ inst.rho_h) * q2.T).real)
 
 
 def weak_two_meter(inst: ProtocolInstance, tau: float,
@@ -283,17 +295,14 @@ def weak_two_meter(inst: ProtocolInstance, tau: float,
     scheme reproduces the symmetrized correlator at any meter strength.
     """
     tau = float(tau)
-    w = inst.q_eig.basis
-    qvals = inst.q_eig.energies
-    u = inst.propagator(tau)
-    q_tau_w = w.conj().T @ (u.conj().T @ inst.q.matrix @ u) @ w
-    rho_w = w.conj().T @ inst.rho @ w
+    qvals = inst.q_values
+    q_tau_w = inst.overlap.conj().T @ _heisenberg_h(inst, tau) @ inst.overlap
 
     half_sum = 0.5 * (qvals[:, None] + qvals[None, :])
     gap = qvals[:, None] - qvals[None, :]
     damping = np.exp(-0.5 * (cfg.coupling * cfg.width * gap) ** 2)
 
-    value_c = np.sum(q_tau_w * rho_w.T * half_sum * damping)
+    value_c = np.sum(q_tau_w * inst.rho_w.T * half_sum * damping)
     if abs(value_c.imag) > 1e-10:
         raise InvariantViolation(
             f"weak-meter correlator has imaginary part {value_c.imag!r}"

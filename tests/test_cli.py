@@ -350,6 +350,20 @@ def test_non_finite_model_entries_exit_one(tmp_path, capsys):
         assert captured.err.startswith("error:") and "non-finite" in captured.err
 
 
+@pytest.mark.parametrize("key, model", [
+    ("epsilon", {"kind": "qubit", "params": {"epsilon": "1.5", "theta": 0.3}}),
+    ("j", {"kind": "tfim", "params": {"n": 3, "j": True, "h": 0.5}}),
+    ("h", {"kind": "tfim", "params": {"n": 3, "j": 1.0, "h": "nan"}}),
+    ("omega", {"kind": "ghz", "params": {"n": 3, "j": 1.0, "omega": float("nan")}}),
+])
+def test_model_reals_must_be_finite_numbers(tmp_path, capsys, key, model):
+    cfg = _write_config(tmp_path, _certify_doc(model=model))
+    assert main(["certify", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}") and f"'{key}'" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["gamma-table"], ["qubit"], ["ghz", "--sites", "4"]], ids=lambda a: a[0])
 def test_preset_points_ceiling(monkeypatch, capsys, argv):
@@ -485,10 +499,14 @@ def test_protocol_table(tmp_path, capsys):
 
 
 def test_protocol_instance_work_runs_once(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
     import lgqfi.cli
     import lgqfi.protocols
+    from lgqfi.linalg import hermitian_eig
+    from lgqfi.models import build_qubit
 
-    calls = {"hermitian_eig": 0, "_as_density_matrix": 0}
+    calls = {"hermitian_eig": 0, "_as_density_matrix": 0, "projective_joint": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -501,6 +519,9 @@ def test_protocol_instance_work_runs_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(lgqfi.protocols, "hermitian_eig", eig)
     monkeypatch.setattr(lgqfi.protocols, "_as_density_matrix", counted(
         "_as_density_matrix", lgqfi.protocols._as_density_matrix))
+    joint = counted("projective_joint", lgqfi.protocols.projective_joint)
+    monkeypatch.setattr(lgqfi.cli, "projective_joint", joint)
+    monkeypatch.setattr(lgqfi.protocols, "projective_joint", joint)
     doc = {
         "model": {"kind": "tfim", "params": {"n": 3, "j": 1.0, "h": 0.7}},
         "state": {"thermal": {"beta": 1.2}},
@@ -511,7 +532,11 @@ def test_protocol_instance_work_runs_once(tmp_path, capsys, monkeypatch):
     assert main(["protocol", "--config", cfg]) == 0
     _, _, rows = _parse_csv(capsys.readouterr().out)
     assert [row[0] for row in rows].count("weak_two_meter") == 3
-    assert calls == {"hermitian_eig": 2, "_as_density_matrix": 1}
+    assert calls == {"hermitian_eig": 2, "_as_density_matrix": 1, "projective_joint": 3}
+    # protocols work in the eigenbases: no dense propagator, no outcome projectors
+    h, q = build_qubit(1.0, 0.5)
+    inst = lgqfi.protocols.ProtocolInstance(hermitian_eig(h), q, np.eye(2) / 2.0)
+    assert not hasattr(inst, "propagator") and not hasattr(inst, "projectors")
 
 
 def test_protocol_seed_override(tmp_path, capsys):

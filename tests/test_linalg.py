@@ -42,6 +42,13 @@ def test_operator_symmetrizes_storage():
     assert not op.matrix.flags.writeable
 
 
+def test_operator_stores_largest_finite_entries_exactly():
+    m = np.array([[1.7e308, 0.0], [0.0, 1.0]])
+    op = Operator(m)
+    assert np.all(np.isfinite(op.matrix))
+    assert np.array_equal(op.matrix, m)
+
+
 def test_operator_properties():
     op = Operator(np.diag([3.0, -7.0]))
     assert op.dim == 2

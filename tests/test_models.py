@@ -299,6 +299,16 @@ def test_build_model_rejects_non_integer_counts(kind, params):
         build_model(ModelSpec(kind, params))
 
 
+@pytest.mark.parametrize("kind, params, name", [
+    ("qubit", {"epsilon": "1.5", "theta": 0.3}, "epsilon"),
+    ("tfim", {"n": 3, "j": True, "h": 0.5}, "j"),
+    ("ghz_effective", {"n": 4, "j": 1.0, "omega": float("nan")}, "omega"),
+])
+def test_build_model_rejects_non_numeric_reals(kind, params, name):
+    with pytest.raises(ValueError, match=f"parameter '{name}'"):
+        build_model(ModelSpec(kind, params))
+
+
 def test_build_model_accepts_numpy_integers():
     h, _ = build_model(ModelSpec("tfim", {"n": np.int64(3), "j": 1.0, "h": 0.5,
                                           "site": np.int32(1)}))

@@ -11,7 +11,7 @@ import pytest
 from conftest import gibbs_density, random_hermitian
 from lgqfi.errors import InvariantViolation
 from lgqfi.linalg import Operator, hermitian_eig
-from lgqfi.models import build_ghz_effective, build_qubit, build_tfim
+from lgqfi.models import build_ghz, build_ghz_effective, build_qubit, build_tfim
 from lgqfi.protocols import (
     MeterConfig,
     ProtocolEstimate,
@@ -227,6 +227,82 @@ def test_weak_meter_zero_width_is_ideal():
     inst = _instance(h, q, gibbs_density(h.matrix, 0.8))
     est = weak_two_meter(inst, 0.5, MeterConfig(coupling=2.0, width=0.0))
     assert abs(est.value - est.exact_ref) < 1e-12
+
+
+# --------------------------------------------------------------------------
+# eigenbasis arithmetic against the lab-frame formulas
+
+
+def _random_density(rng, dim):
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = x @ x.conj().T
+    return rho / np.trace(rho).real
+
+
+def _random_unitary(rng, dim):
+    return np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+
+
+def _lab_frame_reference(h, q, rho, t1, t2, meter):
+    """Dense lab-frame formulas: U = V e^{-iEt} V^+ and full outcome projectors."""
+    if rho.ndim == 1:
+        rho = np.outer(rho, rho.conj())
+    h_eig, q_eig = hermitian_eig(h), hermitian_eig(q)
+
+    def u(t):
+        return (h_eig.basis * np.exp(-1j * h_eig.energies * t)) @ h_eig.basis.conj().T
+
+    def heisenberg(t):
+        return u(t).conj().T @ q.matrix @ u(t)
+
+    _, members = cluster_eigenvalues(q_eig.energies)
+    projectors = [q_eig.basis[:, idx] @ q_eig.basis[:, idx].conj().T for idx in members]
+    rho_t1, u_gap = u(t1) @ rho @ u(-t1), u(t2 - t1)
+    probs = np.array([[np.trace(p_b @ u_gap @ p_a @ rho_t1 @ p_a @ u_gap.conj().T).real
+                       for p_b in projectors] for p_a in projectors])
+    q1, q2 = heisenberg(t1), heisenberg(t2)
+    symmetrized = 0.5 * np.trace(rho @ (q1 @ q2 + q2 @ q1)).real
+
+    w, qvals = q_eig.basis, q_eig.energies
+    q_tau_w = w.conj().T @ heisenberg(t2) @ w
+    gap = qvals[:, None] - qvals[None, :]
+    damping = np.exp(-0.5 * (meter.coupling * meter.width * gap) ** 2)
+    weak = np.sum(q_tau_w * (w.conj().T @ rho @ w).T
+                  * 0.5 * (qvals[:, None] + qvals[None, :]) * damping).real
+    return probs, symmetrized, weak
+
+
+@pytest.mark.parametrize("case", ["mixed", "superposition", "ghz_collective",
+                                  "degenerate_h"])
+def test_eigenbasis_protocols_match_lab_frame(case):
+    rng = np.random.default_rng(31)
+    if case == "mixed":
+        h = Operator(random_hermitian(rng, 6))
+        q = Operator(random_hermitian(rng, 6))
+        rho = _random_density(rng, 6)
+    elif case == "superposition":
+        h, q = build_tfim(3, 1.0, 0.7)
+        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+        rho = psi / np.linalg.norm(psi)
+    elif case == "ghz_collective":
+        h, q = build_ghz(4, 1.0, 0.7)
+        rho = _random_density(rng, 16)
+    else:
+        rot = _random_unitary(rng, 6)
+        h = Operator((rot * np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.5])) @ rot.conj().T)
+        q = Operator(np.diag([1.0, 1.0, 0.0, 0.0, -1.0, -1.0]).astype(complex))
+        rho = _random_density(rng, 6)
+    inst = _instance(h, q, rho)
+    if case == "ghz_collective":
+        assert [len(m) for m in inst.members] == [1, 4, 6, 4, 1]
+    if case == "degenerate_h":
+        assert np.ptp(inst.h_eig.energies[2:5]) < 1e-12
+    meter = MeterConfig(coupling=1.3, width=0.4)
+    for t1, t2 in ((0.0, 0.8), (0.45, 1.7), (1.2, 1.2)):
+        probs, symmetrized, weak = _lab_frame_reference(h, q, rho, t1, t2, meter)
+        assert np.max(np.abs(projective_joint(inst, t1, t2).probs - probs)) <= 1e-12
+        assert abs(symmetrized_correlator(inst, t1, t2) - symmetrized) <= 1e-12
+        assert abs(weak_two_meter(inst, t2, meter).value - weak) <= 1e-12
 
 
 # --------------------------------------------------------------------------
