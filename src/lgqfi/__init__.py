@@ -29,6 +29,7 @@ from .kernels import (
     R_kernel,
     Y_CRIT,
     gamma,
+    gamma_batch,
     gamma_p,
     gamma_p_zero_temperature,
     gamma_tilde,
@@ -103,7 +104,7 @@ __all__ = [
     "build_ghz_effective", "build_collective", "ghz_state", "load_custom",
     # kernels
     "KernelResult", "Y_CRIT", "h_kernel", "hp_kernel", "hp_max", "R_kernel",
-    "rp_kernel", "rtilde_kernel", "gamma", "gamma_p",
+    "rp_kernel", "rtilde_kernel", "gamma", "gamma_p", "gamma_batch",
     "gamma_tilde", "gamma_zero_temperature", "gamma_p_zero_temperature",
     "gamma_tilde_zero_temperature",
     # spectral

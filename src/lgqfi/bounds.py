@@ -29,14 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InvariantViolation
-from .kernels import (
-    gamma,
-    gamma_p,
-    gamma_p_zero_temperature,
-    gamma_tilde,
-    gamma_tilde_zero_temperature,
-    gamma_zero_temperature,
-)
+from .kernels import gamma_batch, gamma_p_zero_temperature, gamma_tilde_zero_temperature
 from .response import fsum_upper
 from .spectral import SpectralData, correlator, qfi
 
@@ -73,10 +66,16 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def _gamma_at(tau: float, beta: float) -> float:
+def _kernel_maxima(family, taus: Sequence[float], beta: float) -> list[float]:
+    """One family's kernel maximum at y = 2 tau / beta for every tau, in one call.
+
+    ``family`` is 3 (gamma), 'tilde' or a p-time order p; beta = inf gives
+    the zero-temperature limits.
+    """
     if math.isinf(beta):
-        return gamma_zero_temperature()
-    return gamma(2.0 * tau / beta).value
+        return [gamma_tilde_zero_temperature() if family == "tilde"
+                else gamma_p_zero_temperature(family)] * len(taus)
+    return [r.value for r in gamma_batch(family, [2.0 * tau / beta for tau in taus])]
 
 
 def thermal_time(beta: float) -> float:
@@ -98,9 +97,8 @@ def bound_thermal(k_value: float, q2: float, tau: float, beta: float) -> float:
     beta = inf uses the zero-temperature kernel limit 1/8 and reduces to the
     pure-eigenstate bound.
     """
-    tau = _check_tau(tau)
-    beta = _check_beta(beta)
-    return (float(k_value) - float(q2)) / _gamma_at(tau, beta)
+    divisor = _kernel_maxima(3, [_check_tau(tau)], _check_beta(beta))[0]
+    return (float(k_value) - float(q2)) / divisor
 
 
 def bound_thermal_weak(k_value: float, tau: float, beta: float) -> float:
@@ -109,9 +107,8 @@ def bound_thermal_weak(k_value: float, tau: float, beta: float) -> float:
     Valid when <Q^2> <= 1 (guaranteed for unit-norm observables); never
     stronger than :func:`bound_thermal` in that regime.
     """
-    tau = _check_tau(tau)
-    beta = _check_beta(beta)
-    return (float(k_value) - 1.0) / _gamma_at(tau, beta)
+    divisor = _kernel_maxima(3, [_check_tau(tau)], _check_beta(beta))[0]
+    return (float(k_value) - 1.0) / divisor
 
 
 def bound_thermal_time(k_value: float, q2: float, z: float, beta: float) -> float:
@@ -134,10 +131,7 @@ def bound_two_time(q2: float, c_tau: float, tau: float, beta: float) -> float:
     never negative (up to rounding).  beta = inf uses the zero-temperature
     limit gamma_tilde -> 1/2.
     """
-    tau = _check_tau(tau)
-    beta = _check_beta(beta)
-    divisor = (gamma_tilde_zero_temperature() if math.isinf(beta)
-               else gamma_tilde(2.0 * tau / beta).value)
+    divisor = _kernel_maxima("tilde", [_check_tau(tau)], _check_beta(beta))[0]
     return (float(q2) - float(c_tau)) / divisor
 
 
@@ -148,10 +142,7 @@ def bound_Kp(kp_value: float, q2: float, p: int, tau: float, beta: float) -> flo
     delegates to gamma there.  At fixed tau and beta the bound decays like
     1/p^2, so small p carry the information.
     """
-    tau = _check_tau(tau)
-    beta = _check_beta(beta)
-    divisor = (gamma_p_zero_temperature(p) if math.isinf(beta)
-               else gamma_p(p, 2.0 * tau / beta).value)
+    divisor = _kernel_maxima(p, [_check_tau(tau)], _check_beta(beta))[0]
     return (float(kp_value) - (p - 2) * float(q2)) / divisor
 
 
@@ -244,6 +235,19 @@ def build_report(sd: SpectralData, tau: float, *, kp: Sequence[int] = (3, 4, 5),
                       collective_n=collective_n).reports[0]
 
 
+def _family_bounds(div: Mapping, q2: float, pure_like: bool, k_tau: float, c_tau: float,
+                   kp_vals: Mapping[int, float]) -> dict[str, float]:
+    """Raw lower bound of every family at one tau, in column order, with
+    ``div`` mapping 3, 'tilde' and each p to that tau's kernel maximum."""
+    raw = {"pure": bound_pure(k_tau, q2)} if pure_like else {}
+    raw["thermal"] = (float(k_tau) - float(q2)) / div[3]
+    if q2 <= 1.0 + 1e-9:
+        raw["thermal_weak"] = (float(k_tau) - 1.0) / div[3]
+    raw["two_time"] = (float(q2) - float(c_tau)) / div["tilde"]
+    raw.update({f"kp_{p}": (float(v) - (p - 2) * float(q2)) / div[p] for p, v in kp_vals.items()})
+    return raw
+
+
 @dataclass(frozen=True)
 class BestBound:
     """Best certified lower bound over a tau grid, with all per-tau reports.
@@ -266,8 +270,10 @@ def best_bound(sd: SpectralData, tau_grid: Sequence[float], *,
 
     ``reports`` holds the :func:`build_report` of every tau.  What belongs
     to the instance (state kind, <Q^2>, F_Q, the f-sum and the depth
-    witness) is computed once for the grid; each tau then needs C only at
-    the distinct times tau, 2 tau and (p-1) tau.  The best bound is the
+    witness) is computed once for the grid, and so is each family's kernel
+    maximum at every tau, in one :func:`~lgqfi.kernels.gamma_batch` call;
+    each tau then needs C only at the distinct times tau, 2 tau and
+    (p-1) tau.  The best bound is the
     largest entry of :meth:`BoundReport.lowers` over the grid, with
     ``families`` switching families off.  Ties resolve to the earliest tau
     in grid order, then to the earliest family in column order, so the
@@ -301,29 +307,25 @@ def best_bound(sd: SpectralData, tau_grid: Sequence[float], *,
     kp = [int(p) for p in kp]
     multiples = sorted({1, 2, *(p - 1 for p in kp)})
 
-    def family_bounds(tau, k_tau, c_tau, kp_vals):
-        raw = {"pure": bound_pure(k_tau, q2)} if pure_like else {}
-        raw["thermal"] = bound_thermal(k_tau, q2, tau, kernel_beta)
-        if q2 <= 1.0 + 1e-9:
-            raw["thermal_weak"] = bound_thermal_weak(k_tau, tau, kernel_beta)
-        raw["two_time"] = bound_two_time(q2, c_tau, tau, kernel_beta)
-        raw.update({f"kp_{p}": bound_Kp(v, q2, p, tau, kernel_beta) for p, v in kp_vals.items()})
-        return raw
+    # p = 3 is the thermal family's gamma, so kp (3, 4, 5) needs four calls
+    maxima = {family: _kernel_maxima(family, taus, kernel_beta)
+              for family in dict.fromkeys((3, "tilde", *kp))}
 
     reports = []
-    for tau in taus:
+    for i, tau in enumerate(taus):
+        div = {family: column[i] for family, column in maxima.items()}
         # K and K_p as in spectral.lgi_Kp, sharing one C per distinct time.
         c = {m: correlator(sd, m * tau) for m in multiples}
         k_tau = 2 * c[1] - c[2]
         kp_vals = {p: (p - 1) * c[1] - c[p - 1] for p in kp}
-        raw = family_bounds(tau, k_tau, c[1], kp_vals)
+        raw = _family_bounds(div, q2, pure_like, k_tau, c[1], kp_vals)
         if any(value > f_q + THEOREM_TOL for value in raw.values()):
             # C is a line sum, within sd.merge_error(t) of the level-pair sum.
             # Every family rises with K and K_p and falls with C, so a bound
             # is violated only if it exceeds F_Q at the low end of that range.
             e = {m: sd.merge_error(m * tau) for m in multiples}
-            floor = family_bounds(tau, k_tau - 2 * e[1] - e[2], c[1] + e[1],
-                                  {p: v - (p - 1) * e[1] - e[p - 1] for p, v in kp_vals.items()})
+            floor = _family_bounds(div, q2, pure_like, k_tau - 2 * e[1] - e[2], c[1] + e[1],
+                                   {p: v - (p - 1) * e[1] - e[p - 1] for p, v in kp_vals.items()})
             for name, value in raw.items():
                 if floor[name] > f_q + THEOREM_TOL:
                     raise InvariantViolation(f"lower bound '{name}' = {value!r} exceeds F_Q = "

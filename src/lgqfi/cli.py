@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from .bounds import BoundReport, best_bound, depth_witness
 from .errors import ConfigError, InvariantViolation, NumericsError
-from .kernels import R_kernel, Y_CRIT, gamma
+from .kernels import R_kernel, Y_CRIT, gamma_batch
 from .linalg import hermitian_eig
 from .models import ModelSpec, build_model
 from .protocols import (
@@ -447,12 +447,8 @@ def _cmd_gamma_table(args: argparse.Namespace) -> int:
     config_hash = _hash_params({"command": "gamma-table", "y_min": y_min,
                                 "y_max": y_max, "points": points})
     header = ["y", "gamma", "closed_form", "branch", "y_c"]
-    rows = []
-    for y in np.linspace(y_min, y_max, points):
-        y = float(y)
-        result = gamma(y)
-        branch = "closed" if y >= Y_CRIT else "numeric"
-        rows.append([y, result.value, y * y / 4.0, branch, Y_CRIT])
+    rows = [[r.y, r.value, r.y * r.y / 4.0, "closed" if r.y >= Y_CRIT else "numeric", Y_CRIT]
+            for r in gamma_batch(3, np.linspace(y_min, y_max, points))]
     _emit_grid(args, config_hash=config_hash, header=header, rows=rows)
     return 0
 
@@ -635,8 +631,8 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
         ["projective_mc", f"C(tau) shots={shots}", mc.value, mc.stderr, c_ref,
          abs(mc.value - c_ref), mc.within_gate],
     ]
-    for width in widths:
-        est = weak_two_meter(inst, tau, MeterConfig(coupling, width))
+    meters = [MeterConfig(coupling, width) for width in widths]
+    for width, est in zip(widths, weak_two_meter(inst, tau, meters)):
         rows.append(["weak_two_meter", f"C(tau) width={width:g}", est.value, 0.0,
                      c_ref, abs(est.value - c_ref), None])
     rows.append(["projective_chain", "K(tau)", k_value, 0.0, k_ref,

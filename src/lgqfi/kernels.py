@@ -17,8 +17,9 @@ and two-time analogues).  The certified conversion factors
 
 turn measured correlation combinations into quantum Fisher information
 lower bounds.  gamma has the closed form y^2/4 for y >= sqrt(8/7); all other
-maxima come from one maximizer, coarse probes plus a nested zoom on every
-local maximum, with the x -> 0 endpoint value (a series) as a candidate.
+maxima come from one maximizer over rows, one per y (a tau grid in one
+:func:`gamma_batch` call, nothing cached by y): coarse probes plus a nested
+zoom on every local maximum, with the x -> 0 endpoint value as a candidate.
 
 The oscillatory factors are 2*pi-periodic while coth^2(x/y) is strictly
 decreasing in x > 0, so where the oscillation is positive at x > 2 pi the
@@ -45,6 +46,7 @@ __all__ = [
     "gamma",
     "gamma_p",
     "gamma_tilde",
+    "gamma_batch",
     "hp_max",
     "gamma_zero_temperature",
     "gamma_p_zero_temperature",
@@ -58,6 +60,7 @@ Y_CRIT = math.sqrt(8.0 / 7.0)
 MAX_PROBES = 2_000_000
 #: Least probes per period of the fastest oscillation and in all; zoom points.
 _PROBES_PER_PERIOD, _MIN_PROBES, _ZOOM_POINTS = 64, 1024, 33
+_ZOOM_STEPS = np.arange(_ZOOM_POINTS)
 
 
 @dataclass(frozen=True)
@@ -115,25 +118,23 @@ def _check_y(y: float) -> float:
 
 
 def _ratio_kernel(osc: Callable[[np.ndarray], np.ndarray], alpha: float,
-                  beta4: float, x, y: float):
+                  beta4: float, x, y):
     """(1/4) coth^2(x/y) * osc(x) with a quadratic series branch near x = 0.
 
     ``osc(x) = alpha x^2 + beta4 x^4 + O(x^6)`` near the origin; for
     |x| < 1e-4 y the kernel is evaluated as
     (1/4) [alpha y^2 + (beta4 y^2 + 2 alpha / 3) x^2], accurate to O(x^4).
+    ``y`` is a positive float or an array of them broadcasting against x.
     """
-    y = _check_y(y)
-    x = np.asarray(x, dtype=np.float64)
-    ax = np.abs(x)
-    out = np.empty_like(ax)
+    ax = np.abs(np.asarray(x, dtype=np.float64))
     small = ax < 1e-4 * y
-    if np.any(small):
-        xs = ax[small]
-        out[small] = 0.25 * (alpha * y * y + (beta4 * y * y + 2.0 * alpha / 3.0) * xs * xs)
-    if np.any(~small):
-        xg = ax[~small]
-        coth = 1.0 / np.tanh(xg / y)
-        out[~small] = 0.25 * coth * coth * np.asarray(osc(xg), dtype=np.float64)
+    near = small.any()
+    xg = np.where(small, y, ax) if near else ax  # finite coth where the series applies
+    coth = 1.0 / np.tanh(xg / y)
+    out = 0.25 * coth * coth * np.asarray(osc(xg), dtype=np.float64)
+    if near:
+        series = 0.25 * (alpha * y * y + (beta4 * y * y + 2.0 * alpha / 3.0) * ax * ax)
+        out = np.where(small, series, out)
     return out if out.ndim else float(out)
 
 
@@ -145,7 +146,7 @@ def R_kernel(x, y: float):
     coefficient changes sign at y_c = sqrt(8/7): above y_c the origin is the
     maximum and gamma(y) = y^2/4 in closed form.
     """
-    return _ratio_kernel(h_kernel, 1.0, -7.0 / 12.0, x, y)
+    return _ratio_kernel(h_kernel, 1.0, -7.0 / 12.0, x, _check_y(y))
 
 
 def _hp_series_coefficients(p: int) -> tuple[float, float]:
@@ -158,60 +159,115 @@ def rp_kernel(p: int, x, y: float):
     """p-time ratio kernel (1/4) coth^2(x/y) h_p(x)."""
     _check_p(p)
     alpha, beta4 = _hp_series_coefficients(p)
-    return _ratio_kernel(lambda xs: hp_kernel(p, xs), alpha, beta4, x, y)
+    return _ratio_kernel(lambda xs: hp_kernel(p, xs), alpha, beta4, x, _check_y(y))
 
 
 def rtilde_kernel(x, y: float):
     """Two-time ratio kernel (1/4) coth^2(x/y) (1 - cos x)."""
-    return _ratio_kernel(lambda xs: 2.0 * np.sin(0.5 * xs) ** 2, 0.5, -1.0 / 24.0, x, y)
+    osc, alpha, beta4, *_ = _family("tilde")
+    return _ratio_kernel(osc, alpha, beta4, x, _check_y(y))
 
 
-def _maximize(kernel: Callable[[np.ndarray], np.ndarray], endpoint_value: float,
-              x_max: float, periods: float, cause: str) -> tuple[float, float]:
-    """Maximum of a kernel over (0, x_max] plus its x -> 0 endpoint value.
+def _maximize(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], ys, endpoints,
+              x_max: float, periods: float, cause: str) -> tuple[np.ndarray, np.ndarray]:
+    """Row i: maximum of kernel(x, ys[i]) over (0, x_max] or its x -> 0 endpoint value.
 
-    ``periods`` counts periods of the fastest oscillation on (0, x_max]
-    (2 pi for h and 1 - cos x, 2 pi / (p-1) for h_p).  Coarse probes find
-    every local maximum; all brackets of neighbouring probes zoom together,
-    one kernel call per level on a 2-D grid, to a few ulp.  Returns
-    (argmax_x, value) of the largest value seen, or (0.0, endpoint_value)
-    when that is strictly larger.  Over MAX_PROBES probes raise ValueError
-    naming ``cause``, before allocating.
+    ``kernel`` maps an (r, k) block of x and the rows' (r, 1) ys to values.
+    ``periods`` counts periods of the fastest oscillation on (0, x_max].
+    Chunks of rows (at most MAX_PROBES coarse probes) find every local
+    maximum, then zoom them to a few ulp, one kernel call per level; a row
+    zooms all its brackets while any is open.  Returns arrays (argmax_x,
+    value), ties to the first bracket, or (0.0, endpoint) where that is
+    strictly larger.  Over MAX_PROBES probes a row raises ValueError naming
+    ``cause``, before allocating.
     """
     needed = _PROBES_PER_PERIOD * periods
     if not needed <= MAX_PROBES:
         raise ValueError(f"{cause} needs {needed:.4g} kernel probes, over {MAX_PROBES}")
     n = max(_MIN_PROBES, math.ceil(needed))
     xs = np.linspace(0.0, x_max, n + 1)[1:]
-    vals = kernel(xs)
-    padded = np.concatenate(([-np.inf], vals, [-np.inf]))
-    peaks = np.flatnonzero((vals > padded[:-2]) & (vals >= padded[2:]))
+    ys = np.asarray(ys, dtype=np.float64)
+    arg, val = np.empty(ys.size), np.empty(ys.size)
+    chunk = max(1, MAX_PROBES // n)
+    for i in range(0, ys.size, chunk):
+        arg[i:i + chunk], val[i:i + chunk] = _zoom_chunk(kernel, xs, ys[i:i + chunk, None])
+    wins = endpoints > val
+    return np.where(wins, 0.0, arg), np.where(wins, endpoints, val)
+
+
+def _zoom_chunk(kernel, xs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    vals = kernel(xs[None, :], y)
+    rows, n = vals.shape
+    padded = np.full((rows, n + 2), -np.inf)
+    padded[:, 1:-1] = vals
+    owner, peaks = np.nonzero((vals > padded[:, :-2]) & (vals >= padded[:, 2:]))
     lo = np.where(peaks > 0, xs[np.maximum(peaks - 1, 0)], 0.5 * xs[0])
     hi = xs[np.minimum(peaks + 1, n - 1)]
-    best_x, best_v = xs[peaks], vals[peaks]
-    while np.any(hi - lo > 4.0 * np.spacing(hi)):
+    best_x, best_v = xs[peaks], vals[owner, peaks]
+    # brackets of finished rows leave the working arrays; slot is their place
+    final_x, final_v = np.empty_like(best_x), np.empty_like(best_v)
+    slot, live, yb = np.arange(peaks.size), owner, y[owner]
+    while True:
+        open_ = hi - lo > 4.0 * np.spacing(hi)
+        if not open_.all():
+            row_open = np.zeros(rows, dtype=bool)
+            row_open[live[open_]] = True
+            keep = row_open[live]
+            if not keep.all():
+                final_x[slot], final_v[slot] = best_x, best_v
+                if not keep.any():
+                    break
+                lo, hi, best_x, best_v, slot, live, yb = (
+                    a[keep] for a in (lo, hi, best_x, best_v, slot, live, yb))
         step = (hi - lo) / (_ZOOM_POINTS - 1)
-        level = kernel(lo[:, None] + step[:, None] * np.arange(_ZOOM_POINTS))
-        top = np.argmax(level, axis=1)
-        top_v = np.max(level, axis=1)
+        level = kernel(lo[:, None] + step[:, None] * _ZOOM_STEPS, yb)
+        top = level.argmax(axis=1)
+        top_v = level.max(axis=1)
         better = top_v > best_v
         best_x = np.where(better, lo + step * top, best_x)
         best_v = np.where(better, top_v, best_v)
         hi = lo + step * np.minimum(top + 1, _ZOOM_POINTS - 1)
         lo = lo + step * np.maximum(top - 1, 0)
-    k = int(np.argmax(best_v))
-    if endpoint_value > best_v[k]:
-        return 0.0, float(endpoint_value)
-    return float(best_x[k]), float(best_v[k])
+    # each row's first bracket with its largest value (lexsort is stable)
+    k = np.lexsort((-final_v, owner))[np.searchsorted(owner, np.arange(rows))]
+    return final_x[k], final_v[k]
 
 
-@lru_cache(maxsize=4096)
-def _gamma_cached(y: float) -> KernelResult:
-    if y >= Y_CRIT:
-        return KernelResult(y=y, value=0.25 * y * y, argmax_x=0.0, method="closed-form")
-    x_star, value = _maximize(lambda xs: R_kernel(xs, y), 0.25 * y * y,
-                              0.5 * math.pi, 0.25, "gamma")
-    return KernelResult(y=y, value=value, argmax_x=x_star, method="numeric")
+def _family(family):
+    """(oscillation, alpha, beta4, x_max, periods, cause) of 'tilde' or a p >= 3."""
+    if isinstance(family, str) and family == "tilde":
+        return ((lambda x: 2.0 * np.sin(0.5 * x) ** 2), 0.5, -1.0 / 24.0, 2.0 * math.pi, 1.0,
+                "gamma_tilde")
+    _check_p(family)
+    if family == 3:
+        return h_kernel, 1.0, -7.0 / 12.0, 0.5 * math.pi, 0.25, "gamma"
+    p = int(family)
+    alpha, beta4 = _hp_series_coefficients(p)
+    return (lambda x: hp_kernel(p, x)), alpha, beta4, 2.0 * math.pi, p - 1, f"gamma_p with p = {p}"
+
+
+def gamma_batch(family, ys) -> tuple[KernelResult, ...]:
+    """Kernel maximum of one bound family at every scaled time in ``ys``.
+
+    ``family`` is 3 for :func:`gamma` (closed form for y >= Y_CRIT), an
+    integer p > 3 for :func:`gamma_p` or 'tilde' for :func:`gamma_tilde`;
+    those functions are one-row calls of this one.  All rows are maximized
+    together, each bit for bit as on its own.
+    """
+    osc, alpha, beta4, x_max, periods, cause = _family(family)
+    ys = np.array(ys, dtype=np.float64, ndmin=1)
+    for y in ys[~(ys > 0.0)][:1]:
+        _check_y(y)
+    # the x -> 0 endpoint value (1/4) alpha y^2, which is gamma(y) for y >= Y_CRIT
+    args, values = np.zeros(ys.size), 0.25 * alpha * ys * ys
+    numeric = ys < Y_CRIT if family == 3 else np.full(ys.size, True)
+    if numeric.any():
+        args[numeric], values[numeric] = _maximize(
+            lambda x, y: _ratio_kernel(osc, alpha, beta4, x, y), ys[numeric],
+            values[numeric], x_max, periods, cause)
+    return tuple(KernelResult(y=y, value=v, argmax_x=x, method="numeric" if n else "closed-form")
+                 for y, v, x, n in zip(ys.tolist(), values.tolist(), args.tolist(),
+                                       numeric.tolist()))
 
 
 def gamma(y: float) -> KernelResult:
@@ -219,42 +275,22 @@ def gamma(y: float) -> KernelResult:
 
     Closed form y^2/4 for y >= sqrt(8/7); otherwise the shared maximizer
     over (0, pi/2], which contains the global maximizer, with the endpoint
-    value y^2/4 as a candidate.  gamma decreases to 1/8 as y -> 0.  Results
-    are cached by y.
+    value y^2/4 as a candidate.  gamma decreases to 1/8 as y -> 0.
     """
-    return _gamma_cached(_check_y(y))
-
-
-@lru_cache(maxsize=4096)
-def _gamma_p_cached(p: int, y: float) -> KernelResult:
-    alpha, _ = _hp_series_coefficients(p)
-    x_star, value = _maximize(lambda xs: rp_kernel(p, xs, y), 0.25 * alpha * y * y,
-                              2.0 * math.pi, p - 1, f"gamma_p with p = {p}")
-    return KernelResult(y=y, value=value, argmax_x=x_star, method="numeric")
+    return gamma_batch(3, y)[0]
 
 
 def gamma_p(p: int, y: float) -> KernelResult:
     """Conversion factor gamma_p(y) = max_x (1/4) coth^2(x/y) h_p(x).
 
-    For p = 3 this is gamma(y) exactly (h_3 = h) and the call is delegated,
-    so downstream p = 3 bounds coincide bitwise with the three-time bound.
+    For p = 3 this is gamma(y) exactly (h_3 = h, evaluated as h), so
+    downstream p = 3 bounds coincide bitwise with the three-time bound.
     Other p are maximized over (0, 2 pi] with max(1024, 64 (p-1)) coarse
     probes and the x -> 0 endpoint value y^2 (p-1)(p-2)/8 as an explicit
     candidate; raises ValueError when p needs more than MAX_PROBES probes.
-    Grows like p^2 y^2 / 8 at fixed y.  Results are cached by (p, y).
+    Grows like p^2 y^2 / 8 at fixed y.
     """
-    _check_p(p)
-    y = _check_y(y)
-    if p == 3:
-        return _gamma_cached(y)
-    return _gamma_p_cached(int(p), y)
-
-
-@lru_cache(maxsize=4096)
-def _gamma_tilde_cached(y: float) -> KernelResult:
-    x_star, value = _maximize(lambda xs: rtilde_kernel(xs, y), 0.125 * y * y,
-                              2.0 * math.pi, 1.0, "gamma_tilde")
-    return KernelResult(y=y, value=value, argmax_x=x_star, method="numeric")
+    return gamma_batch(p, y)[0]
 
 
 def gamma_tilde(y: float) -> KernelResult:
@@ -262,9 +298,9 @@ def gamma_tilde(y: float) -> KernelResult:
 
     Maximized over (0, 2 pi] like :func:`gamma_p`, with the x -> 0 endpoint
     value y^2/8 as a candidate (it is the maximum for large y).  Approaches
-    1/2 as y -> 0, attained at x = pi.  Results are cached by y.
+    1/2 as y -> 0, attained at x = pi.
     """
-    return _gamma_tilde_cached(_check_y(y))
+    return gamma_batch("tilde", y)[0]
 
 
 @lru_cache(maxsize=256)
@@ -276,9 +312,9 @@ def hp_max(p: int) -> float:
     _check_p(p)
     if p == 3:
         return 0.5
-    _, value = _maximize(lambda xs: hp_kernel(p, xs), 0.0, 2.0 * math.pi, p - 1,
-                         f"hp_max with p = {p}")
-    return value
+    _, (value,) = _maximize(lambda x, _: hp_kernel(p, x), [0.0], 0.0, 2.0 * math.pi,
+                            p - 1, f"hp_max with p = {p}")
+    return float(value)
 
 
 def gamma_zero_temperature() -> float:

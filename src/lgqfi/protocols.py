@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -281,35 +282,35 @@ def symmetrized_correlator(inst: ProtocolInstance, t1: float, t2: float) -> floa
 
 
 def weak_two_meter(inst: ProtocolInstance, tau: float,
-                   cfg: MeterConfig) -> ProtocolEstimate:
-    """Closed-form weak two-meter correlator estimate at times (0, tau).
+                   meters: Sequence[MeterConfig]) -> tuple[ProtocolEstimate, ...]:
+    """Closed-form weak two-meter correlator estimates at times (0, tau).
 
-    Both readouts couple Q to the position of a Gaussian meter of spread
-    ``cfg.width``; the rescaled product of pointer readings has expectation
+    For each ``cfg`` in ``meters``, both readouts couple Q to the position of
+    a Gaussian meter of spread ``cfg.width``; the rescaled product of pointer
+    readings has expectation
 
         C~ = Re sum_{nm} Q(tau)_nm rho_mn (q_n + q_m)/2
              * exp[-lam^2 (q_n - q_m)^2 DX^2 / 2]
 
-    in the Q eigenbasis.  The Gaussian factor encodes the measurement
-    back-action; it disappears for dichotomic observables, where the weak
-    scheme reproduces the symmetrized correlator at any meter strength.
+    in the Q eigenbasis; only the Gaussian factor depends on the meter.  It
+    encodes the measurement back-action and disappears for dichotomic
+    observables, where the weak scheme reproduces the symmetrized correlator
+    at any meter strength.
     """
     tau = float(tau)
     qvals = inst.q_values
     q_tau_w = inst.overlap.conj().T @ _heisenberg_h(inst, tau) @ inst.overlap
-
-    half_sum = 0.5 * (qvals[:, None] + qvals[None, :])
+    weighted = q_tau_w * inst.rho_w.T * (0.5 * (qvals[:, None] + qvals[None, :]))
     gap = qvals[:, None] - qvals[None, :]
-    damping = np.exp(-0.5 * (cfg.coupling * cfg.width * gap) ** 2)
-
-    value_c = np.sum(q_tau_w * inst.rho_w.T * half_sum * damping)
-    if abs(value_c.imag) > 1e-10:
-        raise InvariantViolation(
-            f"weak-meter correlator has imaginary part {value_c.imag!r}"
-        )
     exact = symmetrized_correlator(inst, 0.0, tau)
-    return ProtocolEstimate(value=float(value_c.real), stderr=0.0, shots=0,
-                            exact_ref=exact, seed=None, times=(0.0, tau))
+    estimates = []
+    for cfg in meters:
+        value_c = np.sum(weighted * np.exp(-0.5 * (cfg.coupling * cfg.width * gap) ** 2))
+        if abs(value_c.imag) > 1e-10:
+            raise InvariantViolation(f"weak-meter correlator has imaginary part {value_c.imag!r}")
+        estimates.append(ProtocolEstimate(value=float(value_c.real), stderr=0.0, shots=0,
+                                          exact_ref=exact, seed=None, times=(0.0, tau)))
+    return tuple(estimates)
 
 
 def lgi_from_protocol(e12: ProtocolEstimate, e23: ProtocolEstimate,

@@ -206,9 +206,10 @@ def gamma_H(beta: float, tau: float, omega_star: float) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             return (1.0 + np.exp(-z)) * h_pos * np.expm1(z) / z
 
-    _, value = _maximize(phi, 0.0, omega_star, omega_star * tau / (2.0 * math.pi),
-                         f"gamma_H with omega_star * tau = {omega_star * tau:g}")
-    return value
+    _, (value,) = _maximize(lambda omega, _: phi(omega), [0.0], 0.0, omega_star,
+                            omega_star * tau / (2.0 * math.pi),
+                            f"gamma_H with omega_star * tau = {omega_star * tau:g}")
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -229,7 +229,7 @@ def test_criterion_7_protocol_equivalence(capsys):
         ideal = symmetrized_correlator(inst3, 0.0, tau)
         ratios = []
         for width in (1e-1, 1e-2, 1e-3):
-            est = weak_two_meter(inst3, tau, MeterConfig(1.0, width))
+            (est,) = weak_two_meter(inst3, tau, [MeterConfig(1.0, width)])
             ratios.append(abs(est.value - ideal) / width**2)
         assert ratios[0] > 0.0
         assert max(ratios) / min(ratios) < 1.05

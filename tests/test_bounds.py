@@ -329,10 +329,14 @@ def test_violation_check_allows_the_line_merge_error(monkeypatch, slope_in_tol, 
     f_q, k_line = qfi(sd), lgi_K(sd, tau)
     slope = slope_in_tol * THEOREM_TOL / err_k
 
-    def fake_thermal(k_value, q2, tau, beta):
-        return f_q + 2.0 * THEOREM_TOL + slope * (k_value - k_line)
+    family_bounds = lgqfi.bounds._family_bounds
 
-    monkeypatch.setattr(lgqfi.bounds, "bound_thermal", fake_thermal)
+    def fake_thermal(div, q2, pure_like, k_tau, *rest):
+        raw = family_bounds(div, q2, pure_like, k_tau, *rest)
+        raw["thermal"] = f_q + 2.0 * THEOREM_TOL + slope * (k_tau - k_line)
+        return raw
+
+    monkeypatch.setattr(lgqfi.bounds, "_family_bounds", fake_thermal)
     if raises:
         with pytest.raises(InvariantViolation, match="'thermal'"):
             best_bound(sd, [tau], kp=(3,))

@@ -282,6 +282,24 @@ def test_kernel_probe_cap_exits_one(tmp_path, capsys):
     assert "gamma_p with p = 1000000" in capsys.readouterr().err
 
 
+def test_certify_maximizes_each_family_once_per_grid(tmp_path, capsys, monkeypatch):
+    import lgqfi.kernels
+
+    maximize, calls = lgqfi.kernels._maximize, []
+
+    def counting(kernel, ys, *args):
+        calls.append(len(ys))
+        return maximize(kernel, ys, *args)
+
+    monkeypatch.setattr(lgqfi.kernels, "_maximize", counting)
+    doc = _certify_doc(tau_grid={"start": 0.05, "stop": 4.0, "points": 40})
+    doc["bounds"] = {"kp": [3, 4, 5]}
+    assert main(["certify", "--config", _write_config(tmp_path, doc)]) == 0
+    # gamma (its numeric rows), gamma_tilde, gamma_4 and gamma_5; p = 3 shares gamma
+    assert len(calls) <= 4
+    assert sorted(calls)[-3:] == [40, 40, 40]
+
+
 @pytest.mark.parametrize("grid, accepted", [
     ({"start": 0.1, "stop": 2.0, "points": 10_000}, True),
     ({"start": 0.1, "stop": 2.0, "points": 10_001}, False),

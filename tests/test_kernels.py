@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+import lgqfi.kernels
 from lgqfi.kernels import (
     R_kernel,
     Y_CRIT,
     gamma,
+    gamma_batch,
     gamma_p,
     gamma_p_zero_temperature,
     gamma_tilde,
@@ -167,8 +169,8 @@ def test_gamma_argmax_attains_value():
     assert abs(float(R_kernel(res.argmax_x, 0.5)) - res.value) < 1e-12
 
 
-def test_gamma_results_cached():
-    assert gamma(0.37) is gamma(0.37)
+def test_gamma_repeats_bit_for_bit():
+    assert gamma(0.37) == gamma(0.37)
 
 
 # --------------------------------------------------------------------------
@@ -251,3 +253,50 @@ def test_gamma_decay_hierarchy():
     y = 0.8
     values = [gamma_p(p, y).value for p in (3, 4, 5, 6)]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+# --------------------------------------------------------------------------
+# one maximizer over rows
+
+
+_ONE_ROW = {3: gamma, "tilde": gamma_tilde, 5: lambda y: gamma_p(5, y),
+            9: lambda y: gamma_p(9, y)}
+
+
+def _row_ys():
+    # tiny y (series branch near the origin), large y (origin maximum),
+    # both sides of Y_CRIT, and a random spread in between
+    rng = np.random.default_rng(97)
+    edges = [1e-7, 3e-5, np.nextafter(Y_CRIT, 0.0), Y_CRIT, 40.0, 2e3]
+    return np.concatenate([edges, 10.0 ** rng.uniform(-4.0, 1.5, 34)])
+
+
+@pytest.mark.parametrize("family", list(_ONE_ROW), ids=str)
+def test_batched_maxima_match_one_row_calls(family, monkeypatch):
+    # four rows per chunk of 1024 coarse probes: 40 rows take ten chunks
+    monkeypatch.setattr(lgqfi.kernels, "MAX_PROBES", 4 * 1024)
+    ratio_kernel, blocks = lgqfi.kernels._ratio_kernel, []
+
+    def recording(osc, alpha, beta4, x, y):
+        blocks.append(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        return ratio_kernel(osc, alpha, beta4, x, y)
+
+    monkeypatch.setattr(lgqfi.kernels, "_ratio_kernel", recording)
+    ys = _row_ys()
+    batched = gamma_batch(family, ys)
+    coarse = [shape for shape in blocks if shape[-1] == 1024]
+    assert len(coarse) >= 2
+    assert max(math.prod(shape) for shape in blocks) <= 4 * 1024
+    assert len(batched) == len(ys)
+    for y, result in zip(ys.tolist(), batched):
+        assert result == _ONE_ROW[family](y)
+
+
+def test_batched_maxima_reject_bad_rows():
+    with pytest.raises(ValueError, match="must be positive"):
+        gamma_batch("tilde", [0.5, 0.0])
+    with pytest.raises(ValueError, match="at least 3"):
+        gamma_batch(2, [0.5])
+    with pytest.raises(ValueError, match="gamma_p with p = 1000000"):
+        gamma_batch(10**6, [0.5])
+    assert gamma_batch(4, []) == ()

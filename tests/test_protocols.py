@@ -199,7 +199,7 @@ def test_weak_meter_exact_for_dichotomic():
     tau = 0.8
     reference = symmetrized_correlator(inst, 0.0, tau)
     for width in (0.1, 1.0, 10.0):
-        est = weak_two_meter(inst, tau, MeterConfig(coupling=1.0, width=width))
+        (est,) = weak_two_meter(inst, tau, [MeterConfig(coupling=1.0, width=width)])
         assert abs(est.value - reference) < 1e-12
         assert abs(est.value - est.exact_ref) < 1e-12
         assert est.seed is None and est.within_gate is None
@@ -214,7 +214,7 @@ def test_weak_meter_quadratic_backaction_for_qutrit():
     ideal = symmetrized_correlator(inst, 0.0, tau)
     ratios = []
     for width in (1e-1, 1e-2, 1e-3):
-        est = weak_two_meter(inst, tau, MeterConfig(coupling=1.0, width=width))
+        (est,) = weak_two_meter(inst, tau, [MeterConfig(coupling=1.0, width=width)])
         ratios.append(abs(est.value - ideal) / width**2)
     assert ratios[0] > 0.0
     assert max(ratios) / min(ratios) < 1.05
@@ -225,9 +225,22 @@ def test_weak_meter_zero_width_is_ideal():
     h = Operator(random_hermitian(rng, 3))
     q = Operator(np.diag([1.0, 0.0, -1.0]))
     inst = _instance(h, q, gibbs_density(h.matrix, 0.8))
-    est = weak_two_meter(inst, 0.5, MeterConfig(coupling=2.0, width=0.0))
+    (est,) = weak_two_meter(inst, 0.5, [MeterConfig(coupling=2.0, width=0.0)])
     assert abs(est.value - est.exact_ref) < 1e-12
 
+
+
+def test_weak_meter_widths_share_one_pass():
+    rng = np.random.default_rng(31)
+    h = Operator(random_hermitian(rng, 4))
+    q = Operator(np.diag([1.0, 0.5, 0.0, -1.0]))
+    inst = _instance(h, q, gibbs_density(h.matrix, 0.9))
+    meters = [MeterConfig(coupling=1.3, width=w) for w in (0.0, 0.05, 0.4, 2.0)]
+    together = weak_two_meter(inst, 0.6, meters)
+    assert len(together) == len(meters)
+    for meter, est in zip(meters, together):
+        assert est == weak_two_meter(inst, 0.6, [meter])[0]
+    assert weak_two_meter(inst, 0.6, []) == ()
 
 # --------------------------------------------------------------------------
 # eigenbasis arithmetic against the lab-frame formulas
@@ -302,7 +315,7 @@ def test_eigenbasis_protocols_match_lab_frame(case):
         probs, symmetrized, weak = _lab_frame_reference(h, q, rho, t1, t2, meter)
         assert np.max(np.abs(projective_joint(inst, t1, t2).probs - probs)) <= 1e-12
         assert abs(symmetrized_correlator(inst, t1, t2) - symmetrized) <= 1e-12
-        assert abs(weak_two_meter(inst, t2, meter).value - weak) <= 1e-12
+        assert abs(weak_two_meter(inst, t2, [meter])[0].value - weak) <= 1e-12
 
 
 # --------------------------------------------------------------------------
