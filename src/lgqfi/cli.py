@@ -48,6 +48,7 @@ from .kernels import R_kernel, Y_CRIT, gamma_batch
 from .linalg import hermitian_eig
 from .models import ModelSpec, build_model
 from .protocols import (
+    _MAX_SEED,
     MeterConfig,
     ProtocolInstance,
     projective_joint,
@@ -58,8 +59,6 @@ from .response import m2_commutator, m2_moment
 from .spectral import _pair_correlator, correlator, lgi_K, make_state, qfi, spectral_data
 
 __all__ = ["main", "entry_point"]
-
-_MAX_SEED = 2**64
 
 #: Run-size ceilings, checked while parsing and before anything is allocated:
 #: the Monte Carlo holds about 32 bytes per shot, and every tau point costs a
@@ -114,8 +113,11 @@ def _hash_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:12]
 
 
-def _hash_params(params: Mapping[str, object]) -> str:
-    canonical = json.dumps(_jsonable(params), sort_keys=True, separators=(",", ":"))
+def _preset_hash(args: argparse.Namespace, **parsed: object) -> str:
+    """Config hash of a preset run: its name and every flag it declares in
+    ``_PRESETS``, with ``parsed`` values in place of the raw flags."""
+    params = {"command": args.command, **{k: getattr(args, k) for k in _PRESETS[args.command][2]}}
+    canonical = json.dumps(_jsonable({**params, **parsed}), sort_keys=True, separators=(",", ":"))
     return _hash_bytes(canonical.encode("utf-8"))
 
 
@@ -444,12 +446,10 @@ def _cmd_gamma_table(args: argparse.Namespace) -> int:
     if not 0.0 < y_min < y_max:
         raise ConfigError(f"need 0 < y_min < y_max, got y_min={y_min}, y_max={y_max}")
     _check_points(points, 2)
-    config_hash = _hash_params({"command": "gamma-table", "y_min": y_min,
-                                "y_max": y_max, "points": points})
     header = ["y", "gamma", "closed_form", "branch", "y_c"]
     rows = [[r.y, r.value, r.y * r.y / 4.0, "closed" if r.y >= Y_CRIT else "numeric", Y_CRIT]
             for r in gamma_batch(3, np.linspace(y_min, y_max, points))]
-    _emit_grid(args, config_hash=config_hash, header=header, rows=rows)
+    _emit_grid(args, config_hash=_preset_hash(args), header=header, rows=rows)
     return 0
 
 
@@ -516,11 +516,6 @@ def _cmd_qubit(args: argparse.Namespace) -> int:
                          kp=(3,), include_fsum=False).reports
     f_q = reports[0].f_q
 
-    config_hash = _hash_params({
-        "command": "qubit", "epsilon": args.epsilon, "theta": args.theta,
-        "beta": args.beta, "tau_min": args.tau_min, "tau_max": args.tau_max,
-        "points": args.points,
-    })
     header = ["tau", "c_tau", "k_tau", "k_excess", "f_times_r", "residual",
               "lower_thermal", "f_q"]
     rows = []
@@ -530,7 +525,7 @@ def _cmd_qubit(args: argparse.Namespace) -> int:
         f_times_r = f_q * float(R_kernel(args.epsilon * tau, 2.0 * tau / args.beta))
         rows.append([tau, report.c_tau, report.k_tau, k_excess, f_times_r,
                      f_times_r - k_excess, report.lower_thermal, f_q])
-    _emit_grid(args, config_hash=config_hash, header=header, rows=rows)
+    _emit_grid(args, config_hash=_preset_hash(args), header=header, rows=rows)
     return 0
 
 
@@ -547,8 +542,6 @@ def _cmd_tfim(args: argparse.Namespace) -> int:
     m2_spec = m2_moment(sd)
     m2_comm = m2_commutator(h_op, q_op, eig.basis[:, 0])
 
-    config_hash = _hash_params({"command": "tfim", "sites": args.sites,
-                               "j": args.j, "h": args.h, "taus": taus})
     header = ["tau", "k_tau", "k_excess_over_tau2", "m2_spectral",
               "m2_commutator", "rel_error_vs_m2", "f_q"]
     rows = []
@@ -557,7 +550,7 @@ def _cmd_tfim(args: argparse.Namespace) -> int:
         curvature = (k_tau - 1.0) / (tau * tau)
         rows.append([tau, k_tau, curvature, m2_spec, m2_comm,
                      abs(curvature - m2_spec) / m2_spec, f_q])
-    _emit_grid(args, config_hash=config_hash, header=header, rows=rows)
+    _emit_grid(args, config_hash=_preset_hash(args, taus=taus), header=header, rows=rows)
     return 0
 
 
@@ -590,12 +583,10 @@ def _cmd_ghz(args: argparse.Namespace) -> int:
         "two_time_bound_at_pi": two_time_at_pi,
     }
 
-    config_hash = _hash_params({"command": "ghz", "sites": n, "j": args.j,
-                               "omega": args.omega, "points": args.points})
     header = ["omega_tau", "tau", "c_tau", "k_tau", "lower_pure"]
     rows = [[w, r.tau, r.c_tau, r.k_tau, r.lower_pure]
             for w, r in zip(omega_taus, reports)]
-    _emit_grid(args, config_hash=config_hash, header=header, rows=rows,
+    _emit_grid(args, config_hash=_preset_hash(args), header=header, rows=rows,
                summary={"summary": summary})
     return 0
 
@@ -606,7 +597,7 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
         raise ConfigError(f"{cfg.reader.path}: 'protocol' requires a 'protocol' block")
     _, q_op, eig, state, sd = _instantiate(
         cfg.model_spec, beta=cfg.beta, index=cfg.index, config_path=cfg.reader.path)
-    inst = ProtocolInstance(eig, q_op, (eig.basis * state.weights) @ eig.basis.conj().T)
+    inst = ProtocolInstance(eig, q_op, state)
 
     tau = float(cfg.protocol["tau"])
     shots = int(cfg.protocol["shots"])
@@ -664,65 +655,49 @@ def _seed_type(raw: str) -> int:
     return value
 
 
+#: Preset subcommand -> (runner, help, flag defaults).  The parser offers
+#: each preset exactly these flags, typed by their defaults, and its config
+#: hash covers exactly them.
+_PRESETS = {
+    "gamma-table": (_cmd_gamma_table, "tabulate the universal kernel maximum gamma(y)",
+                    {"y_min": 0.01, "y_max": 3.0, "points": 300}),
+    "qubit": (_cmd_qubit, "thermal qubit: exact identity residual table",
+              {"epsilon": 1.0, "theta": math.pi / 4.0, "beta": 2.0, "tau_min": 0.05,
+               "tau_max": 3.0, "points": 40}),
+    "tfim": (_cmd_tfim, "transverse-field chain: curvature convergence table",
+             {"sites": 8, "j": 1.0, "h": 0.5, "taus": "0.2,0.1,0.05,0.02,0.01"}),
+    "ghz": (_cmd_ghz, "GHZ scenario: saturation and Heisenberg scaling",
+            {"sites": 8, "j": 1.0, "omega": 1.0, "points": 60}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", default=None,
-                        help="JSON run configuration")
     common.add_argument("--out", metavar="PATH", default=None,
                         help="output file (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (default: csv for grids)")
     common.add_argument("--seed", type=_seed_type, default=None, metavar="U64",
                         help="random seed (overrides any config value)")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="PATH", default=None,
+                        help="JSON run configuration")
 
     parser = _Parser(prog="lgqfi",
                      description="Temporal correlations, quantum Fisher "
                                  "information, and certified lower bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gamma-table", parents=[common],
-                       help="tabulate the universal kernel maximum gamma(y)")
-    p.add_argument("--y-min", type=float, default=0.01)
-    p.add_argument("--y-max", type=float, default=3.0)
-    p.add_argument("--points", type=int, default=300)
-    p.set_defaults(func=_cmd_gamma_table)
-
-    p = sub.add_parser("certify", parents=[common],
-                       help="run the bound chain over a tau grid from a config")
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("qubit", parents=[common],
-                       help="thermal qubit: exact identity residual table")
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--theta", type=float, default=math.pi / 4.0)
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--tau-min", type=float, default=0.05)
-    p.add_argument("--tau-max", type=float, default=3.0)
-    p.add_argument("--points", type=int, default=40)
-    p.set_defaults(func=_cmd_qubit)
-
-    p = sub.add_parser("tfim", parents=[common],
-                       help="transverse-field chain: curvature convergence table")
-    p.add_argument("--sites", type=int, default=8)
-    p.add_argument("--j", type=float, default=1.0)
-    p.add_argument("--h", type=float, default=0.5)
-    p.add_argument("--taus", default="0.2,0.1,0.05,0.02,0.01",
-                   help="comma-separated times")
-    p.set_defaults(func=_cmd_tfim)
-
-    p = sub.add_parser("ghz", parents=[common],
-                       help="GHZ scenario: saturation and Heisenberg scaling")
-    p.add_argument("--sites", type=int, default=8)
-    p.add_argument("--j", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--points", type=int, default=60)
-    p.set_defaults(func=_cmd_ghz)
-
-    p = sub.add_parser("protocol", parents=[common],
-                       help="compare measurement protocols against the spectral "
-                            "reference")
-    p.set_defaults(func=_cmd_protocol)
-
+    for name, (func, help_text, flags) in _PRESETS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for dest, default in flags.items():
+            p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default,
+                           help=f"default: {default}")
+        p.set_defaults(func=func)
+    for name, func, help_text in (
+            ("certify", _cmd_certify, "run the bound chain over a tau grid from a config"),
+            ("protocol", _cmd_protocol,
+             "compare measurement protocols against the spectral reference")):
+        sub.add_parser(name, parents=[common, config], help=help_text).set_defaults(func=func)
     return parser
 
 

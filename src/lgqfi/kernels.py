@@ -19,7 +19,8 @@ turn measured correlation combinations into quantum Fisher information
 lower bounds.  gamma has the closed form y^2/4 for y >= sqrt(8/7); all other
 maxima come from one maximizer over rows, one per y (a tau grid in one
 :func:`gamma_batch` call, nothing cached by y): coarse probes plus a nested
-zoom on every local maximum, with the x -> 0 endpoint value as a candidate.
+zoom on every local maximum, each bracket on its own until it is 4 ulp wide,
+with the x -> 0 endpoint value as a candidate.
 
 The oscillatory factors are 2*pi-periodic while coth^2(x/y) is strictly
 decreasing in x > 0, so where the oscillation is positive at x > 2 pi the
@@ -139,27 +140,21 @@ def _ratio_kernel(osc: Callable[[np.ndarray], np.ndarray], alpha: float,
 
 
 def R_kernel(x, y: float):
-    """Thermal ratio kernel R(x, y) = (1/4) coth^2(x/y) h(x).
+    """Thermal ratio kernel R(x, y) = (1/4) coth^2(x/y) h(x): :func:`rp_kernel` at p = 3.
 
     Even in x; requires y > 0.  Near x = 0 it is evaluated by the series
     R = (1/4) [y^2 + (2/3 - (7/12) y^2) x^2 + O(x^4)], whose quadratic
     coefficient changes sign at y_c = sqrt(8/7): above y_c the origin is the
     maximum and gamma(y) = y^2/4 in closed form.
     """
-    return _ratio_kernel(h_kernel, 1.0, -7.0 / 12.0, x, _check_y(y))
-
-
-def _hp_series_coefficients(p: int) -> tuple[float, float]:
-    alpha = 0.5 * (p - 1) * (p - 2)
-    beta4 = ((p - 1) - float(p - 1) ** 4) / 24.0
-    return alpha, beta4
+    return rp_kernel(3, x, y)
 
 
 def rp_kernel(p: int, x, y: float):
-    """p-time ratio kernel (1/4) coth^2(x/y) h_p(x)."""
+    """p-time ratio kernel (1/4) coth^2(x/y) h_p(x); h_3 is evaluated as h."""
     _check_p(p)
-    alpha, beta4 = _hp_series_coefficients(p)
-    return _ratio_kernel(lambda xs: hp_kernel(p, xs), alpha, beta4, x, _check_y(y))
+    osc, alpha, beta4, *_ = _family(p)
+    return _ratio_kernel(osc, alpha, beta4, x, _check_y(y))
 
 
 def rtilde_kernel(x, y: float):
@@ -175,8 +170,8 @@ def _maximize(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], ys, endpoi
     ``kernel`` maps an (r, k) block of x and the rows' (r, 1) ys to values.
     ``periods`` counts periods of the fastest oscillation on (0, x_max].
     Chunks of rows (at most MAX_PROBES coarse probes) find every local
-    maximum, then zoom them to a few ulp, one kernel call per level; a row
-    zooms all its brackets while any is open.  Returns arrays (argmax_x,
+    maximum, then zoom them, one kernel call per level; each bracket zooms
+    until it is 4 ulp wide, on its own.  Returns arrays (argmax_x,
     value), ties to the first bracket, or (0.0, endpoint) where that is
     strictly larger.  Over MAX_PROBES probes a row raises ValueError naming
     ``cause``, before allocating.
@@ -204,21 +199,17 @@ def _zoom_chunk(kernel, xs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.n
     lo = np.where(peaks > 0, xs[np.maximum(peaks - 1, 0)], 0.5 * xs[0])
     hi = xs[np.minimum(peaks + 1, n - 1)]
     best_x, best_v = xs[peaks], vals[owner, peaks]
-    # brackets of finished rows leave the working arrays; slot is their place
+    # a bracket 4 ulp wide leaves the working arrays; slot is its place
     final_x, final_v = np.empty_like(best_x), np.empty_like(best_v)
-    slot, live, yb = np.arange(peaks.size), owner, y[owner]
+    slot, yb = np.arange(peaks.size), y[owner]
     while True:
         open_ = hi - lo > 4.0 * np.spacing(hi)
         if not open_.all():
-            row_open = np.zeros(rows, dtype=bool)
-            row_open[live[open_]] = True
-            keep = row_open[live]
-            if not keep.all():
-                final_x[slot], final_v[slot] = best_x, best_v
-                if not keep.any():
-                    break
-                lo, hi, best_x, best_v, slot, live, yb = (
-                    a[keep] for a in (lo, hi, best_x, best_v, slot, live, yb))
+            final_x[slot], final_v[slot] = best_x, best_v
+            if not open_.any():
+                break
+            lo, hi, best_x, best_v, slot, yb = (
+                a[open_] for a in (lo, hi, best_x, best_v, slot, yb))
         step = (hi - lo) / (_ZOOM_POINTS - 1)
         level = kernel(lo[:, None] + step[:, None] * _ZOOM_STEPS, yb)
         top = level.argmax(axis=1)
@@ -239,10 +230,11 @@ def _family(family):
         return ((lambda x: 2.0 * np.sin(0.5 * x) ** 2), 0.5, -1.0 / 24.0, 2.0 * math.pi, 1.0,
                 "gamma_tilde")
     _check_p(family)
-    if family == 3:
-        return h_kernel, 1.0, -7.0 / 12.0, 0.5 * math.pi, 0.25, "gamma"
     p = int(family)
-    alpha, beta4 = _hp_series_coefficients(p)
+    # h_p(x) = alpha x^2 + beta4 x^4 + O(x^6)
+    alpha, beta4 = 0.5 * (p - 1) * (p - 2), ((p - 1) - float(p - 1) ** 4) / 24.0
+    if p == 3:
+        return h_kernel, alpha, beta4, 0.5 * math.pi, 0.25, "gamma"
     return (lambda x: hp_kernel(p, x)), alpha, beta4, 2.0 * math.pi, p - 1, f"gamma_p with p = {p}"
 
 
@@ -324,9 +316,6 @@ def gamma_zero_temperature() -> float:
 
 def gamma_p_zero_temperature(p: int) -> float:
     """Zero-temperature limit of gamma_p: h_p^max / 4 (1/8 exactly for p = 3)."""
-    _check_p(p)
-    if p == 3:
-        return 0.125
     return 0.25 * hp_max(p)
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "Eigensystem",
     "hermitian_eig",
     "to_eigenbasis",
-    "from_eigenbasis",
     "operator_norm",
 ]
 
@@ -199,17 +198,6 @@ def to_eigenbasis(op: Operator, eig: Eigensystem) -> np.ndarray:
             f"dimension mismatch: operator is dim {op.dim}, eigensystem is dim {eig.dim}"
         )
     return eig.basis.conj().T @ op.matrix @ eig.basis
-
-
-def from_eigenbasis(elements: np.ndarray, eig: Eigensystem) -> np.ndarray:
-    """Inverse of :func:`to_eigenbasis`: rebuild the original-basis matrix."""
-    elements = np.asarray(elements, dtype=np.complex128)
-    if elements.shape != (eig.dim, eig.dim):
-        raise ValueError(
-            f"dimension mismatch: elements have shape {elements.shape}, expected "
-            f"({eig.dim}, {eig.dim})"
-        )
-    return eig.basis @ elements @ eig.basis.conj().T
 
 
 def operator_norm(op: Operator) -> float:

@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import Operator
+from .linalg import Operator, operator_norm
 
 __all__ = [
     "ModelSpec",
@@ -42,7 +42,6 @@ __all__ = [
     "build_collective",
     "ghz_state",
     "ghz_reduction_residuals",
-    "tfim_order_parameter",
     "load_custom",
 ]
 
@@ -67,13 +66,19 @@ def _site_signs(n: int, a: int) -> np.ndarray:
     return 1.0 - 2.0 * bit
 
 
-def _total_signs(n: int) -> np.ndarray:
-    """sum_a sigma^z_a eigenvalue for every basis index."""
-    idx = np.arange(2 ** n)
-    total = np.zeros(2 ** n)
-    for shift in range(n):
-        total += 1.0 - 2.0 * ((idx >> shift) & 1)
-    return total
+def _ising_bonds(n: int, j: float, periodic: bool = False) -> np.ndarray:
+    """-J sum_a sigma^z_a sigma^z_{a+1} as a dense complex matrix (a ring if ``periodic``)."""
+    signs = [_site_signs(n, a) for a in range(1, n + 1)]
+    diag = np.zeros(2 ** n)
+    for a in range(n - 1 + periodic):
+        diag -= j * signs[a] * signs[(a + 1) % n]
+    return np.diag(diag.astype(np.complex128))
+
+
+def _collective(n: int, divisor: float) -> Operator:
+    """(1/divisor) sum_a sigma^z_a, diagonal in the computational basis."""
+    total = sum(_site_signs(n, a) for a in range(1, n + 1))
+    return Operator(np.diag((total / divisor).astype(np.complex128)))
 
 
 def build_qubit(epsilon: float, theta: float) -> tuple[Operator, Operator]:
@@ -120,14 +125,7 @@ def build_tfim(n: int, j: float, h: float, boundary: str = "open",
         raise ValueError(f"site must lie in [1, {n}], got {site}")
 
     dim = 2 ** n
-    signs = [_site_signs(n, a) for a in range(1, n + 1)]
-    diag = np.zeros(dim)
-    for a in range(n - 1):
-        diag -= j * signs[a] * signs[a + 1]
-    if boundary == "periodic":
-        diag -= j * signs[n - 1] * signs[0]
-
-    ham = np.diag(diag.astype(np.complex128))
+    ham = _ising_bonds(n, j, periodic=boundary == "periodic")
     if h != 0.0:
         rows = np.arange(dim)
         for a in range(1, n + 1):
@@ -151,15 +149,10 @@ def build_ghz(n: int, j: float, omega: float) -> tuple[Operator, Operator]:
     if not omega > 0.0:
         raise ValueError(f"collective flip rate Omega must be positive, got {omega}")
     dim = 2 ** n
-    signs = [_site_signs(n, a) for a in range(1, n + 1)]
-    diag = np.zeros(dim)
-    for a in range(n - 1):
-        diag -= j * signs[a] * signs[a + 1]
-    ham = np.diag(diag.astype(np.complex128))
+    ham = _ising_bonds(n, j)
     rows = np.arange(dim)
     ham[rows, rows ^ (dim - 1)] += 0.5 * omega
-    q = np.diag((_total_signs(n) / n).astype(np.complex128))
-    return Operator(ham), Operator(q)
+    return Operator(ham), _collective(n, n)
 
 
 def build_ghz_effective(n: int, j: float, omega: float) -> tuple[Operator, Operator]:
@@ -187,10 +180,7 @@ def build_collective(n: int) -> tuple[Operator, Operator]:
     entanglement-depth witness (N^2 for a GHZ state).
     """
     _check_sites(n, lo=1)
-    total = _total_signs(n)
-    q = Operator(np.diag((total / n).astype(np.complex128)))
-    q_tilde = Operator(np.diag((total / 2.0).astype(np.complex128)))
-    return q, q_tilde
+    return _collective(n, n), _collective(n, 2.0)
 
 
 def ghz_state(n: int, sign: int = +1) -> np.ndarray:
@@ -227,22 +217,6 @@ def ghz_reduction_residuals(n: int, j: float, omega: float) -> tuple[float, floa
     restricted = span.conj().T @ h_full.matrix @ span
     mismatch = float(np.max(np.abs(restricted - h_eff.matrix)))
     return leakage, mismatch
-
-
-def tfim_order_parameter(j: float, h: float) -> float:
-    """Reference bulk magnetization m = (1 - h^2/J^2)^(1/8) of the ordered phase.
-
-    Defined for 0 <= |h| < J; this is a thermodynamic-limit constant used
-    only for comparison tables, not something the finite chains reproduce
-    exactly.
-    """
-    if not j > 0.0:
-        raise ValueError(f"Ising coupling J must be positive, got {j}")
-    if not abs(h) < j:
-        raise ValueError(
-            f"the order parameter is defined for |h| < J, got h={h}, J={j}"
-        )
-    return (1.0 - (h / j) ** 2) ** 0.125
 
 
 def _complex_matrix_from_json(raw: object, dim: int, name: str, path: str) -> np.ndarray:
@@ -298,7 +272,7 @@ def load_custom(path: str) -> tuple[Operator, Operator]:
     except ValueError as exc:
         raise ValueError(f"{path}: field 'Q': {exc}") from exc
 
-    norm = float(np.max(np.abs(np.linalg.eigvalsh(q_op.matrix))))
+    norm = operator_norm(q_op)
     if norm > 1.0 + 1e-9:
         raise ValueError(
             f"{path}: observable norm ||Q|| = {norm:.12g} exceeds 1 + 1e-9; "

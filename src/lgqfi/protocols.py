@@ -31,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .linalg import Eigensystem, Operator, hermitian_eig
+from .linalg import Eigensystem, Operator, hermitian_eig, to_eigenbasis
+from .spectral import StationaryState
 
 __all__ = [
     "MeterConfig",
@@ -96,17 +97,19 @@ class ProtocolEstimate:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Joint outcome probabilities of projective Q measurements at two times."""
+    """Joint outcome probabilities of projective Q measurements at two times.
 
-    outcomes_first: np.ndarray
-    outcomes_second: np.ndarray
+    ``probs[a, b]`` is the probability of Q's outcome ``outcomes[a]`` at the
+    first time and ``outcomes[b]`` at the second.
+    """
+
+    outcomes: np.ndarray
     probs: np.ndarray
     times: tuple[float, float]
 
     def correlator(self) -> float:
         """E[q(t1) q(t2)] under this joint distribution."""
-        return float(np.einsum("a,b,ab->", self.outcomes_first,
-                               self.outcomes_second, self.probs).real)
+        return float(np.einsum("a,b,ab->", self.outcomes, self.outcomes, self.probs).real)
 
 
 def cluster_eigenvalues(values: np.ndarray, tol: float = OUTCOME_TOL):
@@ -149,12 +152,23 @@ def _as_density_matrix(rho0: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
+def _as_weights(state: StationaryState, dim: int) -> np.ndarray:
+    """The state's weights, held to the checks :func:`_as_density_matrix` makes of rho."""
+    weights = np.asarray(state.weights, dtype=np.float64)
+    if weights.shape != (dim,) or not weights.min() >= 0.0 or abs(weights.sum() - 1.0) > 1e-10:
+        raise ValueError(f"stationary weights must be {dim} nonnegative numbers summing "
+                         "to 1 within 1e-10")
+    return weights
+
+
 @dataclass(frozen=True, eq=False)
 class ProtocolInstance:
     """One validated (H, Q, state) instance, shared by every protocol run on it.
 
     Built as ``ProtocolInstance(h_eig, q, rho)`` from H's eigensystem (basis
-    V), Q and a state vector or density matrix.  Made once: the overlap
+    V), Q and a state vector, a density matrix or a
+    :class:`~lgqfi.spectral.StationaryState` over ``h_eig``, whose weights
+    are rho's diagonal in H's basis.  Made once: the overlap
     ``overlap = V^+ W`` with Q's eigenbasis W (eigenvalues ``q_values``,
     grouped into ``outcomes`` by column indices ``members``), the state and
     Q in H's basis (``rho_h``, ``q_h``) and the state in Q's basis (``rho_w``).
@@ -162,7 +176,7 @@ class ProtocolInstance:
 
     h_eig: Eigensystem
     q: Operator
-    rho: InitVar[np.ndarray]
+    rho: InitVar[np.ndarray | StationaryState]
     outcomes: np.ndarray = field(init=False)
     members: tuple[np.ndarray, ...] = field(init=False)
     q_values: np.ndarray = field(init=False)
@@ -171,19 +185,20 @@ class ProtocolInstance:
     q_h: np.ndarray = field(init=False)
     rho_w: np.ndarray = field(init=False)
 
-    def __post_init__(self, rho: np.ndarray) -> None:
-        if self.h_eig.dim != self.q.dim:
-            raise ValueError(
-                f"H has dimension {self.h_eig.dim} but Q has dimension {self.q.dim}"
-            )
-        v = self.h_eig.basis
-        rho_h = v.conj().T @ _as_density_matrix(rho, self.h_eig.dim) @ v
+    def __post_init__(self, rho: np.ndarray | StationaryState) -> None:
+        dim, v = self.h_eig.dim, self.h_eig.basis
+        if dim != self.q.dim:
+            raise ValueError(f"H has dimension {dim} but Q has dimension {self.q.dim}")
+        if isinstance(rho, StationaryState):
+            rho_h = np.diag(_as_weights(rho, dim).astype(np.complex128))
+        else:
+            rho_h = v.conj().T @ _as_density_matrix(rho, dim) @ v
         q_eig = hermitian_eig(self.q)
         outcomes, members = cluster_eigenvalues(q_eig.energies)
         overlap = v.conj().T @ q_eig.basis
         for name, value in (("outcomes", outcomes), ("members", tuple(members)),
                             ("q_values", q_eig.energies), ("overlap", overlap),
-                            ("rho_h", rho_h), ("q_h", v.conj().T @ self.q.matrix @ v),
+                            ("rho_h", rho_h), ("q_h", to_eigenbasis(self.q, self.h_eig)),
                             ("rho_w", overlap.conj().T @ rho_h @ overlap)):
             object.__setattr__(self, name, value)
 
@@ -217,9 +232,7 @@ def projective_joint(inst: ProtocolInstance, t1: float, t2: float) -> JointDistr
         raise InvariantViolation(
             f"projective joint probabilities sum to {total!r}, expected 1"
         )
-    return JointDistribution(outcomes_first=inst.outcomes,
-                             outcomes_second=inst.outcomes, probs=probs,
-                             times=(t1, t2))
+    return JointDistribution(outcomes=inst.outcomes, probs=probs, times=(t1, t2))
 
 
 def projective_mc(inst: ProtocolInstance, t1: float, t2: float, shots: int,
@@ -244,7 +257,7 @@ def projective_mc(inst: ProtocolInstance, t1: float, t2: float, shots: int,
 
     joint = projective_joint(inst, t1, t2)
     flat_probs = joint.probs.ravel()
-    flat_products = np.outer(joint.outcomes_first, joint.outcomes_second).ravel()
+    flat_products = np.outer(joint.outcomes, joint.outcomes).ravel()
     cdf = np.cumsum(flat_probs)
     cdf[-1] = 1.0
 

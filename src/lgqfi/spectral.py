@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .kernels import h_kernel
-from .linalg import Eigensystem, Operator, to_eigenbasis
+from .kernels import _check_p, h_kernel
+from .linalg import Eigensystem, Operator, _frozen_array, to_eigenbasis
 
 __all__ = [
     "StationaryState", "SpectralData", "make_state", "spectral_data", "correlator",
@@ -100,7 +100,8 @@ def make_state(eig: Eigensystem, *, beta: float | None = None,
             raise ValueError(f"eigenlevel index {index} outside [0, {dim - 1}]")
         weights = np.zeros(dim)
         weights[index] = 1.0
-        return StationaryState(kind="pure", weights=_frozen(weights), index=int(index))
+        return StationaryState(kind="pure", weights=_frozen_array(weights, np.float64),
+                               index=int(index))
 
     beta = float(beta)
     if not beta > 0.0:
@@ -115,13 +116,7 @@ def make_state(eig: Eigensystem, *, beta: float | None = None,
     total = float(weights.sum())
     if abs(total - 1.0) > 1e-12:
         raise InvariantViolation(f"stationary weights sum to {total}, not 1")
-    return StationaryState(kind="thermal", weights=_frozen(weights), beta=beta)
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
+    return StationaryState(kind="thermal", weights=_frozen_array(weights, np.float64), beta=beta)
 
 
 @dataclass(frozen=True)
@@ -192,15 +187,14 @@ def spectral_data(eig: Eigensystem, q: Operator, state: StationaryState) -> Spec
         raise InvariantViolation(
             f"observable lost Hermiticity in the eigenbasis (deviation {herm_dev:.3e})"
         )
-    energies = _frozen(eig.energies)
     abs_sq = np.abs(elements) ** 2
     q2 = float(np.sum(state.weights[:, None] * abs_sq))
-    delta, w_s, w_chi, span = _merge_lines(energies, abs_sq, state.weights)
+    delta, w_s, w_chi, span = _merge_lines(eig.energies, abs_sq, state.weights)
     weight = 2.0 * w_s + w_chi / math.pi
     weight[0] = w_s[0]
-    return SpectralData(energies=energies, elements=elements, state=state, q2_expect=q2,
-                        delta=_frozen(delta), w_s=_frozen(w_s), w_chi=_frozen(w_chi),
-                        line_span=span, _weight=_frozen(weight))
+    delta, w_s, w_chi, weight = (_frozen_array(a, np.float64) for a in (delta, w_s, w_chi, weight))
+    return SpectralData(energies=eig.energies, elements=elements, state=state, q2_expect=q2,
+                        delta=delta, w_s=w_s, w_chi=w_chi, line_span=span, _weight=weight)
 
 
 def _merge_lines(energies: np.ndarray, abs_sq: np.ndarray, p: np.ndarray):
@@ -262,10 +256,7 @@ def lgi_Kp(sd: SpectralData, p: int, tau: float) -> float:
     caps this at p - 2 (for dichotomic Q); p = 3 gives the standard
     three-time combination.
     """
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
-        raise ValueError(f"p must be an integer, got {p!r}")
-    if p < 3:
-        raise ValueError(f"p must be at least 3, got {p}")
+    _check_p(p)
     return float((p - 1) * correlator(sd, tau) - correlator(sd, (p - 1) * tau))
 
 

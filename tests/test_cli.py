@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -424,6 +425,26 @@ def test_unknown_flag_exits_one(capsys):
     assert main(["gamma-table", "--frobnicate"]) == 1
 
 
+@pytest.mark.parametrize("preset", ["gamma-table", "qubit", "tfim", "ghz"])
+def test_presets_reject_config(preset, capsys):
+    # only certify and protocol read a run configuration
+    assert main([preset, "--config", "/nonexistent.json"]) == 1
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert capsys.readouterr().out == ""
+
+
+def test_preset_hash_covers_every_flag():
+    from lgqfi.cli import _PRESETS, _build_parser, _preset_hash
+
+    parser = _build_parser()
+    for name, (_, _, flags) in _PRESETS.items():
+        base = _preset_hash(parser.parse_args([name]))
+        for dest, default in flags.items():
+            value = "0.3" if isinstance(default, str) else str(2 * default)
+            args = parser.parse_args([name, "--" + dest.replace("_", "-"), value])
+            assert _preset_hash(args) != base, (name, dest)
+
+
 def test_invalid_seed_exits_one(capsys):
     assert main(["gamma-table", "--seed", "-3"]) == 1
 
@@ -550,7 +571,8 @@ def test_protocol_instance_work_runs_once(tmp_path, capsys, monkeypatch):
     assert main(["protocol", "--config", cfg]) == 0
     _, _, rows = _parse_csv(capsys.readouterr().out)
     assert [row[0] for row in rows].count("weak_two_meter") == 3
-    assert calls == {"hermitian_eig": 2, "_as_density_matrix": 1, "projective_joint": 3}
+    # the stationary state goes in as its weights, not as a dense density matrix
+    assert calls == {"hermitian_eig": 2, "_as_density_matrix": 0, "projective_joint": 3}
     # protocols work in the eigenbases: no dense propagator, no outcome projectors
     h, q = build_qubit(1.0, 0.5)
     inst = lgqfi.protocols.ProtocolInstance(hermitian_eig(h), q, np.eye(2) / 2.0)
@@ -604,9 +626,12 @@ def test_shipped_examples_run(name, command, tmp_path, capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
         [sys.executable, "-m", "lgqfi", "gamma-table", "--points", "2"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# lgqfi ")

@@ -118,6 +118,12 @@ def test_rp_and_rtilde_direct_formula():
     assert abs(float(rtilde_kernel(x, y)) - 0.25 * coth2 * (1.0 - math.cos(x))) < 1e-13
 
 
+def test_rp_kernel_at_three_is_r_kernel():
+    xs = np.concatenate([np.linspace(-30.0, 30.0, 2001), [0.0, 1e-7, -3e-5]])
+    for y in (0.05, 0.5, 1.0, 3.0):
+        assert np.array_equal(rp_kernel(3, xs, y), R_kernel(xs, y))
+
+
 def test_kernels_require_positive_y():
     for fn in (lambda: R_kernel(1.0, 0.0), lambda: gamma(0.0),
                lambda: gamma_tilde(-1.0), lambda: gamma_p(4, 0.0)):

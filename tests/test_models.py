@@ -21,7 +21,6 @@ from lgqfi.models import (
     ghz_reduction_residuals,
     ghz_state,
     load_custom,
-    tfim_order_parameter,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -130,14 +129,6 @@ def test_tfim_zero_field_builder_ok():
 def test_tfim_invalid_params(kwargs):
     with pytest.raises(ValueError):
         build_tfim(**kwargs)
-
-
-def test_tfim_order_parameter():
-    assert tfim_order_parameter(1.0, 0.0) == 1.0
-    expected = (1.0 - 0.25) ** 0.125
-    assert abs(tfim_order_parameter(1.0, 0.5) - expected) < 1e-15
-    with pytest.raises(ValueError):
-        tfim_order_parameter(1.0, 1.5)
 
 
 # --------------------------------------------------------------------------

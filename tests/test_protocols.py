@@ -25,7 +25,7 @@ from lgqfi.protocols import (
     symmetrized_correlator,
     weak_two_meter,
 )
-from lgqfi.spectral import correlator, make_state, spectral_data
+from lgqfi.spectral import StationaryState, correlator, make_state, spectral_data
 
 
 def _instance(h, q, rho):
@@ -122,6 +122,33 @@ def test_projective_state_validation():
         ProtocolInstance(eig, q, np.eye(3) / 3.0)
 
 
+@pytest.mark.parametrize("kind", ["thermal", "pure"])
+def test_stationary_state_matches_dense_density_matrix(kind):
+    rng = np.random.default_rng(17)
+    h = Operator(random_hermitian(rng, 5))
+    q = Operator(random_hermitian(rng, 5))  # not dichotomic: the meters matter
+    eig = hermitian_eig(h)
+    state = make_state(eig, beta=1.3) if kind == "thermal" else make_state(eig, index=2)
+    from_state = ProtocolInstance(eig, q, state)
+    dense = ProtocolInstance(eig, q, (eig.basis * state.weights) @ eig.basis.conj().T)
+    np.testing.assert_allclose(projective_joint(from_state, 0.2, 1.1).probs,
+                               projective_joint(dense, 0.2, 1.1).probs, rtol=0.0, atol=1e-12)
+    assert abs(symmetrized_correlator(from_state, 0.3, 1.4)
+               - symmetrized_correlator(dense, 0.3, 1.4)) < 1e-12
+    meters = [MeterConfig(1.0, 0.5), MeterConfig(1.0, 0.05)]
+    for a, b in zip(weak_two_meter(from_state, 0.8, meters), weak_two_meter(dense, 0.8, meters)):
+        assert abs(a.value - b.value) < 1e-12 and abs(a.exact_ref - b.exact_ref) < 1e-12
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.5, 0.0], [1.2, -0.2], [0.5, 0.4999], [np.nan, 1.0],
+                                     [[0.5, 0.5]]])
+def test_stationary_state_weights_validation(weights):
+    h, q = build_qubit(1.0, 0.9)
+    state = StationaryState(kind="thermal", weights=np.array(weights), beta=1.0)
+    with pytest.raises(ValueError, match="stationary weights"):
+        ProtocolInstance(hermitian_eig(h), q, state)
+
+
 def test_projective_rejects_reversed_times():
     h, q = build_qubit(1.0, 0.9)
     inst = _instance(h, q, gibbs_density(h.matrix, 1.0))
@@ -160,7 +187,7 @@ def test_projective_mc_blocks_match_one_draw_in_one_float_per_shot():
     cdf = np.cumsum(joint.probs.ravel())
     cdf[-1] = 1.0
     draws = np.random.Generator(np.random.Philox(key=42)).random(shots)
-    products = np.outer(joint.outcomes_first, joint.outcomes_second).ravel()
+    products = np.outer(joint.outcomes, joint.outcomes).ravel()
     samples = products[np.searchsorted(cdf, draws, side="right")]
     assert est.value == float(samples.mean())
     assert est.stderr == float(samples.std(ddof=1) / math.sqrt(shots))
