@@ -113,11 +113,10 @@ def _hash_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:12]
 
 
-def _preset_hash(args: argparse.Namespace, **parsed: object) -> str:
-    """Config hash of a preset run: its name and every flag it declares in
-    ``_PRESETS``, with ``parsed`` values in place of the raw flags."""
+def _preset_hash(args: argparse.Namespace) -> str:
+    """Config hash of a preset run: its name and every flag it declares in ``_PRESETS``."""
     params = {"command": args.command, **{k: getattr(args, k) for k in _PRESETS[args.command][2]}}
-    canonical = json.dumps(_jsonable({**params, **parsed}), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(_jsonable(params), sort_keys=True, separators=(",", ":"))
     return _hash_bytes(canonical.encode("utf-8"))
 
 
@@ -175,20 +174,174 @@ def _emit_grid(args: argparse.Namespace, *, config_hash: str,
 
 
 # ---------------------------------------------------------------------------
-# configuration ingestion
+# configuration ingestion: number rules and the run-config key table
 
 
-def _key_line(text: str, key: str) -> int:
-    """Best-effort line anchor: first line containing the quoted key."""
-    needle = f'"{key}"'
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return lineno
-    return 1
+class _Invalid(ValueError):
+    """A value outside its rule; args (kind_ok, got), kind_ok when only the range failed."""
 
 
-class _ConfigReader:
-    """A parsed JSON config plus helpers producing line-anchored errors."""
+class _Rule:
+    """A number rule of run-config keys and preset flags.
+
+    A value passes when it is of the rule's kind, an integer or a finite
+    float (with ``inf`` also +inf, and the strings "inf" and "Infinity"),
+    and lies in [lo, hi], lo excluded when ``open_lo``.
+    """
+
+    def __init__(self, lo: float = -math.inf, hi: float = math.inf, *,
+                 integer: bool = False, open_lo: bool = False, inf: bool = False):
+        self.lo, self.hi, self.integer, self.open_lo, self.inf = lo, hi, integer, open_lo, inf
+        self.kind = "an integer" if integer else "a finite number" + " or inf" * inf
+        self.interval = f"{'(' if open_lo else '['}{lo}, {hi}{']' if hi < math.inf else ')'}"
+
+    def check(self, value: object, text: bool = False):
+        """``value`` as this rule's number, read from a flag's text when ``text``."""
+        got = repr(value)
+        if text or self.inf and value in ("inf", "Infinity"):
+            try:
+                value = (int if self.integer else float)(value)
+            except ValueError:
+                raise _Invalid(False, got) from None
+        if isinstance(value, bool) or not isinstance(value, int if self.integer else (int, float)):
+            raise _Invalid(False, got)
+        # abs(x) <= float max is false for NaN, infinities and integers too large for a float
+        if not (self.integer or abs(value) <= sys.float_info.max or self.inf and value == math.inf):
+            raise _Invalid(False, got)
+        if not (self.lo < value if self.open_lo else self.lo <= value) or value > self.hi:
+            raise _Invalid(True, got)
+        return value if self.integer else float(value)
+
+
+#: A time tau: tau^2 stays a normal float (the tfim preset divides by it).
+_TIME = _Rule(math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
+_POSITIVE, _REAL, _INTEGER = _Rule(0, open_lo=True), _Rule(), _Rule(integer=True)
+_POINTS = _Rule(2, _MAX_TAU_POINTS, integer=True)
+_SEED = _Rule(0, _MAX_SEED - 1, integer=True)
+_REQUIRED = object()
+
+
+def _tau_grid(cfg: RunConfig, value: object) -> tuple[float, ...]:
+    """Ascending times: a list, or np.linspace of a start/stop/points object."""
+    if isinstance(value, dict):
+        if sorted(value) != ["points", "start", "stop"]:
+            raise cfg.fail("tau_grid", "'tau_grid' object needs exactly 'start', 'stop' and "
+                                       "'points'")
+        start, stop = (_check(cfg, "tau_grid", _TIME, value[key]) for key in ("start", "stop"))
+        points = _check(cfg, "tau_grid.points", _POINTS, value["points"])
+        taus = np.linspace(start, stop, points).tolist()
+    elif isinstance(value, list) and 0 < len(value) <= _MAX_TAU_POINTS:
+        taus = [_check(cfg, "tau_grid", _TIME, tau) for tau in value]
+    else:
+        raise cfg.fail("tau_grid", f"'tau_grid' must be a list of 1 to {_MAX_TAU_POINTS} "
+                                   "times or a start/stop/points object")
+    if any(b <= a for a, b in zip(taus, taus[1:])):
+        raise cfg.fail("tau_grid", "'tau_grid' values must be strictly ascending")
+    return tuple(taus)
+
+
+#: The run-config keys, nested as in the file: key -> (type, default, doc line)
+#: or a block.  A type is a number rule, a list of one rule (a list of such
+#: numbers), a tuple of choices, ``str``, ``bool``, ``dict`` or ``_tau_grid``.
+#: The key tables of ``docs/run-config.md`` give the same keys, defaults and doc lines.
+_SCHEMA = {
+    "model": {
+        "kind": (str, _REQUIRED, "`qubit`, `tfim`, `ghz`, `ghz_effective`, `custom`"),
+        "params": (dict, {}, "kind-specific, see below"),
+        "observable": (str, "default", "optional; only `ghz` supports non-default values"),
+    },
+    "state": {
+        "thermal": {"beta": (_Rule(inf=True), _REQUIRED, "inverse temperature, or \"inf\"")},
+        "pure": {"index": (_Rule(0, integer=True), _REQUIRED, "eigenlevel, ascending in energy")},
+    },
+    "tau_grid": (_tau_grid, None, "times of the bound grid"),
+    "bounds": {
+        "pure": (bool, True, "include the pure-state bound column when valid"),
+        "thermal": (bool, True, "include the thermal kernel bound"),
+        "weak": (bool, True, "include the weak-coupling (K - 1) variant"),
+        "two_time": (bool, True, "include the two-time bound"),
+        "kp": ([_Rule(3, integer=True)], [3, 4, 5],
+               "multi-time orders to evaluate (integers >= 3)"),
+        "fsum": (bool, True, "include the f-sum upper bound column"),
+        "depth_sites": (_Rule(1, integer=True), None,
+                        "site count N enabling the depth-witness column"),
+    },
+    "protocol": {
+        "tau": (_TIME, _REQUIRED, "time spacing of the three-time chain"),
+        "shots": (_Rule(1, _MAX_SHOTS, integer=True), 100_000,
+                  "Monte Carlo sample count, 1 to 10^7"),
+        "seed": (_SEED, 0, "counter-based RNG key (u64)"),
+        "widths": ([_Rule(0)], [0.1, 0.01, 0.001], "weak-meter position spreads"),
+        "coupling": (_POSITIVE, 1.0, "weak-meter coupling strength"),
+    },
+    "output": {
+        "path": (str, None, "write the grid here instead of stdout"),
+        "format": (("csv", "json"), None, "`csv` (default for grids) or `json`"),
+    },
+}
+_TYPE_NAMES = {str: "a string", bool: "true or false", dict: "a JSON object"}
+
+
+def _check(cfg: RunConfig, path: str, kind, value: object):
+    """The value of the key at ``path`` under its schema type.  A number of the
+    wrong kind is named by its key as written, one out of range by its path."""
+    leaf = path.rpartition(".")[2]
+    if kind is _tau_grid:
+        return _tau_grid(cfg, value)
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise cfg.fail(leaf, f"'{path}' must be a list")
+        return [_check(cfg, path, kind[0], item) for item in value]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise cfg.fail(leaf, f"'{path}' must be {' or '.join(map(repr, kind))}")
+        return value
+    if isinstance(kind, type):
+        if not isinstance(value, kind):
+            raise cfg.fail(leaf, f"'{path}' must be {_TYPE_NAMES[kind]}")
+        return value
+    try:
+        return kind.check(value)
+    except _Invalid as exc:
+        kind_ok, got = exc.args
+        label, need = (path, f"{kind.kind} in {kind.interval}") if kind_ok else (leaf, kind.kind)
+        raise cfg.fail(leaf, f"'{label}' must be {need}, got {got}") from None
+
+
+def _walk(cfg: RunConfig, schema: dict, block: dict | None,
+          name: str = "") -> dict[str, object]:
+    """The checked values of ``block`` (None when absent) under ``schema``, by path.
+
+    Unknown keys are errors.  An absent or null key takes its default; a
+    required key is an error in a block that is there and None in one that
+    is not.
+    """
+    leaf = name.rpartition(".")[2]
+    unknown = sorted(set(block or ()) - set(schema))
+    if unknown:
+        raise cfg.fail(unknown[0], f"unknown key '{unknown[0]}' in '{leaf}' block" if name
+                       else f"unknown top-level key '{unknown[0]}'")
+    values: dict[str, object] = {}
+    for key, row in schema.items():
+        path, value = f"{name}.{key}" if name else key, (block or {}).get(key)
+        if isinstance(row, dict):
+            if value is None and path in ("model", "state"):
+                raise ConfigError(f"{cfg.path}:1: config is missing the required '{path}' block")
+            if value is not None and not isinstance(value, dict):
+                raise cfg.fail(key, f"'{path}' must be a JSON object")
+            values.update(_walk(cfg, row, value, path))
+        elif value is not None:
+            values[path] = _check(cfg, path, row[0], value)
+        elif row[1] is _REQUIRED and block is not None:
+            raise cfg.fail(leaf, f"'{name}' needs the key '{key}'")
+        else:
+            values[path] = None if row[1] is _REQUIRED else row[1]
+    return values
+
+
+class RunConfig:
+    """A run configuration file, checked against ``_SCHEMA``: model, state,
+    tasks and output, with line-anchored errors."""
 
     def __init__(self, path: str):
         self.path = path
@@ -205,206 +358,35 @@ class _ConfigReader:
             ) from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}:1: config root must be a JSON object")
-        self.doc = doc
         self.hash = _hash_bytes(self.text.encode("utf-8"))
+        key = _walk(self, _SCHEMA, doc)
+        self.model_spec = ModelSpec(key["model.kind"], key["model.params"], key["model.observable"])
+        self.beta, self.index = key["state.thermal.beta"], key["state.pure.index"]
+        if (self.beta is None) == (self.index is None):
+            raise self.fail("state", "'state' must contain exactly one of 'thermal' or 'pure'")
+        self.tau_grid: tuple[float, ...] = key["tau_grid"] or ()
+        self.families = {family: key[f"bounds.{switch}"]
+                         for switch, family in _BOUND_FAMILIES.items()}
+        self.kp, self.fsum = tuple(key["bounds.kp"]), key["bounds.fsum"]
+        self.depth_sites = key["bounds.depth_sites"]
+        self.protocol = None if key["protocol.tau"] is None else {
+            name: key[f"protocol.{name}"] for name in _SCHEMA["protocol"]}
+        self.out_path, self.out_format = key["output.path"], key["output.format"]
+        if not self.tau_grid and self.protocol is None:
+            raise ConfigError(f"{path}:1: no task enabled: provide 'tau_grid' (bounds) "
+                              "and/or a 'protocol' block")
 
     def fail(self, key: str, message: str) -> ConfigError:
-        return ConfigError(f"{self.path}:{_key_line(self.text, key)}: {message}")
-
-    def block(self, key: str, required: bool = False) -> dict | None:
-        value = self.doc.get(key)
-        if value is None:
-            if required:
-                raise ConfigError(
-                    f"{self.path}:1: config is missing the required '{key}' block"
-                )
-            return None
-        if not isinstance(value, dict):
-            raise self.fail(key, f"'{key}' must be a JSON object")
-        return dict(value)
-
-
-def _check_no_extras(reader: _ConfigReader, block_name: str, block: dict) -> None:
-    if block:
-        key = sorted(block)[0]
-        raise reader.fail(key, f"unknown key '{key}' in '{block_name}' block")
-
-
-def _number(reader: _ConfigReader, key: str, value: object, *,
-            allow_inf: bool = False) -> float:
-    if isinstance(value, str) and allow_inf and value in ("inf", "Infinity"):
-        return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise reader.fail(key, f"'{key}' must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise reader.fail(key, f"'{key}' is an integer too large for a float") from None
-    if math.isnan(number) or (math.isinf(number) and not allow_inf):
-        raise reader.fail(key, f"'{key}' must be a finite number, got {number!r}")
-    return number
-
-
-def _parse_tau_grid(reader: _ConfigReader, raw: object) -> tuple[float, ...]:
-    if isinstance(raw, dict):
-        spec = dict(raw)
-        try:
-            start = _number(reader, "tau_grid", spec.pop("start"))
-            stop = _number(reader, "tau_grid", spec.pop("stop"))
-            points = spec.pop("points")
-        except KeyError as exc:
-            raise reader.fail(
-                "tau_grid", "tau_grid object needs 'start', 'stop' and 'points'"
-            ) from exc
-        _check_no_extras(reader, "tau_grid", spec)
-        if (not isinstance(points, int) or isinstance(points, bool)
-                or not 2 <= points <= _MAX_TAU_POINTS):
-            raise reader.fail("tau_grid", f"'points' must be an integer in "
-                                          f"[2, {_MAX_TAU_POINTS}], got {points!r}")
-        taus = [float(t) for t in np.linspace(start, stop, points)]
-    elif isinstance(raw, list):
-        if len(raw) > _MAX_TAU_POINTS:
-            raise reader.fail("tau_grid", f"'tau_grid' has {len(raw)} values, "
-                                          f"over {_MAX_TAU_POINTS}")
-        taus = [_number(reader, "tau_grid", t) for t in raw]
-    else:
-        raise reader.fail("tau_grid", "'tau_grid' must be a list or a start/stop/points object")
-    if not taus:
-        raise reader.fail("tau_grid", "'tau_grid' must not be empty")
-    if any(t <= 0.0 for t in taus):
-        raise reader.fail("tau_grid", "'tau_grid' values must be positive")
-    if any(b <= a for a, b in zip(taus, taus[1:])):
-        raise reader.fail("tau_grid", "'tau_grid' values must be strictly ascending")
-    return tuple(taus)
-
-
-class RunConfig:
-    """Validated run configuration (model, state, tasks, output)."""
-
-    def __init__(self, reader: _ConfigReader):
-        self.reader = reader
-        self.hash = reader.hash
-
-        model = reader.block("model", required=True)
-        kind = model.pop("kind", None)
-        if not isinstance(kind, str):
-            raise reader.fail("model", "'model.kind' must be a string")
-        params = model.pop("params", {})
-        if not isinstance(params, dict):
-            raise reader.fail("params", "'model.params' must be a JSON object")
-        observable = model.pop("observable", "default")
-        if not isinstance(observable, str):
-            raise reader.fail("observable", "'model.observable' must be a string")
-        _check_no_extras(reader, "model", model)
-        self.model_spec = ModelSpec(kind=kind, params=params, observable=observable)
-
-        state = reader.block("state", required=True)
-        thermal = state.pop("thermal", None)
-        pure = state.pop("pure", None)
-        _check_no_extras(reader, "state", state)
-        if (thermal is None) == (pure is None):
-            raise reader.fail(
-                "state", "'state' must contain exactly one of 'thermal' or 'pure'"
-            )
-        self.beta: float | None = None
-        self.index: int | None = None
-        if thermal is not None:
-            if not isinstance(thermal, dict) or "beta" not in thermal:
-                raise reader.fail("thermal", "'state.thermal' must be {\"beta\": ...}")
-            self.beta = _number(reader, "beta", thermal["beta"], allow_inf=True)
-            extra = {k: v for k, v in thermal.items() if k != "beta"}
-            _check_no_extras(reader, "thermal", extra)
-        else:
-            if not isinstance(pure, dict) or "index" not in pure:
-                raise reader.fail("pure", "'state.pure' must be {\"index\": ...}")
-            index = pure["index"]
-            if not isinstance(index, int) or isinstance(index, bool) or index < 0:
-                raise reader.fail("index", f"'state.pure.index' must be an integer >= 0, got {index!r}")
-            self.index = index
-            extra = {k: v for k, v in pure.items() if k != "index"}
-            _check_no_extras(reader, "pure", extra)
-
-        raw_grid = reader.doc.get("tau_grid")
-        self.tau_grid: tuple[float, ...] = ()
-        if raw_grid is not None:
-            self.tau_grid = _parse_tau_grid(reader, raw_grid)
-
-        bounds = reader.block("bounds") or {}
-        self.families: dict[str, bool] = {}
-        for switch, family in _BOUND_FAMILIES.items():
-            flag = bounds.pop(switch, True)
-            if not isinstance(flag, bool):
-                raise reader.fail(switch, f"bounds flag '{switch}' must be true or false")
-            self.families[family] = flag
-        kp = bounds.pop("kp", [3, 4, 5])
-        if (not isinstance(kp, list)
-                or any(not isinstance(p, int) or isinstance(p, bool) or p < 3 for p in kp)):
-            raise reader.fail("kp", "'bounds.kp' must be a list of integers >= 3")
-        self.kp = tuple(kp)
-        fsum = bounds.pop("fsum", True)
-        if not isinstance(fsum, bool):
-            raise reader.fail("fsum", "'bounds.fsum' must be true or false")
-        self.fsum = fsum
-        depth_sites = bounds.pop("depth_sites", None)
-        if depth_sites is not None and (
-                not isinstance(depth_sites, int) or isinstance(depth_sites, bool)
-                or depth_sites < 1):
-            raise reader.fail("depth_sites", "'bounds.depth_sites' must be an integer >= 1")
-        self.depth_sites = depth_sites
-        _check_no_extras(reader, "bounds", bounds)
-
-        protocol = reader.block("protocol")
-        self.protocol: dict[str, object] | None = None
-        if protocol is not None:
-            tau = _number(reader, "tau", protocol.pop("tau", None))
-            if tau <= 0.0:
-                raise reader.fail("tau", f"'protocol.tau' must be positive, got {tau}")
-            shots = protocol.pop("shots", 100_000)
-            if (not isinstance(shots, int) or isinstance(shots, bool)
-                    or not 1 <= shots <= _MAX_SHOTS):
-                raise reader.fail("shots", f"'protocol.shots' must be an integer in "
-                                           f"[1, {_MAX_SHOTS}], got {shots!r}")
-            seed = protocol.pop("seed", 0)
-            if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < _MAX_SEED:
-                raise reader.fail("seed", f"'protocol.seed' must be an integer in [0, 2^64), got {seed!r}")
-            widths = protocol.pop("widths", [1e-1, 1e-2, 1e-3])
-            if not isinstance(widths, list) or not widths:
-                raise reader.fail("widths", "'protocol.widths' must be a nonempty list")
-            widths = [_number(reader, "widths", w) for w in widths]
-            if any(w < 0.0 for w in widths):
-                raise reader.fail("widths", "'protocol.widths' entries must be nonnegative")
-            coupling = _number(reader, "coupling", protocol.pop("coupling", 1.0))
-            if coupling <= 0.0:
-                raise reader.fail("coupling", f"'protocol.coupling' must be positive, got {coupling}")
-            _check_no_extras(reader, "protocol", protocol)
-            self.protocol = {"tau": tau, "shots": shots, "seed": seed,
-                             "widths": widths, "coupling": coupling}
-
-        output = reader.block("output") or {}
-        self.out_path = output.pop("path", None)
-        if self.out_path is not None and not isinstance(self.out_path, str):
-            raise reader.fail("path", "'output.path' must be a string")
-        self.out_format = output.pop("format", None)
-        if self.out_format is not None and self.out_format not in ("csv", "json"):
-            raise reader.fail("format", "'output.format' must be 'csv' or 'json'")
-        _check_no_extras(reader, "output", output)
-
-        known = {"model", "state", "tau_grid", "bounds", "protocol", "output"}
-        for key in reader.doc:
-            if key not in known:
-                raise reader.fail(key, f"unknown top-level key '{key}'")
-
-        if not self.tau_grid and self.protocol is None:
-            raise ConfigError(
-                f"{reader.path}:1: no task enabled: provide 'tau_grid' (bounds) "
-                "and/or a 'protocol' block"
-            )
+        """An error anchored at the first line holding the quoted key (else line 1)."""
+        lines = enumerate(self.text.splitlines(), start=1)
+        lineno = next((n for n, line in lines if f'"{key}"' in line), 1)
+        return ConfigError(f"{self.path}:{lineno}: {message}")
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     if args.config is None:
         raise ConfigError("this command requires --config PATH")
-    return RunConfig(_ConfigReader(args.config))
+    return RunConfig(args.config)
 
 
 def _instantiate(spec: ModelSpec, *, beta: float | None = None,
@@ -436,19 +418,12 @@ def _instantiate(spec: ModelSpec, *, beta: float | None = None,
 # subcommands
 
 
-def _check_points(points: int, minimum: int) -> None:
-    if not minimum <= points <= _MAX_TAU_POINTS:
-        raise ConfigError(f"--points must be in [{minimum}, {_MAX_TAU_POINTS}], got {points}")
-
-
 def _cmd_gamma_table(args: argparse.Namespace) -> int:
-    y_min, y_max, points = args.y_min, args.y_max, args.points
-    if not 0.0 < y_min < y_max:
-        raise ConfigError(f"need 0 < y_min < y_max, got y_min={y_min}, y_max={y_max}")
-    _check_points(points, 2)
+    if not args.y_min < args.y_max:
+        raise ConfigError(f"need y_min < y_max, got y_min={args.y_min}, y_max={args.y_max}")
     header = ["y", "gamma", "closed_form", "branch", "y_c"]
     rows = [[r.y, r.value, r.y * r.y / 4.0, "closed" if r.y >= Y_CRIT else "numeric", Y_CRIT]
-            for r in gamma_batch(3, np.linspace(y_min, y_max, points))]
+            for r in gamma_batch(3, np.linspace(args.y_min, args.y_max, args.points))]
     _emit_grid(args, config_hash=_preset_hash(args), header=header, rows=rows)
     return 0
 
@@ -477,9 +452,9 @@ def _report_cells(report: BoundReport, families: Mapping[str, bool], fsum: bool,
 def _cmd_certify(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     if not cfg.tau_grid:
-        raise ConfigError(f"{cfg.reader.path}: 'certify' requires a 'tau_grid'")
+        raise ConfigError(f"{cfg.path}: 'certify' requires a 'tau_grid'")
     sd = _instantiate(cfg.model_spec, beta=cfg.beta, index=cfg.index,
-                      config_path=cfg.reader.path)[-1]
+                      config_path=cfg.path)[-1]
     grid = best_bound(sd, cfg.tau_grid, kp=cfg.kp, include_fsum=cfg.fsum,
                       collective_n=cfg.depth_sites, families=cfg.families)
 
@@ -503,13 +478,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_qubit(args: argparse.Namespace) -> int:
-    _check_points(args.points, 1)
-    if not 0.0 < args.tau_min <= args.tau_max:
-        raise ConfigError(
-            f"need 0 < tau-min <= tau-max, got {args.tau_min}, {args.tau_max}"
-        )
-    if not 0.0 < args.beta < math.inf:
-        raise ConfigError(f"--beta must be finite and positive, got {args.beta}")
+    if not args.tau_min <= args.tau_max:
+        raise ConfigError(f"need tau-min <= tau-max, got {args.tau_min}, {args.tau_max}")
     spec = ModelSpec("qubit", {"epsilon": args.epsilon, "theta": args.theta})
     sd = _instantiate(spec, beta=args.beta)[-1]
     reports = best_bound(sd, np.linspace(args.tau_min, args.tau_max, args.points),
@@ -530,12 +500,6 @@ def _cmd_qubit(args: argparse.Namespace) -> int:
 
 
 def _cmd_tfim(args: argparse.Namespace) -> int:
-    try:
-        taus = [float(t) for t in args.taus.split(",") if t.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"--taus must be a comma-separated list of numbers: {exc}") from exc
-    if not taus or any(t <= 0 for t in taus):
-        raise ConfigError("--taus must contain positive times")
     spec = ModelSpec("tfim", {"n": args.sites, "j": args.j, "h": args.h})
     h_op, q_op, eig, _, sd = _instantiate(spec, beta=math.inf)
     f_q = qfi(sd)
@@ -545,17 +509,16 @@ def _cmd_tfim(args: argparse.Namespace) -> int:
     header = ["tau", "k_tau", "k_excess_over_tau2", "m2_spectral",
               "m2_commutator", "rel_error_vs_m2", "f_q"]
     rows = []
-    for tau in taus:
+    for tau in args.taus:
         k_tau = 2 * _pair_correlator(sd, tau) - _pair_correlator(sd, 2 * tau)
         curvature = (k_tau - 1.0) / (tau * tau)
         rows.append([tau, k_tau, curvature, m2_spec, m2_comm,
                      abs(curvature - m2_spec) / m2_spec, f_q])
-    _emit_grid(args, config_hash=_preset_hash(args, taus=taus), header=header, rows=rows)
+    _emit_grid(args, config_hash=_preset_hash(args), header=header, rows=rows)
     return 0
 
 
 def _cmd_ghz(args: argparse.Namespace) -> int:
-    _check_points(args.points, 2)
     spec = ModelSpec("ghz_effective", {"n": args.sites, "j": args.j,
                                        "omega": args.omega})
     sd = _instantiate(spec, index=1)[-1]
@@ -594,16 +557,14 @@ def _cmd_ghz(args: argparse.Namespace) -> int:
 def _cmd_protocol(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     if cfg.protocol is None:
-        raise ConfigError(f"{cfg.reader.path}: 'protocol' requires a 'protocol' block")
+        raise ConfigError(f"{cfg.path}: 'protocol' requires a 'protocol' block")
     _, q_op, eig, state, sd = _instantiate(
-        cfg.model_spec, beta=cfg.beta, index=cfg.index, config_path=cfg.reader.path)
+        cfg.model_spec, beta=cfg.beta, index=cfg.index, config_path=cfg.path)
     inst = ProtocolInstance(eig, q_op, state)
 
-    tau = float(cfg.protocol["tau"])
-    shots = int(cfg.protocol["shots"])
-    seed = _seed(args, int(cfg.protocol["seed"]))
-    widths = list(cfg.protocol["widths"])
-    coupling = float(cfg.protocol["coupling"])
+    tau, shots, widths, coupling = (cfg.protocol[key]
+                                    for key in ("tau", "shots", "widths", "coupling"))
+    seed = _seed(args, cfg.protocol["seed"])
 
     c_ref = float(correlator(sd, tau))
     k_ref = lgi_K(sd, tau)
@@ -645,19 +606,28 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _seed_type(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {raw!r}") from exc
-    if not 0 <= value < _MAX_SEED:
-        raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {value}")
-    return value
+def _flag_type(flag: str, rule: _Rule, many: bool = False):
+    """argparse ``type=`` of a flag under ``rule`` (``many``: a comma-separated
+    list).  It raises ConfigError, which argparse passes through unwrapped,
+    so the message starts with the flag's name."""
+    def parse(raw: str):
+        try:
+            items = [item for item in raw.split(",") if item.strip()] if many else [raw]
+            values = tuple(rule.check(item, text=True) for item in items)
+        except _Invalid as exc:
+            kind_ok, got = exc.args
+            raise ConfigError(f"{flag} must be {'in ' + rule.interval if kind_ok else rule.kind}"
+                              f", got {got}") from None
+        if not values:
+            raise ConfigError(f"{flag} must name at least one number")
+        return values if many else values[0]
+    return parse
 
 
 #: Preset subcommand -> (runner, help, flag defaults).  The parser offers
-#: each preset exactly these flags, typed by their defaults, and its config
-#: hash covers exactly them.
+#: each preset exactly these flags and its config hash covers exactly them.
+#: A flag's rule is in ``_FLAG_RULES`` (``_REAL`` when not listed); a flag
+#: with a string default takes a comma-separated list.
 _PRESETS = {
     "gamma-table": (_cmd_gamma_table, "tabulate the universal kernel maximum gamma(y)",
                     {"y_min": 0.01, "y_max": 3.0, "points": 300}),
@@ -669,6 +639,8 @@ _PRESETS = {
     "ghz": (_cmd_ghz, "GHZ scenario: saturation and Heisenberg scaling",
             {"sites": 8, "j": 1.0, "omega": 1.0, "points": 60}),
 }
+_FLAG_RULES = {"y_min": _POSITIVE, "y_max": _POSITIVE, "beta": _POSITIVE, "points": _POINTS,
+               "tau_min": _TIME, "tau_max": _TIME, "taus": _TIME, "sites": _INTEGER}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -677,7 +649,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output file (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (default: csv for grids)")
-    common.add_argument("--seed", type=_seed_type, default=None, metavar="U64",
+    common.add_argument("--seed", type=_flag_type("--seed", _SEED), default=None, metavar="U64",
                         help="random seed (overrides any config value)")
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", metavar="PATH", default=None,
@@ -690,8 +662,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (func, help_text, flags) in _PRESETS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
         for dest, default in flags.items():
-            p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default,
-                           help=f"default: {default}")
+            flag = "--" + dest.replace("_", "-")
+            rule = _FLAG_RULES.get(dest, _REAL)
+            p.add_argument(flag, type=_flag_type(flag, rule, isinstance(default, str)),
+                           default=default, help=f"default: {default}")
         p.set_defaults(func=func)
     for name, func, help_text in (
             ("certify", _cmd_certify, "run the bound chain over a tau grid from a config"),

@@ -174,7 +174,8 @@ def _maximize(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], ys, endpoi
     until it is 4 ulp wide, on its own.  Returns arrays (argmax_x,
     value), ties to the first bracket, or (0.0, endpoint) where that is
     strictly larger.  Over MAX_PROBES probes a row raises ValueError naming
-    ``cause``, before allocating.
+    ``cause``, before allocating; so does a row with a probe that is not
+    finite (y^2 overflows above about 1.3e154), which would find no peak.
     """
     needed = _PROBES_PER_PERIOD * periods
     if not needed <= MAX_PROBES:
@@ -185,13 +186,18 @@ def _maximize(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], ys, endpoi
     arg, val = np.empty(ys.size), np.empty(ys.size)
     chunk = max(1, MAX_PROBES // n)
     for i in range(0, ys.size, chunk):
-        arg[i:i + chunk], val[i:i + chunk] = _zoom_chunk(kernel, xs, ys[i:i + chunk, None])
+        y = ys[i:i + chunk, None]
+        vals = kernel(xs[None, :], y)
+        if not np.isfinite(vals).all():
+            bad = y[~np.isfinite(vals).all(axis=1), 0][0]
+            raise ValueError(f"{cause} is not finite at scaled time y = {float(bad)!r}")
+        arg[i:i + chunk], val[i:i + chunk] = _zoom_chunk(kernel, xs, y, vals)
     wins = endpoints > val
     return np.where(wins, 0.0, arg), np.where(wins, endpoints, val)
 
 
-def _zoom_chunk(kernel, xs: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals = kernel(xs[None, :], y)
+def _zoom_chunk(kernel, xs: np.ndarray, y: np.ndarray,
+                vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, n = vals.shape
     padded = np.full((rows, n + 2), -np.inf)
     padded[:, 1:-1] = vals
@@ -244,19 +250,25 @@ def gamma_batch(family, ys) -> tuple[KernelResult, ...]:
     ``family`` is 3 for :func:`gamma` (closed form for y >= Y_CRIT), an
     integer p > 3 for :func:`gamma_p` or 'tilde' for :func:`gamma_tilde`;
     those functions are one-row calls of this one.  All rows are maximized
-    together, each bit for bit as on its own.
+    together, each bit for bit as on its own.  A row whose kernel or
+    maximum is not finite raises ValueError naming the family and its y.
     """
     osc, alpha, beta4, x_max, periods, cause = _family(family)
     ys = np.array(ys, dtype=np.float64, ndmin=1)
     for y in ys[~(ys > 0.0)][:1]:
         _check_y(y)
-    # the x -> 0 endpoint value (1/4) alpha y^2, which is gamma(y) for y >= Y_CRIT
-    args, values = np.zeros(ys.size), 0.25 * alpha * ys * ys
     numeric = ys < Y_CRIT if family == 3 else np.full(ys.size, True)
-    if numeric.any():
-        args[numeric], values[numeric] = _maximize(
-            lambda x, y: _ratio_kernel(osc, alpha, beta4, x, y), ys[numeric],
-            values[numeric], x_max, periods, cause)
+    # y^2 overflows above about 1.3e154: the ValueErrors below report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the x -> 0 endpoint value (1/4) alpha y^2, which is gamma(y) for y >= Y_CRIT
+        args, values = np.zeros(ys.size), 0.25 * alpha * ys * ys
+        if numeric.any():
+            args[numeric], values[numeric] = _maximize(
+                lambda x, y: _ratio_kernel(osc, alpha, beta4, x, y), ys[numeric],
+                values[numeric], x_max, periods, cause)
+    if not np.isfinite(values).all():
+        bad = ys[~np.isfinite(values)][0]
+        raise ValueError(f"{cause} is not finite at scaled time y = {float(bad)!r}")
     return tuple(KernelResult(y=y, value=v, argmax_x=x, method="numeric" if n else "closed-form")
                  for y, v, x, n in zip(ys.tolist(), values.tolist(), args.tolist(),
                                        numeric.tolist()))

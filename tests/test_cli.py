@@ -6,8 +6,10 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -411,6 +413,83 @@ def test_protocol_shots_ceiling(tmp_path, capsys, shots, accepted):
     if not accepted:
         assert "'protocol.shots' must be an integer in [1, 10000000]" in (
             capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--taus", ["tfim", "--sites", "3", "--taus", "nan"]),
+    ("--taus", ["tfim", "--sites", "3", "--taus", "inf,1"]),
+    ("--tau-max", ["qubit", "--tau-max", "inf", "--points", "2"]),
+    ("--y-max", ["gamma-table", "--y-max", "inf", "--points", "3"]),
+], ids=["tfim-nan", "tfim-inf", "qubit", "gamma-table"])
+def test_preset_flags_reject_non_finite_numbers(capsys, flag, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning fails the test
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be a finite number")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # tau^2 underflows to 0 or overflows in the curvature column
+    (["tfim", "--sites", "3", "--taus", "1e-300"], "--taus must be in [1.49166814624"),
+    (["tfim", "--sites", "3", "--taus", "0.1,1e200"], "1.34078079299"),
+    # y = 2 tau / beta squared overflows in the kernel maximum
+    (["qubit", "--beta", "1e-300", "--points", "2"], "is not finite at scaled time y"),
+], ids=["tiny-tau", "huge-tau", "tiny-beta"])
+def test_extreme_preset_inputs_exit_one_without_traceback(argv, message):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "lgqfi", *argv], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_config_time_whose_square_underflows(tmp_path, capsys):
+    cfg = _write_config(tmp_path, _certify_doc(tau_grid=[1e-300, 0.5]))
+    assert main(["certify", "--config", cfg]) == 1
+    assert "'tau_grid' must be a finite number in [1.49166814624" in capsys.readouterr().err
+
+
+def test_null_keys_take_their_defaults(tmp_path, capsys):
+    grids = []
+    for bounds in ({}, {"kp": None, "fsum": None, "depth_sites": None}):
+        assert main(["certify", "--config", _write_config(tmp_path, _certify_doc(
+            bounds=bounds))]) == 0
+        grids.append(capsys.readouterr().out.splitlines()[1:])
+    assert grids[0] == grids[1]
+
+
+def _doc_key_tables():
+    """The key tables of docs/run-config.md: block -> key -> column -> cell."""
+    text = (REPO_ROOT / "docs" / "run-config.md").read_text(encoding="utf-8")
+    tables = {}
+    for section in re.split(r"^## ", text, flags=re.MULTILINE)[1:]:
+        block = re.match(r"`(\w+)`", section)
+        rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+                for line in section.splitlines() if line.startswith("|")]
+        if block and rows:
+            tables[block.group(1)] = {row[0].strip("`"): dict(zip(rows[0], row))
+                                      for row in rows[2:]}
+    return tables
+
+
+def test_docs_key_tables_match_the_schema():
+    from lgqfi.cli import _REQUIRED, _SCHEMA
+
+    tables = _doc_key_tables()
+    assert set(tables) == {"model", "bounds", "protocol", "output"}
+    for block, rows in tables.items():
+        assert set(rows) == set(_SCHEMA[block]), block
+        for key, cells in rows.items():
+            _, default, doc = _SCHEMA[block][key]
+            assert cells.get("meaning", cells.get("notes")) == doc, (block, key)
+            if "default" in cells:
+                cell = cells["default"]
+                documented = ({"required": _REQUIRED, "absent": None}[cell]
+                              if not cell.startswith("`") else json.loads(cell.strip("`")))
+                assert documented == default, (block, key)
 
 
 def test_no_task_enabled(tmp_path, capsys):

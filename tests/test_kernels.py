@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -306,3 +309,27 @@ def test_batched_maxima_reject_bad_rows():
     with pytest.raises(ValueError, match="gamma_p with p = 1000000"):
         gamma_batch(10**6, [0.5])
     assert gamma_batch(4, []) == ()
+
+
+@pytest.mark.parametrize("call", ["gamma_tilde(1e160)", "gamma_p(4, 1e160)", "gamma(1e160)"])
+def test_overflowing_y_raises_instead_of_hanging(call):
+    # y^2 overflows: every probe is NaN, which used to leave the zoom loop
+    # without an exit, so the call runs in a child process with a timeout
+    code = ("from lgqfi.kernels import gamma, gamma_p, gamma_tilde\n"
+            f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "not finite at scaled time y = 1e+160" in proc.stdout
+    assert "Warning" not in proc.stderr
+
+
+def test_batch_with_an_overflowing_row_raises():
+    finite = gamma_batch("tilde", [2e143])
+    assert math.isfinite(finite[0].value)
+    # the overflowing row used to get value inf and the finite row's argmax
+    with pytest.raises(ValueError, match=r"gamma_tilde is not finite at scaled time y = 2e\+154"):
+        gamma_batch("tilde", [2e143, 2e154])
+    with pytest.raises(ValueError, match=r"gamma_p with p = 5 .* y = inf"):
+        gamma_batch(5, [0.5, math.inf])
