@@ -404,9 +404,9 @@ def _instantiate(spec: ModelSpec, *, beta: float | None = None,
 
     try:
         h_op, q_op = build_model(spec)
+        eig = hermitian_eig(h_op)
     except ValueError as exc:
         raise fail("model", exc) from exc
-    eig = hermitian_eig(h_op)
     try:
         state = make_state(eig, beta=beta, index=index)
     except ValueError as exc:
@@ -492,7 +492,7 @@ def _cmd_qubit(args: argparse.Namespace) -> int:
     for report in reports:
         tau = report.tau
         k_excess = report.k_tau - 1.0
-        f_times_r = f_q * float(R_kernel(args.epsilon * tau, 2.0 * tau / args.beta))
+        f_times_r = f_q * float(R_kernel(float(sd.delta[-1]) * tau, 2.0 * tau / args.beta))
         rows.append([tau, report.c_tau, report.k_tau, k_excess, f_times_r,
                      f_times_r - k_excess, report.lower_thermal, f_q])
     _emit_grid(args, config_hash=_preset_hash(args), header=header, rows=rows)

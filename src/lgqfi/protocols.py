@@ -228,7 +228,7 @@ def projective_joint(inst: ProtocolInstance, t1: float, t2: float) -> JointDistr
         probs[a] = [diag[rows].sum() for rows in inst.members]
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:  # NaN fails
         raise InvariantViolation(
             f"projective joint probabilities sum to {total!r}, expected 1"
         )

@@ -241,11 +241,17 @@ def correlator(sd: SpectralData, tau):
     """Symmetrized correlator C(tau); accepts a scalar or an array of times.
 
     Evaluated over the transition lines.  C(0) = <Q^2> and C is even in tau;
-    |C(tau)| never exceeds <Q^2>.
+    |C(tau)| never exceeds <Q^2>.  Raises ``ValueError`` naming tau where a
+    phase delta * tau overflows, so C is not finite.
     """
     tau_arr = np.asarray(tau, dtype=np.float64)
     scalar = tau_arr.ndim == 0
-    values = np.cos(np.multiply.outer(np.atleast_1d(tau_arr), sd.delta)) @ sd._weight
+    taus = np.atleast_1d(tau_arr)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+        values = np.cos(np.multiply.outer(taus, sd.delta)) @ sd._weight
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"C(tau) is not finite at tau = {float(taus[bad[0]])!r}")
     return float(values[0]) if scalar else values
 
 

@@ -446,6 +446,39 @@ def test_extreme_preset_inputs_exit_one_without_traceback(argv, message):
     assert "Traceback" not in proc.stderr
 
 
+_QUBIT_1E300 = {"kind": "qubit", "params": {"epsilon": 1e300, "theta": 1.0}}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    # every entry of H is 1.7e308: eigh returns the energies [0, inf]
+    ("certify", _certify_doc(model={"kind": "custom", "params": {"path": "h.json"}}),
+     "invalid model: the spectrum of a dim-2 operator overflows"),
+    # delta * tau = inf at tau = 1e10
+    ("certify", _certify_doc(model=_QUBIT_1E300, state={"thermal": {"beta": 1.0}},
+                             tau_grid=[1e-10, 1e10]), "C(tau) is not finite at tau = 1"),
+    ("protocol", {"model": _QUBIT_1E300, "state": {"thermal": {"beta": 1.0}},
+                  "protocol": {"tau": 1e10}}, "C(tau) is not finite at tau = 1"),
+], ids=["eigenvalue", "certify-phase", "protocol-phase"])
+def test_overflow_exits_one_instead_of_nan_rows(tmp_path, command, doc, message):
+    big = [1.7e308, 0.0]
+    _write_config(tmp_path, {"dim": 2, "H": [[big, big], [big, big]],
+                             "Q": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}, "h.json")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "lgqfi", command,
+                           "--config", _write_config(tmp_path, doc)],
+                          capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_qubit_residual_at_huge_splitting(capsys):
+    assert main(["qubit", "--epsilon", "1e300", "--points", "2"]) == 0
+    _, header, rows = _parse_csv(capsys.readouterr().out)
+    for row in rows:
+        assert abs(float(row[header.index("residual")])) <= 1e-15
+
+
 def test_config_time_whose_square_underflows(tmp_path, capsys):
     cfg = _write_config(tmp_path, _certify_doc(tau_grid=[1e-300, 0.5]))
     assert main(["certify", "--config", cfg]) == 1

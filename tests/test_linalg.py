@@ -9,10 +9,12 @@ from conftest import random_hermitian
 from lgqfi.errors import NumericsError
 from lgqfi.linalg import (
     Operator,
+    _fix_phases,
     hermitian_eig,
     operator_norm,
     to_eigenbasis,
 )
+from lgqfi.models import build_collective, build_ghz, build_tfim
 
 
 def test_operator_rejects_non_square():
@@ -107,6 +109,58 @@ def test_degenerate_subspace_deterministic():
     assert np.array_equal(a.basis, b.basis)
     rebuilt = (a.basis * a.energies) @ a.basis.conj().T
     assert np.max(np.abs(rebuilt - m)) < 1e-10 * np.max(np.abs(m))
+
+
+def test_near_tie_eigenpairs_keep_their_energies():
+    # levels 1e-12 apart: every column must stay the eigenvector of its own energy
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        op = Operator(u @ np.diag([2.0, 2.0 + 1e-12, 4.0]) @ u.conj().T)
+        eig = hermitian_eig(op)
+        residual = np.linalg.norm(op.matrix @ eig.basis - eig.basis * eig.energies, axis=0)
+        assert np.max(residual) < 1e-13, seed
+
+
+def _fix_phases_per_column(basis):
+    """The column-by-column phase convention the vectorized pass must reproduce."""
+    out = np.array(basis, copy=True)
+    for n in range(out.shape[1]):
+        col = out[:, n]
+        pivot = col[int(np.argmax(np.abs(col)))]
+        mag = abs(pivot)
+        if mag > 0.0:
+            out[:, n] = col * (pivot.conjugate() / mag)
+    return out
+
+
+def _phase_cases():
+    rng = np.random.default_rng(59)
+    for dim in (1, 2, 5, 16, 33):
+        yield random_hermitian(rng, dim)
+    u = np.linalg.qr(random_hermitian(rng, 6) + 1j * np.eye(6))[0]
+    for levels in ([1.0, 1.0, 1.0, 2.0, 2.0, 3.0], [0.5, 0.5 + 1e-13, 0.5 + 2e-13, 1.0, 1.0, 4.0]):
+        yield u @ np.diag(levels) @ u.conj().T
+    yield np.eye(8)
+    for ops in (build_ghz(4, 1.0, 0.3), build_tfim(4, 1.0, 0.7),
+                build_tfim(4, 1.0, 0.7, boundary="periodic"), build_collective(4)):
+        for op in ops:
+            yield op.matrix
+
+
+def test_vectorized_phase_pass_matches_per_column_loop():
+    for m in _phase_cases():
+        _, basis = np.linalg.eigh(Operator(m).matrix)
+        for b in (basis, np.hstack([basis, np.zeros((basis.shape[0], 1))])):
+            got, want = _fix_phases(b), _fix_phases_per_column(b)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [np.full((2, 2), 1.7e308), np.diag([1.7e308, -1.7e308])],
+                         ids=["eigenvalue", "width"])
+def test_overflowing_spectrum_raises(m):
+    with pytest.raises(ValueError, match="dim-2 operator overflows"):
+        hermitian_eig(Operator(m))
 
 
 def test_eigenbasis_roundtrip():

@@ -127,6 +127,15 @@ def test_correlator_bounded_by_q2():
     assert np.all(np.abs(correlator(inst.sd, taus)) <= inst.sd.q2_expect + 1e-12)
 
 
+def test_correlator_rejects_overflowing_phase():
+    h, q = build_qubit(1e300, 1.0)
+    eig = hermitian_eig(h)
+    sd = spectral_data(eig, q, make_state(eig, beta=1.0))
+    for tau in (1e10, [1e-10, 1e10]):
+        with pytest.raises(ValueError, match=r"not finite at tau = 10000000000\.0"):
+            correlator(sd, tau)
+
+
 # --------------------------------------------------------------------------
 # LGI combinations
 
