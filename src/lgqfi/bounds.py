@@ -118,7 +118,7 @@ def bound_thermal_time(k_value: float, q2: float, z: float, beta: float) -> floa
     kernel maximum is in closed form: gamma(2 z tau_th / beta) = 2 z^2 / 7.
     """
     z = float(z)
-    if z < 1.0:
+    if not z >= 1.0:
         raise ValueError(f"the thermal-time form requires z >= 1, got {z}")
     _check_beta(beta)
     return 7.0 * (float(k_value) - float(q2)) / (2.0 * z * z)
@@ -160,7 +160,7 @@ def depth_witness(f_q_tilde: float, n: int) -> int | None:
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     f_q_tilde = float(f_q_tilde)
-    if f_q_tilde < 0.0:
+    if not f_q_tilde >= 0.0:
         raise ValueError(f"F_Q must be nonnegative, got {f_q_tilde}")
     for k in range(n - 1, 0, -1):
         s, r = divmod(n, k)

@@ -10,6 +10,8 @@ which indicate an implementation bug rather than a physics outcome, raise
 
 from __future__ import annotations
 
+__all__ = ["LgqfiError", "ConfigError", "NumericsError", "InvariantViolation"]
+
 
 class LgqfiError(Exception):
     """Base class for package-specific errors."""

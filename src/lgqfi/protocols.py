@@ -65,10 +65,10 @@ class MeterConfig:
     width: float
 
     def __post_init__(self) -> None:
-        if not self.coupling > 0.0:
-            raise ValueError(f"meter coupling must be positive, got {self.coupling}")
-        if self.width < 0.0:
-            raise ValueError(f"meter width must be nonnegative, got {self.width}")
+        if not 0.0 < self.coupling < math.inf:
+            raise ValueError(f"meter coupling must be positive and finite, got {self.coupling}")
+        if not 0.0 <= self.width < math.inf:
+            raise ValueError(f"meter width must be nonnegative and finite, got {self.width}")
 
 
 @dataclass(frozen=True)
@@ -375,12 +375,12 @@ def macrorealist_oracle(probs: np.ndarray, outcomes1: np.ndarray,
             f"grid sizes ({q1.size}, {q2.size}, {q3.size})"
         )
     for name, q in (("first", q1), ("second", q2), ("third", q3)):
-        if np.max(np.abs(q)) > 1.0 + 1e-12:
+        if not np.max(np.abs(q)) <= 1.0 + 1e-12:
             raise ValueError(f"{name} outcome grid exceeds magnitude 1")
-    if probs.min() < -1e-15:
+    if not probs.min() >= -1e-15:
         raise ValueError(f"negative probability {probs.min()!r} in table")
     total = probs.sum()
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:
         raise ValueError(f"probability table sums to {total!r}, expected 1")
 
     c12 = float(np.einsum("abc,a,b->", probs, q1, q2))
@@ -405,8 +405,8 @@ def noisy_readout_correlator(q0: np.ndarray, qtau: np.ndarray,
     qtau = np.asarray(qtau, dtype=float)
     if q0.shape != qtau.shape or q0.ndim != 1:
         raise ValueError("readout records must be 1-D arrays of equal length")
-    if noise_variance < 0.0:
-        raise ValueError(f"noise variance must be nonnegative, got {noise_variance}")
+    if not 0.0 <= noise_variance < math.inf:
+        raise ValueError(f"noise variance must be nonnegative and finite, got {noise_variance}")
     shots = q0.size
     if shots < 2:
         raise ValueError(f"need at least 2 shots, got {shots}")

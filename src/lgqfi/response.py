@@ -126,6 +126,7 @@ def mn_moment(sd: SpectralData, order: int) -> float:
     """n-th spectral moment M_n = -(1/pi) sum Delta^n w_chi at T = 0.
 
     Requires integer order >= 2; order 2 reproduces :func:`m2_moment`.
+    Raises ``ValueError`` naming the order when M_n is not finite.
     """
     if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
         raise ValueError(f"moment order must be an integer, got {order!r}")
@@ -134,7 +135,11 @@ def mn_moment(sd: SpectralData, order: int) -> float:
     if not sd.ground:
         raise ValueError(f"M_{order} is a zero-temperature quantity; build the "
                          "spectrum from a ground-manifold state")
-    return float(-(1.0 / math.pi) * np.sum(sd.delta[1:] ** order * sd.w_chi[1:]))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+        moment = float(-(1.0 / math.pi) * np.sum(sd.delta[1:] ** order * sd.w_chi[1:]))
+    if not math.isfinite(moment):
+        raise ValueError(f"M_{order} is not finite: Delta^{order} overflows")
+    return moment
 
 
 def mn_gapped_lower(sd: SpectralData, order: int) -> float | None:

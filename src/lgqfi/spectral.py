@@ -245,14 +245,18 @@ def correlator(sd: SpectralData, tau):
     phase delta * tau overflows, so C is not finite.
     """
     tau_arr = np.asarray(tau, dtype=np.float64)
-    scalar = tau_arr.ndim == 0
-    taus = np.atleast_1d(tau_arr)
+    values = _cos_sum(np.atleast_1d(tau_arr), sd.delta, sd._weight)
+    return float(values[0]) if tau_arr.ndim == 0 else values
+
+
+def _cos_sum(taus: np.ndarray, freqs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] cos(freqs[k] tau) at each tau; ``ValueError`` if not finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
-        values = np.cos(np.multiply.outer(taus, sd.delta)) @ sd._weight
+        values = np.cos(np.multiply.outer(taus, freqs)) @ weights
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(f"C(tau) is not finite at tau = {float(taus[bad[0]])!r}")
-    return float(values[0]) if scalar else values
+    return values
 
 
 def lgi_Kp(sd: SpectralData, p: int, tau: float) -> float:
@@ -295,8 +299,7 @@ def _pair_correlator(sd: SpectralData, tau: float) -> float:
     recorded with this summation order.
     """
     omega, weight = _pair_grid(sd)
-    return float((np.cos(np.multiply.outer([float(tau)], omega.ravel()))
-                  @ weight.ravel())[0])
+    return float(_cos_sum(np.array([float(tau)]), omega.ravel(), weight.ravel())[0])
 
 
 def qfi(sd: SpectralData) -> float:

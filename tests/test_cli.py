@@ -436,7 +436,11 @@ def test_preset_flags_reject_non_finite_numbers(capsys, flag, argv):
     (["tfim", "--sites", "3", "--taus", "0.1,1e200"], "1.34078079299"),
     # y = 2 tau / beta squared overflows in the kernel maximum
     (["qubit", "--beta", "1e-300", "--points", "2"], "is not finite at scaled time y"),
-], ids=["tiny-tau", "huge-tau", "tiny-beta"])
+    # Delta^2 overflows in M_2; the phase 2 tau omega overflows in the pair sum
+    (["tfim", "--sites", "3", "--j", "1e200", "--taus", "0.01"], "M_2 is not finite"),
+    (["tfim", "--sites", "3", "--j", "3e153", "--taus", "1.3e154"],
+     "C(tau) is not finite at tau = 2.6e+154"),
+], ids=["tiny-tau", "huge-tau", "tiny-beta", "tfim-moment", "tfim-phase"])
 def test_extreme_preset_inputs_exit_one_without_traceback(argv, message):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-m", "lgqfi", *argv], capture_output=True,
@@ -444,6 +448,7 @@ def test_extreme_preset_inputs_exit_one_without_traceback(argv, message):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 _QUBIT_1E300 = {"kind": "qubit", "params": {"epsilon": 1e300, "theta": 1.0}}

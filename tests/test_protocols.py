@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import gibbs_density, random_hermitian
+from lgqfi.bounds import bound_thermal_time, depth_witness
 from lgqfi.errors import InvariantViolation
 from lgqfi.linalg import Operator, hermitian_eig
 from lgqfi.models import build_ghz, build_ghz_effective, build_qubit, build_tfim
@@ -56,6 +57,29 @@ def test_meter_config_validation():
         MeterConfig(coupling=0.0, width=1.0)
     with pytest.raises(ValueError):
         MeterConfig(coupling=1.0, width=-0.1)
+
+
+_PM1 = np.array([1.0, -1.0])
+_NAN_TABLE = np.full((2, 2, 2), 0.125)
+_NAN_TABLE[0, 0, 0] = math.nan
+
+
+@pytest.mark.parametrize("call", [
+    lambda: macrorealist_oracle(_NAN_TABLE, _PM1, _PM1, _PM1),
+    lambda: macrorealist_oracle(np.full((2, 2, 2), 0.125), np.array([1.0, math.nan]), _PM1, _PM1),
+    lambda: depth_witness(math.nan, 8),
+    lambda: bound_thermal_time(1.2, 1.0, math.nan, 2.0),
+    lambda: MeterConfig(1.0, math.nan),
+    lambda: MeterConfig(1.0, math.inf),
+    lambda: MeterConfig(math.inf, 1.0),
+    lambda: noisy_readout_correlator(np.ones(4), np.ones(4), math.nan, seed=0),
+    lambda: noisy_readout_correlator(np.ones(4), np.ones(4), math.inf, seed=0),
+], ids=["oracle-probability", "oracle-outcome", "depth-witness", "thermal-time",
+        "meter-width-nan", "meter-width-inf", "meter-coupling-inf", "readout-noise-nan",
+        "readout-noise-inf"])
+def test_argument_checks_reject_non_finite_inputs(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 # --------------------------------------------------------------------------
