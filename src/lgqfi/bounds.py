@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, _integer, _positive
 from .kernels import gamma_batch, gamma_p_zero_temperature, gamma_tilde_zero_temperature
 from .response import fsum_upper
 from .spectral import SpectralData, correlator, qfi
@@ -52,20 +52,6 @@ __all__ = [
 THEOREM_TOL = 1e-9
 
 
-def _check_tau(tau: float) -> float:
-    tau = float(tau)
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return tau
-
-
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not beta > 0.0:
-        raise ValueError(f"beta must be in (0, inf], got {beta}")
-    return beta
-
-
 def _kernel_maxima(family, taus: Sequence[float], beta: float) -> list[float]:
     """One family's kernel maximum at y = 2 tau / beta for every tau, in one call.
 
@@ -80,7 +66,7 @@ def _kernel_maxima(family, taus: Sequence[float], beta: float) -> list[float]:
 
 def thermal_time(beta: float) -> float:
     """Thermal time scale tau_th = sqrt(2/7) beta (finite beta only)."""
-    beta = _check_beta(beta)
+    beta = _positive(beta, "beta")
     if math.isinf(beta):
         raise ValueError("the thermal time is defined for finite beta only")
     return math.sqrt(2.0 / 7.0) * beta
@@ -97,7 +83,7 @@ def bound_thermal(k_value: float, q2: float, tau: float, beta: float) -> float:
     beta = inf uses the zero-temperature kernel limit 1/8 and reduces to the
     pure-eigenstate bound.
     """
-    divisor = _kernel_maxima(3, [_check_tau(tau)], _check_beta(beta))[0]
+    divisor = _kernel_maxima(3, [_positive(tau, "tau")], _positive(beta, "beta"))[0]
     return (float(k_value) - float(q2)) / divisor
 
 
@@ -107,7 +93,7 @@ def bound_thermal_weak(k_value: float, tau: float, beta: float) -> float:
     Valid when <Q^2> <= 1 (guaranteed for unit-norm observables); never
     stronger than :func:`bound_thermal` in that regime.
     """
-    divisor = _kernel_maxima(3, [_check_tau(tau)], _check_beta(beta))[0]
+    divisor = _kernel_maxima(3, [_positive(tau, "tau")], _positive(beta, "beta"))[0]
     return (float(k_value) - 1.0) / divisor
 
 
@@ -120,7 +106,7 @@ def bound_thermal_time(k_value: float, q2: float, z: float, beta: float) -> floa
     z = float(z)
     if not z >= 1.0:
         raise ValueError(f"the thermal-time form requires z >= 1, got {z}")
-    _check_beta(beta)
+    _positive(beta, "beta")
     return 7.0 * (float(k_value) - float(q2)) / (2.0 * z * z)
 
 
@@ -131,7 +117,7 @@ def bound_two_time(q2: float, c_tau: float, tau: float, beta: float) -> float:
     never negative (up to rounding).  beta = inf uses the zero-temperature
     limit gamma_tilde -> 1/2.
     """
-    divisor = _kernel_maxima("tilde", [_check_tau(tau)], _check_beta(beta))[0]
+    divisor = _kernel_maxima("tilde", [_positive(tau, "tau")], _positive(beta, "beta"))[0]
     return (float(q2) - float(c_tau)) / divisor
 
 
@@ -142,7 +128,7 @@ def bound_Kp(kp_value: float, q2: float, p: int, tau: float, beta: float) -> flo
     delegates to gamma there.  At fixed tau and beta the bound decays like
     1/p^2, so small p carry the information.
     """
-    divisor = _kernel_maxima(p, [_check_tau(tau)], _check_beta(beta))[0]
+    divisor = _kernel_maxima(p, [_positive(tau, "tau")], _positive(beta, "beta"))[0]
     return (float(kp_value) - (p - 2) * float(q2)) / divisor
 
 
@@ -154,11 +140,7 @@ def depth_witness(f_q_tilde: float, n: int) -> int | None:
     k + 1 for the largest k in [1, N-1] whose ceiling is exceeded, or None
     when no product structure is excluded (F_Q[Q_tilde] <= N).
     """
-    if not isinstance(n, (int, float)) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _integer(n, "n", 1)
     f_q_tilde = float(f_q_tilde)
     if not f_q_tilde >= 0.0:
         raise ValueError(f"F_Q must be nonnegative, got {f_q_tilde}")
@@ -279,7 +261,7 @@ def best_bound(sd: SpectralData, tau_grid: Sequence[float], *,
     in grid order, then to the earliest family in column order, so the
     result is deterministic for a fixed grid.
     """
-    taus = [_check_tau(t) for t in tau_grid]
+    taus = [_positive(t, "tau") for t in tau_grid]
     if not taus:
         raise ValueError("tau_grid must contain at least one time")
     state = sd.state
@@ -304,7 +286,7 @@ def best_bound(sd: SpectralData, tau_grid: Sequence[float], *,
         f_tilde = collective_n * collective_n * f_q / 4.0
         depth = depth_witness(f_tilde, collective_n)
     tau_th = thermal_time(beta) if beta is not None and not math.isinf(beta) else None
-    kp = [int(p) for p in kp]
+    kp = [_integer(p, "p", 3) for p in kp]
     multiples = sorted({1, 2, *(p - 1 for p in kp)})
 
     # p = 3 is the thermal family's gamma, so kp (3, 4, 5) needs four calls

@@ -36,6 +36,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import _integer, _positive
+
 __all__ = [
     "KernelResult",
     "Y_CRIT",
@@ -62,6 +64,7 @@ MAX_PROBES = 2_000_000
 #: Least probes per period of the fastest oscillation and in all; zoom points.
 _PROBES_PER_PERIOD, _MIN_PROBES, _ZOOM_POINTS = 64, 1024, 33
 _ZOOM_STEPS = np.arange(_ZOOM_POINTS)
+_SCALED_TIME = "scaled time y = 2 tau / beta"
 
 
 @dataclass(frozen=True)
@@ -98,24 +101,10 @@ def hp_kernel(p: int, x):
     cancellation-free form.  Requires integer p >= 3; h_3 = h.  The supremum
     h_p^max approaches 2 from below as p grows.
     """
-    _check_p(p)
+    p = _integer(p, "p", 3)
     x = np.asarray(x, dtype=np.float64)
     out = 2.0 * np.sin(0.5 * (p - 1) * x) ** 2 - 2.0 * (p - 1) * np.sin(0.5 * x) ** 2
     return out if out.ndim else float(out)
-
-
-def _check_p(p: int) -> None:
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
-        raise ValueError(f"p must be an integer, got {p!r}")
-    if p < 3:
-        raise ValueError(f"p must be at least 3, got {p}")
-
-
-def _check_y(y: float) -> float:
-    y = float(y)
-    if not y > 0.0:
-        raise ValueError(f"scaled time y = 2 tau / beta must be positive, got {y}")
-    return y
 
 
 def _ratio_kernel(osc: Callable[[np.ndarray], np.ndarray], alpha: float,
@@ -152,15 +141,14 @@ def R_kernel(x, y: float):
 
 def rp_kernel(p: int, x, y: float):
     """p-time ratio kernel (1/4) coth^2(x/y) h_p(x); h_3 is evaluated as h."""
-    _check_p(p)
     osc, alpha, beta4, *_ = _family(p)
-    return _ratio_kernel(osc, alpha, beta4, x, _check_y(y))
+    return _ratio_kernel(osc, alpha, beta4, x, _positive(y, _SCALED_TIME))
 
 
 def rtilde_kernel(x, y: float):
     """Two-time ratio kernel (1/4) coth^2(x/y) (1 - cos x)."""
     osc, alpha, beta4, *_ = _family("tilde")
-    return _ratio_kernel(osc, alpha, beta4, x, _check_y(y))
+    return _ratio_kernel(osc, alpha, beta4, x, _positive(y, _SCALED_TIME))
 
 
 def _maximize(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], ys, endpoints,
@@ -235,8 +223,7 @@ def _family(family):
     if isinstance(family, str) and family == "tilde":
         return ((lambda x: 2.0 * np.sin(0.5 * x) ** 2), 0.5, -1.0 / 24.0, 2.0 * math.pi, 1.0,
                 "gamma_tilde")
-    _check_p(family)
-    p = int(family)
+    p = _integer(family, "p", 3)
     # h_p(x) = alpha x^2 + beta4 x^4 + O(x^6)
     alpha, beta4 = 0.5 * (p - 1) * (p - 2), ((p - 1) - float(p - 1) ** 4) / 24.0
     if p == 3:
@@ -256,7 +243,7 @@ def gamma_batch(family, ys) -> tuple[KernelResult, ...]:
     osc, alpha, beta4, x_max, periods, cause = _family(family)
     ys = np.array(ys, dtype=np.float64, ndmin=1)
     for y in ys[~(ys > 0.0)][:1]:
-        _check_y(y)
+        _positive(y, _SCALED_TIME)
     numeric = ys < Y_CRIT if family == 3 else np.full(ys.size, True)
     # y^2 overflows above about 1.3e154: the ValueErrors below report it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -313,7 +300,7 @@ def hp_max(p: int) -> float:
 
     Strictly below 2 for every finite p and approaching 2 as p -> infinity.
     """
-    _check_p(p)
+    p = _integer(p, "p", 3)
     if p == 3:
         return 0.5
     _, (value,) = _maximize(lambda x, _: hp_kernel(p, x), [0.0], 0.0, 2.0 * math.pi,

@@ -162,6 +162,33 @@ def hermitian_eig(op: Operator) -> Eigensystem:
     )
 
 
+def _state(rho: object, dim: int) -> np.ndarray:
+    """``rho`` as a complex array: a unit vector of length ``dim``, or a dim x dim Hermitian
+    density matrix with unit trace and no eigenvalue below -1e-10.  NaN fails every check."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.ndim == 1:
+        if rho.shape != (dim,):
+            raise ValueError(f"state vector has length {rho.shape[0]}, expected {dim}")
+        norm = float(np.linalg.norm(rho))
+        if not abs(norm - 1.0) <= 1e-10:
+            raise ValueError(f"state vector norm {norm!r} differs from 1")
+        return rho
+    if rho.shape != (dim, dim):
+        raise ValueError(f"state must be a vector or a dim-{dim} density matrix, "
+                         f"got shape {rho.shape}")
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
+        deviation = np.max(np.abs(rho - rho.conj().T))
+    if not deviation <= 1e-10:
+        raise ValueError("density matrix is not Hermitian within 1e-10")
+    trace = float(np.trace(rho).real)
+    if not abs(trace - 1.0) <= 1e-10:
+        raise ValueError(f"density matrix trace {trace!r} differs from 1")
+    low = float(np.linalg.eigvalsh(rho).min())
+    if not low >= -1e-10:
+        raise ValueError(f"density matrix has negative eigenvalue {low!r}")
+    return rho
+
+
 def to_eigenbasis(op: Operator, eig: Eigensystem) -> np.ndarray:
     """Matrix elements ``Q_nm = <n|Q|m>`` of ``op`` in the given eigenbasis."""
     if op.dim != eig.dim:

@@ -30,6 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import _integer
 from .linalg import Operator, operator_norm
 
 __all__ = [
@@ -50,13 +51,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
 
 MAX_SITES = 12
-
-
-def _check_sites(n: int, lo: int = 2) -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"number of sites must be an integer, got {n!r}")
-    if not lo <= n <= MAX_SITES:
-        raise ValueError(f"number of sites must lie in [{lo}, {MAX_SITES}], got {n}")
 
 
 def _site_signs(n: int, a: int) -> np.ndarray:
@@ -110,7 +104,7 @@ def build_tfim(n: int, j: float, h: float, boundary: str = "open",
     ``h = 0`` is admitted (the chain becomes classical with degenerate
     ground states); scenario configurations require a nonzero field.
     """
-    _check_sites(n)
+    n = _integer(n, "number of sites", 2, MAX_SITES)
     if not j > 0.0:
         raise ValueError(f"Ising coupling J must be positive, got {j}")
     if boundary not in ("open", "periodic"):
@@ -119,10 +113,7 @@ def build_tfim(n: int, j: float, h: float, boundary: str = "open",
         raise ValueError(
             "a two-site ring would duplicate its single bond; use boundary='open'"
         )
-    if site is None:
-        site = (n + 1) // 2
-    if not 1 <= site <= n:
-        raise ValueError(f"site must lie in [1, {n}], got {site}")
+    site = (n + 1) // 2 if site is None else _integer(site, "site", 1, n)
 
     dim = 2 ** n
     ham = _ising_bonds(n, j, periodic=boundary == "periodic")
@@ -143,7 +134,7 @@ def build_ghz(n: int, j: float, omega: float) -> tuple[Operator, Operator]:
     two fully polarized states, so the GHZ doublet spans an invariant
     two-dimensional subspace (see :func:`build_ghz_effective`).
     """
-    _check_sites(n)
+    n = _integer(n, "number of sites", 2, MAX_SITES)
     if not j > 0.0:
         raise ValueError(f"Ising coupling J must be positive, got {j}")
     if not omega > 0.0:
@@ -162,7 +153,7 @@ def build_ghz_effective(n: int, j: float, omega: float) -> tuple[Operator, Opera
     H_eff = -J (N-1) I + (Omega/2) tau_z and the collective magnetization
     restricts to Q = tau_x, which is dichotomic with Q^2 = I.
     """
-    _check_sites(n)
+    n = _integer(n, "number of sites", 2, MAX_SITES)
     if not j > 0.0:
         raise ValueError(f"Ising coupling J must be positive, got {j}")
     if not omega > 0.0:
@@ -179,13 +170,13 @@ def build_collective(n: int) -> tuple[Operator, Operator]:
     Q_tilde = N Q / 2 is the one whose Fisher information enters the
     entanglement-depth witness (N^2 for a GHZ state).
     """
-    _check_sites(n, lo=1)
+    n = _integer(n, "number of sites", 1, MAX_SITES)
     return _collective(n, n), _collective(n, 2.0)
 
 
 def ghz_state(n: int, sign: int = +1) -> np.ndarray:
     """The GHZ state (|all up> + sign |all down>)/sqrt(2) as a dense vector."""
-    _check_sites(n)
+    n = _integer(n, "number of sites", 2, MAX_SITES)
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     dim = 2 ** n
@@ -337,9 +328,7 @@ def build_model(spec: ModelSpec) -> tuple[Operator, Operator]:
         value = take(name, required=required)
         if value is None and not required:
             return None
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ValueError(f"model parameter '{name}' must be an integer, got {value!r}")
-        return int(value)
+        return _integer(value, f"model parameter '{name}'")
 
     if spec.kind == "qubit":
         pair = build_qubit(real("epsilon"), real("theta"))

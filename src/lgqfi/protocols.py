@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation
-from .linalg import Eigensystem, Operator, hermitian_eig, to_eigenbasis
+from .errors import InvariantViolation, _integer
+from .linalg import Eigensystem, Operator, _state, hermitian_eig, to_eigenbasis
 from .spectral import StationaryState
 
 __all__ = [
@@ -130,30 +130,8 @@ def cluster_eigenvalues(values: np.ndarray, tol: float = OUTCOME_TOL):
     return outcomes, members
 
 
-def _as_density_matrix(rho0: np.ndarray, dim: int) -> np.ndarray:
-    rho = np.asarray(rho0, dtype=complex)
-    if rho.ndim == 1:
-        if rho.shape != (dim,):
-            raise ValueError(f"state vector has length {rho.shape[0]}, expected {dim}")
-        norm = np.linalg.norm(rho)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"state vector norm {norm!r} differs from 1")
-        return np.outer(rho, rho.conj())
-    if rho.shape != (dim, dim):
-        raise ValueError(f"density matrix has shape {rho.shape}, expected ({dim}, {dim})")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ValueError("density matrix is not Hermitian within 1e-10")
-    trace = np.trace(rho).real
-    if abs(trace - 1.0) > 1e-10:
-        raise ValueError(f"density matrix trace {trace!r} differs from 1")
-    eigvals = np.linalg.eigvalsh(rho)
-    if eigvals.min() < -1e-10:
-        raise ValueError(f"density matrix has negative eigenvalue {eigvals.min()!r}")
-    return rho
-
-
 def _as_weights(state: StationaryState, dim: int) -> np.ndarray:
-    """The state's weights, held to the checks :func:`_as_density_matrix` makes of rho."""
+    """The state's weights, held to the checks :func:`~lgqfi.linalg._state` makes of rho."""
     weights = np.asarray(state.weights, dtype=np.float64)
     if weights.shape != (dim,) or not weights.min() >= 0.0 or abs(weights.sum() - 1.0) > 1e-10:
         raise ValueError(f"stationary weights must be {dim} nonnegative numbers summing "
@@ -192,7 +170,8 @@ class ProtocolInstance:
         if isinstance(rho, StationaryState):
             rho_h = np.diag(_as_weights(rho, dim).astype(np.complex128))
         else:
-            rho_h = v.conj().T @ _as_density_matrix(rho, dim) @ v
+            rho = _state(rho, dim)
+            rho_h = v.conj().T @ (np.outer(rho, rho.conj()) if rho.ndim == 1 else rho) @ v
         q_eig = hermitian_eig(self.q)
         outcomes, members = cluster_eigenvalues(q_eig.energies)
         overlap = v.conj().T @ q_eig.basis
@@ -244,16 +223,7 @@ def projective_mc(inst: ProtocolInstance, t1: float, t2: float, shots: int,
     reproducible for the same seed regardless of how the draw is batched.
     The returned standard error uses the unbiased sample variance.
     """
-    if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
-    shots = int(shots)
-    if shots < 1:
-        raise ValueError(f"shots must be at least 1, got {shots}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    seed = int(seed)
-    if not 0 <= seed < _MAX_SEED:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    shots, seed = _integer(shots, "shots", 1), _integer(seed, "seed", 0, _MAX_SEED - 1)
 
     joint = projective_joint(inst, t1, t2)
     flat_probs = joint.probs.ravel()
@@ -401,6 +371,7 @@ def noisy_readout_correlator(q0: np.ndarray, qtau: np.ndarray,
     pair of noise records (overriding the generator) so correlated-noise
     bias can be demonstrated directly.
     """
+    seed = _integer(seed, "seed", 0, _MAX_SEED - 1)
     q0 = np.asarray(q0, dtype=float)
     qtau = np.asarray(qtau, dtype=float)
     if q0.shape != qtau.shape or q0.ndim != 1:
@@ -411,7 +382,7 @@ def noisy_readout_correlator(q0: np.ndarray, qtau: np.ndarray,
     if shots < 2:
         raise ValueError(f"need at least 2 shots, got {shots}")
     if noise is None:
-        rng = np.random.Generator(np.random.Philox(key=int(seed)))
+        rng = np.random.Generator(np.random.Philox(key=seed))
         sigma = math.sqrt(noise_variance)
         xi1 = rng.normal(0.0, sigma, size=shots)
         xi2 = rng.normal(0.0, sigma, size=shots)
@@ -424,5 +395,5 @@ def noisy_readout_correlator(q0: np.ndarray, qtau: np.ndarray,
     value = float(products.mean())
     stderr = float(products.std(ddof=1) / math.sqrt(shots))
     return ProtocolEstimate(value=value, stderr=stderr, shots=shots,
-                            exact_ref=float(np.mean(q0 * qtau)), seed=int(seed),
+                            exact_ref=float(np.mean(q0 * qtau)), seed=seed,
                             times=(0.0, math.nan))

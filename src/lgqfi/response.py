@@ -34,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _integer, _positive
 from .kernels import _maximize, h_kernel
-from .linalg import Operator
+from .linalg import Operator, _state
 from .spectral import LINE_MERGE_TOL, SpectralData
 
 __all__ = [
@@ -102,23 +103,12 @@ def m2_commutator(h_op: Operator, q_op: Operator, state: np.ndarray) -> float:
     so it cross-checks the spectral sum in :func:`m2_moment`.
     """
     if h_op.dim != q_op.dim:
-        raise ValueError(
-            f"dimension mismatch: H is dim {h_op.dim}, Q is dim {q_op.dim}"
-        )
+        raise ValueError(f"dimension mismatch: H is dim {h_op.dim}, Q is dim {q_op.dim}")
     comm = h_op.matrix @ q_op.matrix - q_op.matrix @ h_op.matrix
-    state = np.asarray(state, dtype=np.complex128)
+    state = _state(state, h_op.dim)
     if state.ndim == 1:
-        if state.shape[0] != h_op.dim:
-            raise ValueError(
-                f"dimension mismatch: state has dim {state.shape[0]}, H is dim {h_op.dim}"
-            )
         image = comm @ state
         return float(np.real(np.vdot(image, image)))
-    if state.shape != (h_op.dim, h_op.dim):
-        raise ValueError(
-            f"state must be a vector or a dim-{h_op.dim} density matrix, "
-            f"got shape {state.shape}"
-        )
     return float(np.real(np.trace(state @ comm.conj().T @ comm)))
 
 
@@ -128,10 +118,7 @@ def mn_moment(sd: SpectralData, order: int) -> float:
     Requires integer order >= 2; order 2 reproduces :func:`m2_moment`.
     Raises ``ValueError`` naming the order when M_n is not finite.
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise ValueError(f"moment order must be an integer, got {order!r}")
-    if order < 2:
-        raise ValueError(f"moment order must be at least 2, got {order}")
+    order = _integer(order, "moment order", 2)
     if not sd.ground:
         raise ValueError(f"M_{order} is a zero-temperature quantity; build the "
                          "spectrum from a ground-manifold state")
@@ -147,8 +134,9 @@ def mn_gapped_lower(sd: SpectralData, order: int) -> float | None:
 
     The bound applies only when the spectrum has an infrared gap
     (delta_ir > 0); gapless instances return None so callers can skip the
-    comparison explicitly.
+    comparison explicitly.  Requires integer order >= 2, like :func:`mn_moment`.
     """
+    order = _integer(order, "moment order", 2)
     delta_ir = sd.delta_ir
     if delta_ir <= LINE_MERGE_TOL:
         return None
@@ -192,14 +180,9 @@ def gamma_H(beta: float, tau: float, omega_star: float) -> float:
     is not finite.
     """
     beta = float(beta)
-    tau = float(tau)
-    omega_star = float(omega_star)
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if not omega_star > 0.0:
-        raise ValueError(f"omega_star must be positive, got {omega_star}")
+    tau, omega_star = _positive(tau, "tau"), _positive(omega_star, "omega_star")
     if beta * omega_star > _LOG_FLOAT_MAX:
         raise ValueError(f"gamma_H is not finite at beta * omega_star = "
                          f"{beta * omega_star:g}: e^(beta omega) overflows past "

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
-from .kernels import _check_p, h_kernel
-from .linalg import Eigensystem, Operator, _frozen_array, to_eigenbasis
+from .errors import InvariantViolation, _integer, _positive
+from .kernels import h_kernel
+from .linalg import Eigensystem, Operator, _frozen_array, _state, to_eigenbasis
 
 __all__ = [
     "StationaryState", "SpectralData", "make_state", "spectral_data", "correlator",
@@ -94,18 +94,13 @@ def make_state(eig: Eigensystem, *, beta: float | None = None,
     energies = eig.energies
     dim = energies.shape[0]
     if index is not None:
-        if not isinstance(index, (int, np.integer)) or isinstance(index, bool):
-            raise ValueError(f"eigenlevel index must be an integer, got {index!r}")
-        if not 0 <= index < dim:
-            raise ValueError(f"eigenlevel index {index} outside [0, {dim - 1}]")
+        index = _integer(index, "eigenlevel index", 0, dim - 1)
         weights = np.zeros(dim)
         weights[index] = 1.0
         return StationaryState(kind="pure", weights=_frozen_array(weights, np.float64),
-                               index=int(index))
+                               index=index)
 
-    beta = float(beta)
-    if not beta > 0.0:
-        raise ValueError(f"inverse temperature beta must be in (0, inf], got {beta}")
+    beta = _positive(beta, "inverse temperature beta")
     if math.isinf(beta):
         mask = energies - energies[0] <= GROUND_WINDOW
         weights = mask / np.count_nonzero(mask)
@@ -266,7 +261,7 @@ def lgi_Kp(sd: SpectralData, p: int, tau: float) -> float:
     caps this at p - 2 (for dichotomic Q); p = 3 gives the standard
     three-time combination.
     """
-    _check_p(p)
+    p = _integer(p, "p", 3)
     return float((p - 1) * correlator(sd, tau) - correlator(sd, (p - 1) * tau))
 
 
@@ -339,17 +334,11 @@ def qfi_pure(psi: np.ndarray, q: Operator | np.ndarray) -> float:
     :class:`~lgqfi.linalg.Operator` or a raw Hermitian matrix.
     """
     psi = np.asarray(psi, dtype=np.complex128)
-    if psi.ndim != 1:
-        raise ValueError(f"state vector must be one-dimensional, got shape {psi.shape}")
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state vector norm {norm} deviates from 1 beyond 1e-10")
     matrix = q.matrix if isinstance(q, Operator) else np.asarray(q, dtype=np.complex128)
-    if matrix.shape != (psi.shape[0], psi.shape[0]):
-        raise ValueError(
-            f"dimension mismatch: state has dim {psi.shape[0]}, observable shape "
-            f"{matrix.shape}"
-        )
+    if psi.ndim != 1 or matrix.shape != (psi.size, psi.size):
+        raise ValueError(f"qfi_pure takes a state vector and a matching square observable, "
+                         f"got shapes {psi.shape} and {matrix.shape}")
+    psi = _state(psi, psi.size)
     q_psi = matrix @ psi
     mean = float(np.real(np.vdot(psi, q_psi)))
     second = float(np.real(np.vdot(q_psi, q_psi)))

@@ -662,7 +662,7 @@ def test_protocol_instance_work_runs_once(tmp_path, capsys, monkeypatch):
     from lgqfi.linalg import hermitian_eig
     from lgqfi.models import build_qubit
 
-    calls = {"hermitian_eig": 0, "_as_density_matrix": 0, "projective_joint": 0}
+    calls = {"hermitian_eig": 0, "_state": 0, "projective_joint": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -673,8 +673,7 @@ def test_protocol_instance_work_runs_once(tmp_path, capsys, monkeypatch):
     eig = counted("hermitian_eig", lgqfi.cli.hermitian_eig)
     monkeypatch.setattr(lgqfi.cli, "hermitian_eig", eig)
     monkeypatch.setattr(lgqfi.protocols, "hermitian_eig", eig)
-    monkeypatch.setattr(lgqfi.protocols, "_as_density_matrix", counted(
-        "_as_density_matrix", lgqfi.protocols._as_density_matrix))
+    monkeypatch.setattr(lgqfi.protocols, "_state", counted("_state", lgqfi.protocols._state))
     joint = counted("projective_joint", lgqfi.protocols.projective_joint)
     monkeypatch.setattr(lgqfi.cli, "projective_joint", joint)
     monkeypatch.setattr(lgqfi.protocols, "projective_joint", joint)
@@ -689,7 +688,7 @@ def test_protocol_instance_work_runs_once(tmp_path, capsys, monkeypatch):
     _, _, rows = _parse_csv(capsys.readouterr().out)
     assert [row[0] for row in rows].count("weak_two_meter") == 3
     # the stationary state goes in as its weights, not as a dense density matrix
-    assert calls == {"hermitian_eig": 2, "_as_density_matrix": 0, "projective_joint": 3}
+    assert calls == {"hermitian_eig": 2, "_state": 0, "projective_joint": 3}
     # protocols work in the eigenbases: no dense propagator, no outcome projectors
     h, q = build_qubit(1.0, 0.5)
     inst = lgqfi.protocols.ProtocolInstance(hermitian_eig(h), q, np.eye(2) / 2.0)

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import gibbs_density, random_hermitian
-from lgqfi.bounds import bound_thermal_time, depth_witness
+from lgqfi.bounds import best_bound, bound_thermal_time, depth_witness
 from lgqfi.errors import InvariantViolation
 from lgqfi.linalg import Operator, hermitian_eig
 from lgqfi.models import build_ghz, build_ghz_effective, build_qubit, build_tfim
+from lgqfi.response import m2_commutator, mn_gapped_lower
 from lgqfi.protocols import (
     MeterConfig,
     ProtocolEstimate,
@@ -26,7 +27,7 @@ from lgqfi.protocols import (
     symmetrized_correlator,
     weak_two_meter,
 )
-from lgqfi.spectral import StationaryState, correlator, make_state, spectral_data
+from lgqfi.spectral import StationaryState, correlator, make_state, qfi_pure, spectral_data
 
 
 def _instance(h, q, rho):
@@ -79,6 +80,47 @@ _NAN_TABLE[0, 0, 0] = math.nan
         "readout-noise-inf"])
 def test_argument_checks_reject_non_finite_inputs(call):
     with pytest.raises(ValueError):
+        call()
+
+
+_QUBIT = build_qubit(1.0, 0.7)
+_QUBIT_EIG = hermitian_eig(_QUBIT[0])
+_QUBIT_GROUND = spectral_data(_QUBIT_EIG, _QUBIT[1], make_state(_QUBIT_EIG, beta=math.inf))
+_NAN_RHO = np.full((2, 2), math.nan)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: qfi_pure([math.nan, 0.0], _QUBIT[1]), "state vector norm nan"),
+    (lambda: m2_commutator(*_QUBIT, [math.nan, 0.0]), "state vector norm nan"),
+    (lambda: m2_commutator(*_QUBIT, [2.0, 0.0]), "state vector norm 2.0"),
+    (lambda: m2_commutator(*_QUBIT, _NAN_RHO), "density matrix is not Hermitian"),
+    (lambda: m2_commutator(*_QUBIT, np.eye(2)), "density matrix trace 2.0"),
+    (lambda: ProtocolInstance(_QUBIT_EIG, _QUBIT[1], [math.nan, 0.0]), "state vector norm nan"),
+    (lambda: ProtocolInstance(_QUBIT_EIG, _QUBIT[1], _NAN_RHO), "density matrix is not Hermitian"),
+], ids=["qfi-pure-nan", "m2-nan", "m2-norm-2", "m2-nan-matrix", "m2-trace-2",
+        "instance-nan", "instance-nan-matrix"])
+def test_state_arguments_are_validated(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: depth_witness(5.0, 3.7), "n must be an integer, got 3.7"),
+    (lambda: depth_witness(5.0, math.inf), "n must be an integer, got inf"),
+    (lambda: depth_witness(4.0, 4.0), "n must be an integer, got 4.0"),
+    (lambda: mn_gapped_lower(_QUBIT_GROUND, 1), "moment order must be at least 2"),
+    (lambda: mn_gapped_lower(_QUBIT_GROUND, 2.5), "moment order must be an integer"),
+    (lambda: noisy_readout_correlator(np.ones(4), np.ones(4), 0.1, seed=1.5),
+     "seed must be an integer"),
+    (lambda: noisy_readout_correlator(np.ones(4), np.ones(4), 0.1, seed=-1),
+     r"seed must lie in \[0, 18446744073709551615\]"),
+    (lambda: build_tfim(3, 1.0, 0.5, site=1.5), "site must be an integer"),
+    (lambda: best_bound(_QUBIT_GROUND, [0.5], kp=(3.5,)), "p must be an integer"),
+], ids=["depth-n-fraction", "depth-n-inf", "depth-n-float", "gapped-order-1",
+        "gapped-order-fraction", "readout-seed-fraction", "readout-seed-negative",
+        "tfim-site-fraction", "best-bound-p-fraction"])
+def test_integer_arguments_are_checked_not_truncated(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
 
 
