@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import InvariantViolation, _integer, _positive
+from .errors import InvariantViolation, _finite, _integer, _positive
 from .kernels import gamma_batch, gamma_p_zero_temperature, gamma_tilde_zero_temperature
 from .response import fsum_upper
 from .spectral import SpectralData, correlator, qfi
@@ -66,15 +66,12 @@ def _kernel_maxima(family, taus: Sequence[float], beta: float) -> list[float]:
 
 def thermal_time(beta: float) -> float:
     """Thermal time scale tau_th = sqrt(2/7) beta (finite beta only)."""
-    beta = _positive(beta, "beta")
-    if math.isinf(beta):
-        raise ValueError("the thermal time is defined for finite beta only")
-    return math.sqrt(2.0 / 7.0) * beta
+    return math.sqrt(2.0 / 7.0) * _finite(_positive(beta, "beta"), "beta")
 
 
 def bound_pure(k_value: float, q2: float) -> float:
     """Pure-eigenstate bound F_Q >= 8 [K(tau) - <Q^2>]."""
-    return 8.0 * (float(k_value) - float(q2))
+    return 8.0 * (_finite(k_value, "k_value") - _finite(q2, "q2"))
 
 
 def bound_thermal(k_value: float, q2: float, tau: float, beta: float) -> float:
@@ -84,7 +81,7 @@ def bound_thermal(k_value: float, q2: float, tau: float, beta: float) -> float:
     pure-eigenstate bound.
     """
     divisor = _kernel_maxima(3, [_positive(tau, "tau")], _positive(beta, "beta"))[0]
-    return (float(k_value) - float(q2)) / divisor
+    return (_finite(k_value, "k_value") - _finite(q2, "q2")) / divisor
 
 
 def bound_thermal_weak(k_value: float, tau: float, beta: float) -> float:
@@ -94,7 +91,7 @@ def bound_thermal_weak(k_value: float, tau: float, beta: float) -> float:
     stronger than :func:`bound_thermal` in that regime.
     """
     divisor = _kernel_maxima(3, [_positive(tau, "tau")], _positive(beta, "beta"))[0]
-    return (float(k_value) - 1.0) / divisor
+    return (_finite(k_value, "k_value") - 1.0) / divisor
 
 
 def bound_thermal_time(k_value: float, q2: float, z: float, beta: float) -> float:
@@ -107,7 +104,7 @@ def bound_thermal_time(k_value: float, q2: float, z: float, beta: float) -> floa
     if not z >= 1.0:
         raise ValueError(f"the thermal-time form requires z >= 1, got {z}")
     _positive(beta, "beta")
-    return 7.0 * (float(k_value) - float(q2)) / (2.0 * z * z)
+    return 7.0 * (_finite(k_value, "k_value") - _finite(q2, "q2")) / (2.0 * z * z)
 
 
 def bound_two_time(q2: float, c_tau: float, tau: float, beta: float) -> float:
@@ -118,7 +115,7 @@ def bound_two_time(q2: float, c_tau: float, tau: float, beta: float) -> float:
     limit gamma_tilde -> 1/2.
     """
     divisor = _kernel_maxima("tilde", [_positive(tau, "tau")], _positive(beta, "beta"))[0]
-    return (float(q2) - float(c_tau)) / divisor
+    return (_finite(q2, "q2") - _finite(c_tau, "c_tau")) / divisor
 
 
 def bound_Kp(kp_value: float, q2: float, p: int, tau: float, beta: float) -> float:
@@ -129,7 +126,7 @@ def bound_Kp(kp_value: float, q2: float, p: int, tau: float, beta: float) -> flo
     1/p^2, so small p carry the information.
     """
     divisor = _kernel_maxima(p, [_positive(tau, "tau")], _positive(beta, "beta"))[0]
-    return (float(kp_value) - (p - 2) * float(q2)) / divisor
+    return (_finite(kp_value, "kp_value") - (p - 2) * _finite(q2, "q2")) / divisor
 
 
 def depth_witness(f_q_tilde: float, n: int) -> int | None:

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 User-facing input problems raise :class:`ConfigError`, or a plain ``ValueError``
-naming the argument for bad function arguments; :func:`_integer` and
-:func:`_positive` are the two scalar argument rules.  Failures of internal
+naming the argument for bad function arguments; :func:`_integer`,
+:func:`_positive` and :func:`_finite` are the scalar argument rules.  Failures of internal
 mathematical contracts, which indicate an implementation bug rather than a
 physics outcome, raise :class:`InvariantViolation`.  Numerical breakdowns of
 otherwise-valid inputs (for example an eigensolver that does not converge)
@@ -49,4 +49,12 @@ def _positive(value: object, what: str) -> float:
     value = float(value)
     if not value > 0.0:
         raise ValueError(f"{what} must be positive, got {value}")
+    return value
+
+
+def _finite(value: object, what: str) -> float:
+    """``value`` as a finite float."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
     return value

@@ -19,8 +19,9 @@ turn measured correlation combinations into quantum Fisher information
 lower bounds.  gamma has the closed form y^2/4 for y >= sqrt(8/7); all other
 maxima come from one maximizer over rows, one per y (a tau grid in one
 :func:`gamma_batch` call, nothing cached by y): coarse probes plus a nested
-zoom on every local maximum, each bracket on its own until it is 4 ulp wide,
-with the x -> 0 endpoint value as a candidate.
+zoom on every local maximum, with the x -> 0 endpoint value as a candidate.
+Each bracket zooms on its own until a closed-form bound on |f''| shows that
+it cannot rise above its row's best value by more than a relative eps.
 
 The oscillatory factors are 2*pi-periodic while coth^2(x/y) is strictly
 decreasing in x > 0, so where the oscillation is positive at x > 2 pi the
@@ -101,7 +102,10 @@ def hp_kernel(p: int, x):
     cancellation-free form.  Requires integer p >= 3; h_3 = h.  The supremum
     h_p^max approaches 2 from below as p grows.
     """
-    p = _integer(p, "p", 3)
+    return _hp(_integer(p, "p", 3), x)
+
+
+def _hp(p: int, x):
     x = np.asarray(x, dtype=np.float64)
     out = 2.0 * np.sin(0.5 * (p - 1) * x) ** 2 - 2.0 * (p - 1) * np.sin(0.5 * x) ** 2
     return out if out.ndim else float(out)
@@ -152,14 +156,19 @@ def rtilde_kernel(x, y: float):
 
 
 def _maximize(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], ys, endpoints,
-              x_max: float, periods: float, cause: str) -> tuple[np.ndarray, np.ndarray]:
+              x_max: float, periods: float, cause: str, curvature: Callable
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Row i: maximum of kernel(x, ys[i]) over (0, x_max] or its x -> 0 endpoint value.
 
-    ``kernel`` maps an (r, k) block of x and the rows' (r, 1) ys to values.
-    ``periods`` counts periods of the fastest oscillation on (0, x_max].
-    Chunks of rows (at most MAX_PROBES coarse probes) find every local
-    maximum, then zoom them, one kernel call per level; each bracket zooms
-    until it is 4 ulp wide, on its own.  Returns arrays (argmax_x,
+    ``kernel`` maps an (r, k) block of x and the rows' (r, 1) ys to values;
+    ``curvature(lo, hi, y)`` bounds |d^2 kernel / dx^2| on each bracket
+    [lo, hi] of a row y (1-d arrays).  ``periods`` counts periods of the
+    fastest oscillation on (0, x_max].  Chunks of rows (at most MAX_PROBES
+    coarse probes) find every local maximum, then zoom them, one kernel call
+    per level.  A level of spacing s leaves a bracket at most M s^2 / 8
+    above its best sample, so each bracket stops on its own once that rise
+    is within a relative eps of its row's best value (the endpoint value
+    included), or once it is 4 ulp wide.  Returns arrays (argmax_x,
     value), ties to the first bracket, or (0.0, endpoint) where that is
     strictly larger.  Over MAX_PROBES probes a row raises ValueError naming
     ``cause``, before allocating; so does a row with a probe that is not
@@ -179,13 +188,14 @@ def _maximize(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], ys, endpoi
         if not np.isfinite(vals).all():
             bad = y[~np.isfinite(vals).all(axis=1), 0][0]
             raise ValueError(f"{cause} is not finite at scaled time y = {float(bad)!r}")
-        arg[i:i + chunk], val[i:i + chunk] = _zoom_chunk(kernel, xs, y, vals)
+        arg[i:i + chunk], val[i:i + chunk] = _zoom_chunk(
+            kernel, curvature, xs, y, vals, np.broadcast_to(endpoints, ys.shape)[i:i + chunk])
     wins = endpoints > val
     return np.where(wins, 0.0, arg), np.where(wins, endpoints, val)
 
 
-def _zoom_chunk(kernel, xs: np.ndarray, y: np.ndarray,
-                vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _zoom_chunk(kernel, curvature, xs: np.ndarray, y: np.ndarray, vals: np.ndarray,
+                floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, n = vals.shape
     padded = np.full((rows, n + 2), -np.inf)
     padded[:, 1:-1] = vals
@@ -193,17 +203,14 @@ def _zoom_chunk(kernel, xs: np.ndarray, y: np.ndarray,
     lo = np.where(peaks > 0, xs[np.maximum(peaks - 1, 0)], 0.5 * xs[0])
     hi = xs[np.minimum(peaks + 1, n - 1)]
     best_x, best_v = xs[peaks], vals[owner, peaks]
-    # a bracket 4 ulp wide leaves the working arrays; slot is its place
+    row_best = np.maximum(floor, vals.max(axis=1))
+    # M / 8 of a coarse bracket holds on its sub-brackets; inf or NaN keeps it open
+    with np.errstate(all="ignore"):
+        bound = np.broadcast_to(curvature(lo, hi, y[owner, 0]) / 8.0, lo.shape)
+    # a bracket that stops leaves the working arrays; slot is its place
     final_x, final_v = np.empty_like(best_x), np.empty_like(best_v)
-    slot, yb = np.arange(peaks.size), y[owner]
+    slot, yb, ob = np.arange(peaks.size), y[owner], owner
     while True:
-        open_ = hi - lo > 4.0 * np.spacing(hi)
-        if not open_.all():
-            final_x[slot], final_v[slot] = best_x, best_v
-            if not open_.any():
-                break
-            lo, hi, best_x, best_v, slot, yb = (
-                a[open_] for a in (lo, hi, best_x, best_v, slot, yb))
         step = (hi - lo) / (_ZOOM_POINTS - 1)
         level = kernel(lo[:, None] + step[:, None] * _ZOOM_STEPS, yb)
         top = level.argmax(axis=1)
@@ -211,24 +218,45 @@ def _zoom_chunk(kernel, xs: np.ndarray, y: np.ndarray,
         better = top_v > best_v
         best_x = np.where(better, lo + step * top, best_x)
         best_v = np.where(better, top_v, best_v)
+        np.maximum.at(row_best, ob, best_v)
         hi = lo + step * np.minimum(top + 1, _ZOOM_POINTS - 1)
         lo = lo + step * np.maximum(top - 1, 0)
+        open_ = ((hi - lo > 4.0 * np.spacing(hi))
+                 & ~(best_v + bound * step * step <= (1.0 + np.finfo(float).eps) * row_best[ob]))
+        if not open_.all():
+            final_x[slot], final_v[slot] = best_x, best_v
+            if not open_.any():
+                break
+            lo, hi, best_x, best_v, slot, yb, ob, bound = (
+                a[open_] for a in (lo, hi, best_x, best_v, slot, yb, ob, bound))
     # each row's first bracket with its largest value (lexsort is stable)
     k = np.lexsort((-final_v, owner))[np.searchsorted(owner, np.arange(rows))]
     return final_x[k], final_v[k]
 
 
 def _family(family):
-    """(oscillation, alpha, beta4, x_max, periods, cause) of 'tilde' or a p >= 3."""
+    """(oscillation, alpha, beta4, x_max, periods, cause, sups) of 'tilde' or a p >= 3,
+    with ``sups`` bounding |osc|, |osc'| and |osc''| on the real line."""
     if isinstance(family, str) and family == "tilde":
         return ((lambda x: 2.0 * np.sin(0.5 * x) ** 2), 0.5, -1.0 / 24.0, 2.0 * math.pi, 1.0,
-                "gamma_tilde")
+                "gamma_tilde", (2.0, 1.0, 1.0))
     p = _integer(family, "p", 3)
     # h_p(x) = alpha x^2 + beta4 x^4 + O(x^6)
     alpha, beta4 = 0.5 * (p - 1) * (p - 2), ((p - 1) - float(p - 1) ** 4) / 24.0
+    sups = (2.0 * (p - 1), 2.0 * (p - 1), float(p * (p - 1)))
     if p == 3:
-        return h_kernel, alpha, beta4, 0.5 * math.pi, 0.25, "gamma"
-    return (lambda x: hp_kernel(p, x)), alpha, beta4, 2.0 * math.pi, p - 1, f"gamma_p with p = {p}"
+        return h_kernel, alpha, beta4, 0.5 * math.pi, 0.25, "gamma", sups
+    return (lambda x: _hp(p, x)), alpha, beta4, 2.0 * math.pi, p - 1, f"gamma_p with p = {p}", sups
+
+
+def _ratio_curvature(sups, lo: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bound on |f''| of f = g osc, g = (1/4) coth^2(x/y), over x >= lo > 0:
+    g'' sup|osc| + 2 |g'| sup|osc'| + g sup|osc''|, with g, |g'|, g'' (decreasing) at lo."""
+    u = lo / y
+    coth, csch2 = 1.0 / np.tanh(u), np.sinh(u) ** -2.0
+    g1 = 0.5 * coth * csch2 / y
+    g2 = 0.5 * (3.0 * coth * coth - 1.0) * csch2 / (y * y)
+    return g2 * sups[0] + 2.0 * g1 * sups[1] + 0.25 * coth * coth * sups[2]
 
 
 def gamma_batch(family, ys) -> tuple[KernelResult, ...]:
@@ -240,7 +268,7 @@ def gamma_batch(family, ys) -> tuple[KernelResult, ...]:
     together, each bit for bit as on its own.  A row whose kernel or
     maximum is not finite raises ValueError naming the family and its y.
     """
-    osc, alpha, beta4, x_max, periods, cause = _family(family)
+    osc, alpha, beta4, x_max, periods, cause, sups = _family(family)
     ys = np.array(ys, dtype=np.float64, ndmin=1)
     for y in ys[~(ys > 0.0)][:1]:
         _positive(y, _SCALED_TIME)
@@ -252,7 +280,8 @@ def gamma_batch(family, ys) -> tuple[KernelResult, ...]:
         if numeric.any():
             args[numeric], values[numeric] = _maximize(
                 lambda x, y: _ratio_kernel(osc, alpha, beta4, x, y), ys[numeric],
-                values[numeric], x_max, periods, cause)
+                values[numeric], x_max, periods, cause,
+                lambda lo, hi, y: _ratio_curvature(sups, lo, y))
     if not np.isfinite(values).all():
         bad = ys[~np.isfinite(values)][0]
         raise ValueError(f"{cause} is not finite at scaled time y = {float(bad)!r}")
@@ -303,8 +332,9 @@ def hp_max(p: int) -> float:
     p = _integer(p, "p", 3)
     if p == 3:
         return 0.5
-    _, (value,) = _maximize(lambda x, _: hp_kernel(p, x), [0.0], 0.0, 2.0 * math.pi,
-                            p - 1, f"hp_max with p = {p}")
+    osc, *_, sups = _family(p)
+    _, (value,) = _maximize(lambda x, _: osc(x), [0.0], 0.0, 2.0 * math.pi, p - 1,
+                            f"hp_max with p = {p}", lambda *_: sups[2])
     return float(value)
 
 

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, _integer
+from .errors import InvariantViolation, _finite, _integer, _positive
 from .linalg import Eigensystem, Operator, _state, hermitian_eig, to_eigenbasis
 from .spectral import StationaryState
 
@@ -65,8 +65,7 @@ class MeterConfig:
     width: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.coupling < math.inf:
-            raise ValueError(f"meter coupling must be positive and finite, got {self.coupling}")
+        _finite(_positive(self.coupling, "meter coupling"), "meter coupling")
         if not 0.0 <= self.width < math.inf:
             raise ValueError(f"meter width must be nonnegative and finite, got {self.width}")
 
@@ -193,7 +192,7 @@ def projective_joint(inst: ProtocolInstance, t1: float, t2: float) -> JointDistr
     In Q's basis, with U~ = W^+ U W and rho~ = W^+ rho(t1) W, p(a, b) sums
     the diagonal of U~[:, a] rho~[a, a] U~[:, a]^+ over b's rows.
     """
-    t1, t2 = float(t1), float(t2)
+    t1, t2 = _finite(t1, "t1"), _finite(t2, "t2")
     if t2 < t1:
         raise ValueError(f"measurement times must be ordered, got t1={t1} > t2={t2}")
     ph, ov = np.exp(-1j * inst.h_eig.energies * t1), inst.overlap
@@ -259,8 +258,8 @@ def symmetrized_correlator(inst: ProtocolInstance, t1: float, t2: float) -> floa
 
     Summed in H's basis as (1/2) Tr[(rho Q1 + Q1 rho) Q2], by cyclicity.
     """
-    q1 = _heisenberg_h(inst, float(t1))
-    q2 = _heisenberg_h(inst, float(t2))
+    q1 = _heisenberg_h(inst, _finite(t1, "t1"))
+    q2 = _heisenberg_h(inst, _finite(t2, "t2"))
     return float(0.5 * np.sum((inst.rho_h @ q1 + q1 @ inst.rho_h) * q2.T).real)
 
 
@@ -280,7 +279,7 @@ def weak_two_meter(inst: ProtocolInstance, tau: float,
     observables, where the weak scheme reproduces the symmetrized correlator
     at any meter strength.
     """
-    tau = float(tau)
+    tau = _finite(tau, "tau")
     qvals = inst.q_values
     q_tau_w = inst.overlap.conj().T @ _heisenberg_h(inst, tau) @ inst.overlap
     weighted = q_tau_w * inst.rho_w.T * (0.5 * (qvals[:, None] + qvals[None, :]))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _integer, _positive
+from .errors import _finite, _integer, _positive
 from .kernels import _maximize, h_kernel
 from .linalg import Operator, _state
 from .spectral import LINE_MERGE_TOL, SpectralData
@@ -179,9 +179,7 @@ def gamma_H(beta: float, tau: float, omega_star: float) -> float:
     ln(float max) ~ 709.78, where e^(beta omega) overflows and the maximum
     is not finite.
     """
-    beta = float(beta)
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    beta = _finite(_positive(beta, "beta"), "beta")
     tau, omega_star = _positive(tau, "tau"), _positive(omega_star, "omega_star")
     if beta * omega_star > _LOG_FLOAT_MAX:
         raise ValueError(f"gamma_H is not finite at beta * omega_star = "
@@ -194,9 +192,17 @@ def gamma_H(beta: float, tau: float, omega_star: float) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             return (1.0 + np.exp(-z)) * h_pos * np.expm1(z) / z
 
+    def curvature(lo, hi, _):
+        # phi = A(z) max(h(omega tau), 0), A = 2 sinh(z)/z = 2 sum z^2k / (2k+1)!, so A, A'
+        # and A'' (<= 2 sinh(z)/3, 2 cosh(z)/3) increase: taken at hi.  |h|, |h'|, |h''| <= 1/2,
+        # 2, 33/8 where h > 0; elsewhere phi = 0 with upward kinks (the rise needs phi'' >= -M)
+        z = beta * hi
+        return (beta * beta * np.cosh(z) / 3.0 + 8.0 * beta * tau * np.sinh(z) / 3.0
+                + 8.25 * tau * tau * np.sinh(z) / z)
+
     _, (value,) = _maximize(lambda omega, _: phi(omega), [0.0], 0.0, omega_star,
                             omega_star * tau / (2.0 * math.pi),
-                            f"gamma_H with omega_star * tau = {omega_star * tau:g}")
+                            f"gamma_H with omega_star * tau = {omega_star * tau:g}", curvature)
     return float(value)
 
 

@@ -52,6 +52,23 @@ def test_thermal_time_value():
         thermal_time(0.0)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: bound_thermal(math.nan, 0.5, 1.0, 1.0), "k_value"),
+    (lambda: bound_thermal(1.2, math.inf, 1.0, 1.0), "q2"),
+    (lambda: bound_thermal_weak(math.nan, 1.0, 1.0), "k_value"),
+    (lambda: bound_thermal_time(math.inf, 0.5, 1.0, 1.0), "k_value"),
+    (lambda: bound_two_time(0.5, math.nan, 1.0, 2.0), "c_tau"),
+    (lambda: bound_Kp(math.nan, 0.5, 4, 1.0, 1.0), "kp_value"),
+    (lambda: bound_Kp(1.0, -math.inf, 4, 1.0, math.inf), "q2"),
+    (lambda: bound_pure(math.inf, 0.5), "k_value"),
+    (lambda: bound_pure(1.2, math.nan), "q2"),
+], ids=["thermal-k", "thermal-q2", "weak-k", "thermal-time-k", "two-time-c", "kp-k",
+        "kp-q2", "pure-k", "pure-q2"])
+def test_bounds_reject_non_finite_measured_values(call, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        call()
+
+
 def test_bound_thermal_formula():
     sd = _qubit_sd()
     tau, beta = 0.7, 2.0

@@ -333,3 +333,97 @@ def test_batch_with_an_overflowing_row_raises():
         gamma_batch("tilde", [2e143, 2e154])
     with pytest.raises(ValueError, match=r"gamma_p with p = 5 .* y = inf"):
         gamma_batch(5, [0.5, math.inf])
+
+
+# --------------------------------------------------------------------------
+# the curvature bound that stops each zoom bracket
+
+
+def _captured(monkeypatch, module, call):
+    """(kernel, curvature, x_max) that ``call`` hands to ``module._maximize``."""
+    maximize, seen = module._maximize, []
+
+    def recording(kernel, ys, endpoints, x_max, periods, cause, curvature):
+        seen.append((kernel, curvature, x_max))
+        return maximize(kernel, ys, endpoints, x_max, periods, cause, curvature)
+
+    monkeypatch.setattr(module, "_maximize", recording)
+    call()
+    (captured,) = seen
+    return captured
+
+
+def _curvature_excess(kernel, curvature, x_max, y, rng, inside=None, brackets=40):
+    """Largest |f''| / M over random brackets in (0, x_max]; f'' from central
+    differences on a dense grid, at the points where ``inside`` holds."""
+    worst = 0.0
+    for _ in range(brackets):
+        lo = rng.uniform(x_max / 2048.0, x_max)
+        hi = min(x_max, lo + x_max * 10.0 ** rng.uniform(-3.0, 0.0))
+        bound = float(np.broadcast_to(curvature(np.array([lo]), np.array([hi]), np.array([y])),
+                                      (1,))[0])
+        step = min(1e-4, 1e-2 * (hi - lo))
+        xs = np.linspace(lo, hi, 2001)
+        f = [kernel(x[None, :], np.array([[y]]))[0] for x in (xs - step, xs, xs + step)]
+        second = (f[0] - 2.0 * f[1] + f[2]) / step ** 2
+        keep = np.ones(xs.size, bool) if inside is None else (
+            inside(xs - step) & inside(xs) & inside(xs + step))
+        if keep.any():
+            worst = max(worst, float(np.max(np.abs(second[keep]))) / bound)
+    return worst
+
+
+@pytest.mark.parametrize("family", [3, "tilde", 4, 5, 9], ids=str)
+def test_curvature_bounds_the_ratio_kernels(family, monkeypatch):
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for y in (0.03, 0.2, 0.7, 1.0, 3.0, 10.0):
+        if family == 3 and y >= Y_CRIT:
+            continue
+        kernel, curvature, x_max = _captured(monkeypatch, lgqfi.kernels,
+                                             lambda: gamma_batch(family, [y]))
+        monkeypatch.undo()
+        worst = max(worst, _curvature_excess(kernel, curvature, x_max, y, rng))
+    # M bounds f'' everywhere, and is tight enough that M / 2 would not
+    assert 0.5 < worst <= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("p", [4, 5, 9])
+def test_curvature_bounds_hp(p, monkeypatch):
+    kernel, curvature, x_max = _captured(monkeypatch, lgqfi.kernels,
+                                         lambda: hp_max.__wrapped__(p))
+    worst = _curvature_excess(kernel, curvature, x_max, 0.0, np.random.default_rng(p))
+    assert 0.5 < worst <= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("beta, tau, omega_star", [
+    (0.05, 1.0, 5.0), (0.3, 2.0, 10.0), (2.0, 1.0, 6.0), (1.0, 0.5, 30.0)])
+def test_curvature_bounds_gamma_h(beta, tau, omega_star, monkeypatch):
+    import lgqfi.response
+
+    kernel, curvature, x_max = _captured(monkeypatch, lgqfi.response,
+                                         lambda: lgqfi.response.gamma_H(beta, tau, omega_star))
+    # phi'' on h's positive lobes; where max(h, 0) kinks, phi bends upward
+    worst = _curvature_excess(kernel, curvature, x_max, 0.0, np.random.default_rng(7),
+                              inside=lambda omega: h_kernel(omega * tau) > 0.0)
+    assert worst <= 1.0 + 1e-6
+
+
+def test_one_row_maxima_stop_within_nine_kernel_evaluations(monkeypatch):
+    # each zoom level is one kernel call; a 4-ulp stop takes 12-14 of them
+    ratio_kernel, calls = lgqfi.kernels._ratio_kernel, []
+
+    def counting(*args):
+        calls.append(1)
+        return ratio_kernel(*args)
+
+    monkeypatch.setattr(lgqfi.kernels, "_ratio_kernel", counting)
+    rng = np.random.default_rng(300)
+    ys = 2.0 * rng.uniform(0.01, 5.0, 300) / rng.uniform(0.1, 10.0, 300)
+    for family in (3, "tilde", 4, 5):
+        counts = []
+        for y in ys:
+            calls.clear()
+            gamma_batch(family, [y])
+            counts.append(len(calls))
+        assert max(counts) <= 9, (family, max(counts))

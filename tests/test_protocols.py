@@ -124,6 +124,23 @@ def test_integer_arguments_are_checked_not_truncated(call, message):
         call()
 
 
+_QUBIT_THERMAL = ProtocolInstance(_QUBIT_EIG, _QUBIT[1], make_state(_QUBIT_EIG, beta=1.0))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: projective_joint(_QUBIT_THERMAL, math.nan, 1.0), "t1"),
+    (lambda: projective_joint(_QUBIT_THERMAL, 0.0, math.inf), "t2"),
+    (lambda: projective_mc(_QUBIT_THERMAL, 0.0, math.nan, 10, 0), "t2"),
+    (lambda: symmetrized_correlator(_QUBIT_THERMAL, math.nan, 1.0), "t1"),
+    (lambda: symmetrized_correlator(_QUBIT_THERMAL, 0.0, -math.inf), "t2"),
+    (lambda: weak_two_meter(_QUBIT_THERMAL, math.nan, [MeterConfig(1.0, 0.5)]), "tau"),
+], ids=["joint-t1", "joint-t2", "mc-t2", "symmetrized-t1", "symmetrized-t2", "weak-tau"])
+def test_protocol_times_must_be_finite(call, name):
+    # a user error: ValueError, not the InvariantViolation of an internal bug
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        call()
+
+
 # --------------------------------------------------------------------------
 # projective protocol
 
