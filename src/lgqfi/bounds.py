@@ -52,16 +52,15 @@ __all__ = [
 THEOREM_TOL = 1e-9
 
 
-def _kernel_maxima(family, taus: Sequence[float], beta: float) -> list[float]:
-    """One family's kernel maximum at y = 2 tau / beta for every tau, in one call.
-
-    ``family`` is 3 (gamma), 'tilde' or a p-time order p; beta = inf gives
-    the zero-temperature limits.
-    """
+def _kernel_maxima(families, taus: Sequence[float], beta: float) -> dict:
+    """Kernel maxima at y = 2 tau / beta of each of ``families`` (3, 'tilde' and
+    p-time orders p) at every tau, in one call; beta = inf gives the zero-temperature limits."""
     if math.isinf(beta):
-        return [gamma_tilde_zero_temperature() if family == "tilde"
-                else gamma_p_zero_temperature(family)] * len(taus)
-    return [r.value for r in gamma_batch(family, [2.0 * tau / beta for tau in taus])]
+        return {family: [gamma_tilde_zero_temperature() if family == "tilde"
+                         else gamma_p_zero_temperature(family)] * len(taus)
+                for family in families}
+    batch = gamma_batch(list(families), [2.0 * tau / beta for tau in taus])
+    return {family: [r.value for r in column] for family, column in batch.items()}
 
 
 def thermal_time(beta: float) -> float:
@@ -80,7 +79,7 @@ def bound_thermal(k_value: float, q2: float, tau: float, beta: float) -> float:
     beta = inf uses the zero-temperature kernel limit 1/8 and reduces to the
     pure-eigenstate bound.
     """
-    divisor = _kernel_maxima(3, [_positive(tau, "tau")], _positive(beta, "beta"))[0]
+    divisor = _kernel_maxima([3], [_positive(tau, "tau")], _positive(beta, "beta"))[3][0]
     return (_finite(k_value, "k_value") - _finite(q2, "q2")) / divisor
 
 
@@ -90,7 +89,7 @@ def bound_thermal_weak(k_value: float, tau: float, beta: float) -> float:
     Valid when <Q^2> <= 1 (guaranteed for unit-norm observables); never
     stronger than :func:`bound_thermal` in that regime.
     """
-    divisor = _kernel_maxima(3, [_positive(tau, "tau")], _positive(beta, "beta"))[0]
+    divisor = _kernel_maxima([3], [_positive(tau, "tau")], _positive(beta, "beta"))[3][0]
     return (_finite(k_value, "k_value") - 1.0) / divisor
 
 
@@ -114,7 +113,8 @@ def bound_two_time(q2: float, c_tau: float, tau: float, beta: float) -> float:
     never negative (up to rounding).  beta = inf uses the zero-temperature
     limit gamma_tilde -> 1/2.
     """
-    divisor = _kernel_maxima("tilde", [_positive(tau, "tau")], _positive(beta, "beta"))[0]
+    divisor = _kernel_maxima(["tilde"], [_positive(tau, "tau")],
+                             _positive(beta, "beta"))["tilde"][0]
     return (_finite(q2, "q2") - _finite(c_tau, "c_tau")) / divisor
 
 
@@ -125,7 +125,7 @@ def bound_Kp(kp_value: float, q2: float, p: int, tau: float, beta: float) -> flo
     delegates to gamma there.  At fixed tau and beta the bound decays like
     1/p^2, so small p carry the information.
     """
-    divisor = _kernel_maxima(p, [_positive(tau, "tau")], _positive(beta, "beta"))[0]
+    divisor = _kernel_maxima([p], [_positive(tau, "tau")], _positive(beta, "beta"))[p][0]
     return (_finite(kp_value, "kp_value") - (p - 2) * _finite(q2, "q2")) / divisor
 
 
@@ -249,12 +249,12 @@ def best_bound(sd: SpectralData, tau_grid: Sequence[float], *,
 
     ``reports`` holds the :func:`build_report` of every tau.  What belongs
     to the instance (state kind, <Q^2>, F_Q, the f-sum and the depth
-    witness) is computed once for the grid, and so is each family's kernel
-    maximum at every tau, in one :func:`~lgqfi.kernels.gamma_batch` call;
-    each tau then needs C only at the distinct times tau, 2 tau and
-    (p-1) tau.  The best bound is the
-    largest entry of :meth:`BoundReport.lowers` over the grid, with
-    ``families`` switching families off.  Ties resolve to the earliest tau
+    witness) is computed once for the grid, and so is every family's kernel
+    maximum at every tau, all in one :func:`~lgqfi.kernels.gamma_batch`
+    call; each tau then needs C only at the distinct times tau, 2 tau and
+    (p-1) tau.  The best bound is the largest entry of
+    :meth:`BoundReport.lowers` over the grid, with ``families`` switching
+    families off.  Ties resolve to the earliest tau
     in grid order, then to the earliest family in column order, so the
     result is deterministic for a fixed grid.
     """
@@ -286,9 +286,8 @@ def best_bound(sd: SpectralData, tau_grid: Sequence[float], *,
     kp = [_integer(p, "p", 3) for p in kp]
     multiples = sorted({1, 2, *(p - 1 for p in kp)})
 
-    # p = 3 is the thermal family's gamma, so kp (3, 4, 5) needs four calls
-    maxima = {family: _kernel_maxima(family, taus, kernel_beta)
-              for family in dict.fromkeys((3, "tilde", *kp))}
+    # p = 3 is the thermal family's gamma
+    maxima = _kernel_maxima(dict.fromkeys((3, "tilde", *kp)), taus, kernel_beta)
 
     reports = []
     for i, tau in enumerate(taus):

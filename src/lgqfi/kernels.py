@@ -1,11 +1,11 @@
 """Universal oscillation kernels and their temperature-dependent maxima.
 
-The temporal-correlation combinations computed in :mod:`lgqfi.spectral`
-decompose over level pairs with oscillation kernels
+Each bound family is a coefficient vector a, whose correlation combination
+sum_k a_k C(k tau) decomposes over level pairs with sum_k a_k cos(k x):
 
-    h(x)      = 2 cos x - cos 2x - 1            (three-time combination)
-    h_p(x)    = (p-1) cos x - cos((p-1) x) - (p-2)   (p-time generalization)
-    1 - cos x                                    (two-time combination)
+    h(x)      = 2 cos x - cos 2x - 1                a = (-1, 2, -1)    (three-time)
+    h_p(x)    = (p-1) cos x - cos((p-1) x) - (p-2)  a_0 = -(p-2), a_1 = p-1, a_{p-1} = -1
+    1 - cos x                                       a = (1, -1)         (two-time)
 
 each weighted, for a thermal state at inverse temperature beta, by the ratio
 kernel R(x, y) = (1/4) coth^2(x/y) * h(x) with y = 2 tau / beta (and its h_p
@@ -17,11 +17,12 @@ and two-time analogues).  The certified conversion factors
 
 turn measured correlation combinations into quantum Fisher information
 lower bounds.  gamma has the closed form y^2/4 for y >= sqrt(8/7); all other
-maxima come from one maximizer over rows, one per y (a tau grid in one
-:func:`gamma_batch` call, nothing cached by y): coarse probes plus a nested
-zoom on every local maximum, with the x -> 0 endpoint value as a candidate.
-Each bracket zooms on its own until a closed-form bound on |f''| shows that
-it cannot rise above its row's best value by more than a relative eps.
+maxima come from one maximizer over rows, one per (family, y) pair (every
+family of a tau grid in one :func:`gamma_batch` call): coarse probes plus a
+nested zoom on every local maximum, with the x -> 0 endpoint value as a
+candidate.  Each bracket zooms on its own until a closed-form bound on |f''|
+shows that it cannot rise above its row's best value by more than a relative
+eps.  Each vector a's constants and coarse oscillation are cached, never by y.
 
 The oscillatory factors are 2*pi-periodic while coth^2(x/y) is strictly
 decreasing in x > 0, so where the oscillation is positive at x > 2 pi the
@@ -102,34 +103,62 @@ def hp_kernel(p: int, x):
     cancellation-free form.  Requires integer p >= 3; h_3 = h.  The supremum
     h_p^max approaches 2 from below as p grows.
     """
-    return _hp(_integer(p, "p", 3), x)
-
-
-def _hp(p: int, x):
-    x = np.asarray(x, dtype=np.float64)
-    out = 2.0 * np.sin(0.5 * (p - 1) * x) ** 2 - 2.0 * (p - 1) * np.sin(0.5 * x) ** 2
+    out = _osc(np.asarray(x, dtype=np.float64), _plan(_coefficients(p))[0][5:])
     return out if out.ndim else float(out)
 
 
-def _ratio_kernel(osc: Callable[[np.ndarray], np.ndarray], alpha: float,
-                  beta4: float, x, y):
-    """(1/4) coth^2(x/y) * osc(x) with a quadratic series branch near x = 0.
+def _coefficients(family) -> tuple[tuple[int, int], ...]:
+    """The nonzero entries (k, a_k) of the coefficient vector a of 'tilde' or a p >= 3."""
+    if isinstance(family, str) and family == "tilde":
+        return ((0, 1), (1, -1))
+    p = _integer(family, "p", 3)
+    return ((0, 2 - p), (1, p - 1), (p - 1, -1))
 
-    ``osc(x) = alpha x^2 + beta4 x^4 + O(x^6)`` near the origin; for
-    |x| < 1e-4 y the kernel is evaluated as
-    (1/4) [alpha y^2 + (beta4 y^2 + 2 alpha / 3) x^2], accurate to O(x^4).
-    ``y`` is a positive float or an array of them broadcasting against x.
+
+@lru_cache(maxsize=32)
+def _plan(a: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """(row, xs, osc, cause) of the coefficient vector a (entries summing to 0), read-only.
+
+    Its oscillation sum_k a_k cos(k x) = sum_t w_t sin^2(c_t x) over k_t > 0,
+    w_t = -2 a_t, c_t = k_t / 2, is alpha x^2 + beta4 x^4 + O(x^6) near 0.
+    ``row`` holds alpha, beta4, the bounds sum_k k^j |a_k| on |osc|, |osc'|
+    and |osc''| (j = 0, 1, 2), then each (w_t, c_t); ``osc`` is the
+    oscillation at the coarse probes ``xs``; ``cause`` names a in errors.
     """
-    ax = np.abs(np.asarray(x, dtype=np.float64))
+    k_max = a[-1][0]
+    # h <= 0 on [pi/2, 3 pi/2] and h(2 pi - x) = h(x), so its maximum lies in (0, pi/2]
+    turns = 0.25 if k_max == 2 else 1.0
+    row = np.array([-0.5 * sum(ak * k * k for k, ak in a), sum(ak * k ** 4 for k, ak in a) / 24.0,
+                    *(float(sum(abs(ak) * k ** j for k, ak in a)) for j in (0, 1, 2)),
+                    *(v for k, ak in a if k for v in (-2.0 * ak, 0.5 * k))])
+    cause = {1: "gamma_tilde", 2: "gamma"}.get(k_max, f"gamma_p with p = {k_max + 1}")
+    xs = _grid(2.0 * math.pi * turns, k_max * turns, cause)
+    osc = _osc(xs, row[5:])
+    row.flags.writeable = xs.flags.writeable = osc.flags.writeable = False
+    return row, xs, osc, cause
+
+
+def _osc(x, terms):
+    """sum_t w_t sin^2(c_t x) for terms = (w_1, c_1, w_2, c_2, ...), each broadcasting against x."""
+    return sum(terms[t] * np.sin(terms[t + 1] * x) ** 2 for t in range(0, len(terms), 2))
+
+
+def _ratio_kernel(ax, row, osc=None):
+    """(1/4) coth^2(ax/y) osc at ax = |x| for ``row`` = (y, *plan row), whose entries
+    broadcast against ax; ``osc`` is the oscillation at ax (from the row's terms
+    when None).  For ax < 1e-4 y it is the series
+    (1/4) [alpha y^2 + (beta4 y^2 + 2 alpha / 3) ax^2], accurate to O(ax^4)."""
+    y, alpha, beta4 = row[0], row[1], row[2]
+    osc = _osc(ax, row[6:]) if osc is None else osc
     small = ax < 1e-4 * y
     near = small.any()
-    xg = np.where(small, y, ax) if near else ax  # finite coth where the series applies
-    coth = 1.0 / np.tanh(xg / y)
-    out = 0.25 * coth * coth * np.asarray(osc(xg), dtype=np.float64)
+    # finite coth where the series applies
+    coth = 1.0 / np.tanh((np.where(small, y, ax) if near else ax) / y)
+    out = 0.25 * coth * coth * osc
     if near:
         series = 0.25 * (alpha * y * y + (beta4 * y * y + 2.0 * alpha / 3.0) * ax * ax)
         out = np.where(small, series, out)
-    return out if out.ndim else float(out)
+    return out
 
 
 def R_kernel(x, y: float):
@@ -144,75 +173,58 @@ def R_kernel(x, y: float):
 
 
 def rp_kernel(p: int, x, y: float):
-    """p-time ratio kernel (1/4) coth^2(x/y) h_p(x); h_3 is evaluated as h."""
-    osc, alpha, beta4, *_ = _family(p)
-    return _ratio_kernel(osc, alpha, beta4, x, _positive(y, _SCALED_TIME))
+    """p-time ratio kernel (1/4) coth^2(x/y) h_p(x), with h_p as in :func:`hp_kernel`."""
+    row = _plan(_coefficients(p))[0]
+    out = _ratio_kernel(np.abs(np.asarray(x, dtype=np.float64)),
+                        (_positive(y, _SCALED_TIME), *row))
+    return out if out.ndim else float(out)
 
 
 def rtilde_kernel(x, y: float):
     """Two-time ratio kernel (1/4) coth^2(x/y) (1 - cos x)."""
-    osc, alpha, beta4, *_ = _family("tilde")
-    return _ratio_kernel(osc, alpha, beta4, x, _positive(y, _SCALED_TIME))
+    return rp_kernel("tilde", x, y)
 
 
-def _maximize(kernel: Callable[[np.ndarray, np.ndarray], np.ndarray], ys, endpoints,
-              x_max: float, periods: float, cause: str, curvature: Callable
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Row i: maximum of kernel(x, ys[i]) over (0, x_max] or its x -> 0 endpoint value.
-
-    ``kernel`` maps an (r, k) block of x and the rows' (r, 1) ys to values;
-    ``curvature(lo, hi, y)`` bounds |d^2 kernel / dx^2| on each bracket
-    [lo, hi] of a row y (1-d arrays).  ``periods`` counts periods of the
-    fastest oscillation on (0, x_max].  Chunks of rows (at most MAX_PROBES
-    coarse probes) find every local maximum, then zoom them, one kernel call
-    per level.  A level of spacing s leaves a bracket at most M s^2 / 8
-    above its best sample, so each bracket stops on its own once that rise
-    is within a relative eps of its row's best value (the endpoint value
-    included), or once it is 4 ulp wide.  Returns arrays (argmax_x,
-    value), ties to the first bracket, or (0.0, endpoint) where that is
-    strictly larger.  Over MAX_PROBES probes a row raises ValueError naming
-    ``cause``, before allocating; so does a row with a probe that is not
-    finite (y^2 overflows above about 1.3e154), which would find no peak.
-    """
+def _grid(x_max: float, periods: float, cause: str) -> np.ndarray:
+    """Coarse probes of (0, x_max], 64 per period and at least 1024, or (over
+    MAX_PROBES) a ValueError naming ``cause``, raised before allocating."""
     needed = _PROBES_PER_PERIOD * periods
     if not needed <= MAX_PROBES:
         raise ValueError(f"{cause} needs {needed:.4g} kernel probes, over {MAX_PROBES}")
-    n = max(_MIN_PROBES, math.ceil(needed))
-    xs = np.linspace(0.0, x_max, n + 1)[1:]
-    ys = np.asarray(ys, dtype=np.float64)
-    arg, val = np.empty(ys.size), np.empty(ys.size)
-    chunk = max(1, MAX_PROBES // n)
-    for i in range(0, ys.size, chunk):
-        y = ys[i:i + chunk, None]
-        vals = kernel(xs[None, :], y)
-        if not np.isfinite(vals).all():
-            bad = y[~np.isfinite(vals).all(axis=1), 0][0]
-            raise ValueError(f"{cause} is not finite at scaled time y = {float(bad)!r}")
-        arg[i:i + chunk], val[i:i + chunk] = _zoom_chunk(
-            kernel, curvature, xs, y, vals, np.broadcast_to(endpoints, ys.shape)[i:i + chunk])
-    wins = endpoints > val
-    return np.where(wins, 0.0, arg), np.where(wins, endpoints, val)
+    return np.linspace(0.0, x_max, max(_MIN_PROBES, math.ceil(needed)) + 1)[1:]
 
 
-def _zoom_chunk(kernel, curvature, xs: np.ndarray, y: np.ndarray, vals: np.ndarray,
-                floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rows, n = vals.shape
-    padded = np.full((rows, n + 2), -np.inf)
+def _maximize(kernel: Callable, curvature: Callable, xs: np.ndarray, rows: np.ndarray,
+              vals: np.ndarray, endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row i: maximum of kernel(x, rows[i]) over (0, xs[i, -1]] or its x -> 0 endpoint value.
+
+    ``vals`` is the kernel at the (rows, n) coarse probes ``xs``; ``kernel``
+    maps a (b, k) block of x and b parameter rows to values, and
+    ``curvature(lo, hi, rows)`` bounds |d^2 kernel / dx^2| on brackets
+    [lo, hi].  Every local maximum of the probes is zoomed, one kernel call
+    per level for all rows.  A level of spacing s leaves a bracket at most
+    M s^2 / 8 above its best sample, so each bracket stops once that rise is
+    within a relative eps of its row's best value (endpoint included), or
+    once it is 4 ulp wide.  Returns (argmax_x, value) arrays, ties to the
+    first bracket, or (0.0, endpoint) where that is strictly larger.
+    """
+    count, n = vals.shape
+    padded = np.full((count, n + 2), -np.inf)
     padded[:, 1:-1] = vals
     owner, peaks = np.nonzero((vals > padded[:, :-2]) & (vals >= padded[:, 2:]))
-    lo = np.where(peaks > 0, xs[np.maximum(peaks - 1, 0)], 0.5 * xs[0])
-    hi = xs[np.minimum(peaks + 1, n - 1)]
-    best_x, best_v = xs[peaks], vals[owner, peaks]
-    row_best = np.maximum(floor, vals.max(axis=1))
+    lo = np.where(peaks > 0, xs[owner, np.maximum(peaks - 1, 0)], 0.5 * xs[owner, 0])
+    hi = xs[owner, np.minimum(peaks + 1, n - 1)]
+    best_x, best_v = xs[owner, peaks], vals[owner, peaks]
+    row_best = np.maximum(endpoints, vals.max(axis=1))
+    # a bracket that stops leaves the working arrays; slot is its place
+    slot, ob, rb = np.arange(peaks.size), owner, rows[owner]
+    final_x, final_v = np.empty_like(best_x), np.empty_like(best_v)
     # M / 8 of a coarse bracket holds on its sub-brackets; inf or NaN keeps it open
     with np.errstate(all="ignore"):
-        bound = np.broadcast_to(curvature(lo, hi, y[owner, 0]) / 8.0, lo.shape)
-    # a bracket that stops leaves the working arrays; slot is its place
-    final_x, final_v = np.empty_like(best_x), np.empty_like(best_v)
-    slot, yb, ob = np.arange(peaks.size), y[owner], owner
+        bound = np.broadcast_to(curvature(lo, hi, rb) / 8.0, lo.shape)
     while True:
         step = (hi - lo) / (_ZOOM_POINTS - 1)
-        level = kernel(lo[:, None] + step[:, None] * _ZOOM_STEPS, yb)
+        level = kernel(lo[:, None] + step[:, None] * _ZOOM_STEPS, rb)
         top = level.argmax(axis=1)
         top_v = level.max(axis=1)
         better = top_v > best_v
@@ -227,67 +239,75 @@ def _zoom_chunk(kernel, curvature, xs: np.ndarray, y: np.ndarray, vals: np.ndarr
             final_x[slot], final_v[slot] = best_x, best_v
             if not open_.any():
                 break
-            lo, hi, best_x, best_v, slot, yb, ob, bound = (
-                a[open_] for a in (lo, hi, best_x, best_v, slot, yb, ob, bound))
+            lo, hi, best_x, best_v, slot, rb, ob, bound = (
+                a[open_] for a in (lo, hi, best_x, best_v, slot, rb, ob, bound))
     # each row's first bracket with its largest value (lexsort is stable)
-    k = np.lexsort((-final_v, owner))[np.searchsorted(owner, np.arange(rows))]
-    return final_x[k], final_v[k]
+    k = np.lexsort((-final_v, owner))[np.searchsorted(owner, np.arange(count))]
+    wins = endpoints > final_v[k]
+    return np.where(wins, 0.0, final_x[k]), np.where(wins, endpoints, final_v[k])
 
 
-def _family(family):
-    """(oscillation, alpha, beta4, x_max, periods, cause, sups) of 'tilde' or a p >= 3,
-    with ``sups`` bounding |osc|, |osc'| and |osc''| on the real line."""
-    if isinstance(family, str) and family == "tilde":
-        return ((lambda x: 2.0 * np.sin(0.5 * x) ** 2), 0.5, -1.0 / 24.0, 2.0 * math.pi, 1.0,
-                "gamma_tilde", (2.0, 1.0, 1.0))
-    p = _integer(family, "p", 3)
-    # h_p(x) = alpha x^2 + beta4 x^4 + O(x^6)
-    alpha, beta4 = 0.5 * (p - 1) * (p - 2), ((p - 1) - float(p - 1) ** 4) / 24.0
-    sups = (2.0 * (p - 1), 2.0 * (p - 1), float(p * (p - 1)))
-    if p == 3:
-        return h_kernel, alpha, beta4, 0.5 * math.pi, 0.25, "gamma", sups
-    return (lambda x: _hp(p, x)), alpha, beta4, 2.0 * math.pi, p - 1, f"gamma_p with p = {p}", sups
-
-
-def _ratio_curvature(sups, lo: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bound on |f''| of f = g osc, g = (1/4) coth^2(x/y), over x >= lo > 0:
-    g'' sup|osc| + 2 |g'| sup|osc'| + g sup|osc''|, with g, |g'|, g'' (decreasing) at lo."""
+def _ratio_curvature(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Bound on |f''| over x >= lo > 0 of each gamma_batch row's kernel f = g osc,
+    g = (1/4) coth^2(x/y): g'' sup|osc| + 2 |g'| sup|osc'| + g sup|osc''|, with g,
+    |g'|, g'' (decreasing) at lo."""
+    y = rows[:, 0]
     u = lo / y
     coth, csch2 = 1.0 / np.tanh(u), np.sinh(u) ** -2.0
     g1 = 0.5 * coth * csch2 / y
     g2 = 0.5 * (3.0 * coth * coth - 1.0) * csch2 / (y * y)
-    return g2 * sups[0] + 2.0 * g1 * sups[1] + 0.25 * coth * coth * sups[2]
+    return g2 * rows[:, 3] + 2.0 * g1 * rows[:, 4] + 0.25 * coth * coth * rows[:, 5]
 
 
-def gamma_batch(family, ys) -> tuple[KernelResult, ...]:
-    """Kernel maximum of one bound family at every scaled time in ``ys``.
+def gamma_batch(family, ys):
+    """Kernel maxima of one bound family, or of a list of them, at every scaled time in ``ys``.
 
-    ``family`` is 3 for :func:`gamma` (closed form for y >= Y_CRIT), an
-    integer p > 3 for :func:`gamma_p` or 'tilde' for :func:`gamma_tilde`;
-    those functions are one-row calls of this one.  All rows are maximized
-    together, each bit for bit as on its own.  A row whose kernel or
-    maximum is not finite raises ValueError naming the family and its y.
+    A family is 3 for :func:`gamma` (closed form for y >= Y_CRIT), an
+    integer p > 3 for :func:`gamma_p` or 'tilde' for :func:`gamma_tilde`.
+    One family gives a tuple with one result per y (those functions are
+    one-row calls of this one), a list a dict of such tuples.  The numeric
+    (family, y) rows share one coarse block and :func:`_maximize` call per
+    MAX_PROBES probes, each bit for bit as on its own.  A row whose kernel
+    or maximum is not finite raises ValueError naming the family and its y.
     """
-    osc, alpha, beta4, x_max, periods, cause, sups = _family(family)
+    several = isinstance(family, (list, tuple))
+    families = list(dict.fromkeys(family)) if several else [family]
+    plans = [_plan(_coefficients(f)) for f in families]
     ys = np.array(ys, dtype=np.float64, ndmin=1)
     for y in ys[~(ys > 0.0)][:1]:
         _positive(y, _SCALED_TIME)
-    numeric = ys < Y_CRIT if family == 3 else np.full(ys.size, True)
+    width = max(plan[0].size for plan in plans)
+    # one row per (family, y), family after family: y, then the zero-padded plan row
+    family_of = np.repeat(np.arange(len(plans)), ys.size)
+    rows = np.column_stack([np.tile(ys, len(plans)), np.array(
+        [np.pad(plan[0], (0, width - plan[0].size)) for plan in plans])[family_of]])
+    numeric = ~(np.array([f == 3 for f in families], bool)[family_of] & ~(rows[:, 0] < Y_CRIT))
     # y^2 overflows above about 1.3e154: the ValueErrors below report it
     with np.errstate(over="ignore", invalid="ignore"):
         # the x -> 0 endpoint value (1/4) alpha y^2, which is gamma(y) for y >= Y_CRIT
-        args, values = np.zeros(ys.size), 0.25 * alpha * ys * ys
-        if numeric.any():
-            args[numeric], values[numeric] = _maximize(
-                lambda x, y: _ratio_kernel(osc, alpha, beta4, x, y), ys[numeric],
-                values[numeric], x_max, periods, cause,
-                lambda lo, hi, y: _ratio_curvature(sups, lo, y))
-    if not np.isfinite(values).all():
-        bad = ys[~np.isfinite(values)][0]
-        raise ValueError(f"{cause} is not finite at scaled time y = {float(bad)!r}")
-    return tuple(KernelResult(y=y, value=v, argmax_x=x, method="numeric" if n else "closed-form")
-                 for y, v, x, n in zip(ys.tolist(), values.tolist(), args.tolist(),
-                                       numeric.tolist()))
+        args, values = np.zeros(len(rows)), 0.25 * rows[:, 1] * rows[:, 0] * rows[:, 0]
+        for n in dict.fromkeys(plan[1].size for plan in plans):
+            same = [i for i, plan in enumerate(plans) if plan[1].size == n]
+            grid, osc = (np.stack([plans[i][j] for i in same]) for j in (1, 2))
+            at, step = np.searchsorted(same, family_of), max(1, MAX_PROBES // n)
+            index = np.flatnonzero(numeric & np.isin(family_of, same))
+            for chunk in (index[i:i + step] for i in range(0, index.size, step)):
+                xs, r = grid[at[chunk]], rows[chunk]
+                vals = _ratio_kernel(xs, r.T[..., None], osc[at[chunk]])
+                if not np.isfinite(vals).all():  # no peak to zoom: reported below
+                    values[chunk[~np.isfinite(vals).all(axis=1)]] = np.nan
+                    continue
+                args[chunk], values[chunk] = _maximize(
+                    lambda x, rb: _ratio_kernel(x, rb.T[..., None]), _ratio_curvature, xs, r,
+                    vals, values[chunk])
+    for bad in np.flatnonzero(~np.isfinite(values))[:1]:
+        raise ValueError(f"{plans[family_of[bad]][3]} is not finite at scaled time "
+                         f"y = {float(rows[bad, 0])!r}")
+    shape = (len(plans), ys.size)
+    method = np.where(numeric, "numeric", "closed-form").reshape(shape).tolist()
+    columns = {f: tuple(map(KernelResult, ys.tolist(), v, x, m)) for f, v, x, m in
+               zip(families, values.reshape(shape).tolist(), args.reshape(shape).tolist(), method)}
+    return columns if several else columns[family]
 
 
 def gamma(y: float) -> KernelResult:
@@ -303,7 +323,7 @@ def gamma(y: float) -> KernelResult:
 def gamma_p(p: int, y: float) -> KernelResult:
     """Conversion factor gamma_p(y) = max_x (1/4) coth^2(x/y) h_p(x).
 
-    For p = 3 this is gamma(y) exactly (h_3 = h, evaluated as h), so
+    For p = 3 this is gamma(y) exactly (h_3 = h, the same vector a), so
     downstream p = 3 bounds coincide bitwise with the three-time bound.
     Other p are maximized over (0, 2 pi] with max(1024, 64 (p-1)) coarse
     probes and the x -> 0 endpoint value y^2 (p-1)(p-2)/8 as an explicit
@@ -332,9 +352,10 @@ def hp_max(p: int) -> float:
     p = _integer(p, "p", 3)
     if p == 3:
         return 0.5
-    osc, *_, sups = _family(p)
-    _, (value,) = _maximize(lambda x, _: osc(x), [0.0], 0.0, 2.0 * math.pi, p - 1,
-                            f"hp_max with p = {p}", lambda *_: sups[2])
+    xs = _grid(2.0 * math.pi, p - 1, f"hp_max with p = {p}")
+    row = _plan(_coefficients(p))[0]
+    _, (value,) = _maximize(lambda x, _: _osc(x, row[5:]), lambda *_: row[4], xs[None],
+                            np.zeros((1, 1)), _osc(xs, row[5:])[None], np.zeros(1))
     return float(value)
 
 

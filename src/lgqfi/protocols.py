@@ -220,7 +220,8 @@ def projective_mc(inst: ProtocolInstance, t1: float, t2: float, shots: int,
     Sampling uses a counter-based generator keyed by ``seed``: each shot
     consumes a fixed amount of counter stream, so the estimate is bitwise
     reproducible for the same seed regardless of how the draw is batched.
-    The returned standard error uses the unbiased sample variance.
+    Shots are tallied per outcome pair, so memory does not grow with
+    ``shots``.  The returned standard error uses the unbiased sample variance.
     """
     shots, seed = _integer(shots, "shots", 1), _integer(seed, "seed", 0, _MAX_SEED - 1)
 
@@ -231,16 +232,15 @@ def projective_mc(inst: ProtocolInstance, t1: float, t2: float, shots: int,
     cdf[-1] = 1.0
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    # one stream drawn block by block: no second shot-sized array is ever live
-    samples = np.empty(shots)
+    counts = np.zeros(flat_products.size, dtype=np.int64)
     for lo in range(0, shots, _MC_BLOCK):
-        block = samples[lo:lo + _MC_BLOCK]
-        block[:] = flat_products[np.searchsorted(cdf, rng.random(block.size), side="right")]
+        draws = rng.random(min(_MC_BLOCK, shots - lo))
+        counts += np.bincount(np.searchsorted(cdf, draws, side="right"),
+                              minlength=flat_products.size)
 
-    value = float(samples.mean())
-    # samples.std(ddof=1), with its deviations and squares written in place
-    samples -= value
-    stderr = (math.sqrt(float(np.square(samples, out=samples).sum()) / (shots - 1))
+    value = float(counts @ flat_products) / shots
+    # the ddof=1 sample variance over the shots, from the per-outcome counts
+    stderr = (math.sqrt(float(counts @ (flat_products - value) ** 2) / (shots - 1))
               / math.sqrt(shots)) if shots > 1 else 0.0
     return ProtocolEstimate(value=value, stderr=stderr, shots=shots,
                             exact_ref=joint.correlator(), seed=seed,

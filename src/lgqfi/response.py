@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _finite, _integer, _positive
-from .kernels import _maximize, h_kernel
+from .kernels import _grid, _maximize, h_kernel
 from .linalg import Operator, _state
 from .spectral import LINE_MERGE_TOL, SpectralData
 
@@ -200,9 +200,10 @@ def gamma_H(beta: float, tau: float, omega_star: float) -> float:
         return (beta * beta * np.cosh(z) / 3.0 + 8.0 * beta * tau * np.sinh(z) / 3.0
                 + 8.25 * tau * tau * np.sinh(z) / z)
 
-    _, (value,) = _maximize(lambda omega, _: phi(omega), [0.0], 0.0, omega_star,
-                            omega_star * tau / (2.0 * math.pi),
-                            f"gamma_H with omega_star * tau = {omega_star * tau:g}", curvature)
+    xs = _grid(omega_star, omega_star * tau / (2.0 * math.pi),
+               f"gamma_H with omega_star * tau = {omega_star * tau:g}")
+    _, (value,) = _maximize(lambda omega, _: phi(omega), curvature, xs[None], np.zeros((1, 1)),
+                            phi(xs)[None], np.zeros(1))
     return float(value)
 
 

@@ -285,22 +285,25 @@ def test_kernel_probe_cap_exits_one(tmp_path, capsys):
     assert "gamma_p with p = 1000000" in capsys.readouterr().err
 
 
-def test_certify_maximizes_each_family_once_per_grid(tmp_path, capsys, monkeypatch):
+def test_certify_maximizes_all_families_once_per_grid(tmp_path, capsys, monkeypatch):
     import lgqfi.kernels
 
     maximize, calls = lgqfi.kernels._maximize, []
 
-    def counting(kernel, ys, *args):
-        calls.append(len(ys))
-        return maximize(kernel, ys, *args)
+    def counting(kernel, curvature, xs, rows, *args):
+        calls.append(len(rows))
+        return maximize(kernel, curvature, xs, rows, *args)
 
     monkeypatch.setattr(lgqfi.kernels, "_maximize", counting)
-    doc = _certify_doc(tau_grid={"start": 0.05, "stop": 4.0, "points": 40})
+    grid = {"start": 0.05, "stop": 4.0, "points": 40}
+    doc = _certify_doc(tau_grid=grid)
     doc["bounds"] = {"kp": [3, 4, 5]}
     assert main(["certify", "--config", _write_config(tmp_path, doc)]) == 0
-    # gamma (its numeric rows), gamma_tilde, gamma_4 and gamma_5; p = 3 shares gamma
-    assert len(calls) <= 4
-    assert sorted(calls)[-3:] == [40, 40, 40]
+    # one call: 40 rows each of gamma_tilde, gamma_4 and gamma_5, and gamma's
+    # numeric rows (y = 2 tau / beta below Y_CRIT); p = 3 shares gamma
+    beta = doc["state"]["thermal"]["beta"]
+    numeric = sum(2.0 * (0.05 + 3.95 * k / 39) / beta < lgqfi.kernels.Y_CRIT for k in range(40))
+    assert calls == [3 * 40 + numeric]
 
 
 @pytest.mark.parametrize("grid, accepted", [

@@ -167,9 +167,15 @@ def test_gamma_dominates_brute_force_global():
         assert value <= brute + 1e-6  # the reported value is attained
 
 
-def test_gamma_monotone_in_y():
-    values = [gamma(float(y)).value for y in np.linspace(0.05, 3.0, 60)]
-    assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+@pytest.mark.parametrize("family", [3, "tilde", 4, 5, 9], ids=str)
+def test_gamma_monotone_in_y(family):
+    # d ln coth^2(x/y) / d ln y = 4u / sinh 2u in (0, 2], u = x/y, at every x:
+    # gamma(y) <= gamma(y') <= (y'/y)^2 gamma(y) for y < y'
+    ys = np.geomspace(1e-3, 3.0, 400)
+    values = np.array([r.value for r in gamma_batch(family, ys)])
+    low, high, ratio = values[:-1], values[1:], ys[1:] / ys[:-1]
+    assert np.all(high >= low * (1.0 - 1e-12))
+    assert np.all(high <= ratio * ratio * low * (1.0 + 1e-12))
 
 
 def test_gamma_argmax_attains_value():
@@ -286,9 +292,10 @@ def test_batched_maxima_match_one_row_calls(family, monkeypatch):
     monkeypatch.setattr(lgqfi.kernels, "MAX_PROBES", 4 * 1024)
     ratio_kernel, blocks = lgqfi.kernels._ratio_kernel, []
 
-    def recording(osc, alpha, beta4, x, y):
-        blocks.append(np.broadcast_shapes(np.shape(x), np.shape(y)))
-        return ratio_kernel(osc, alpha, beta4, x, y)
+    def recording(*args):
+        out = ratio_kernel(*args)
+        blocks.append(np.shape(out))
+        return out
 
     monkeypatch.setattr(lgqfi.kernels, "_ratio_kernel", recording)
     ys = _row_ys()
@@ -299,6 +306,13 @@ def test_batched_maxima_match_one_row_calls(family, monkeypatch):
     assert len(batched) == len(ys)
     for y, result in zip(ys.tolist(), batched):
         assert result == _ONE_ROW[family](y)
+    # maximized together with the other families: in the same chunks, and all
+    # 160 rows in one block
+    for probes in (4 * 1024, 160 * 1024):
+        monkeypatch.setattr(lgqfi.kernels, "MAX_PROBES", probes)
+        together = gamma_batch(list(_ONE_ROW), ys)
+        assert list(together) == list(_ONE_ROW)
+        assert together[family] == batched
 
 
 def test_batched_maxima_reject_bad_rows():
@@ -340,12 +354,12 @@ def test_batch_with_an_overflowing_row_raises():
 
 
 def _captured(monkeypatch, module, call):
-    """(kernel, curvature, x_max) that ``call`` hands to ``module._maximize``."""
+    """(kernel, curvature, first row, x_max) that ``call`` hands to ``module._maximize``."""
     maximize, seen = module._maximize, []
 
-    def recording(kernel, ys, endpoints, x_max, periods, cause, curvature):
-        seen.append((kernel, curvature, x_max))
-        return maximize(kernel, ys, endpoints, x_max, periods, cause, curvature)
+    def recording(kernel, curvature, xs, rows, vals, endpoints):
+        seen.append((kernel, curvature, rows[:1], float(xs[0, -1])))
+        return maximize(kernel, curvature, xs, rows, vals, endpoints)
 
     monkeypatch.setattr(module, "_maximize", recording)
     call()
@@ -353,18 +367,18 @@ def _captured(monkeypatch, module, call):
     return captured
 
 
-def _curvature_excess(kernel, curvature, x_max, y, rng, inside=None, brackets=40):
-    """Largest |f''| / M over random brackets in (0, x_max]; f'' from central
-    differences on a dense grid, at the points where ``inside`` holds."""
+def _curvature_excess(kernel, curvature, row, x_max, rng, inside=None, brackets=40):
+    """Largest |f''| / M over random brackets in (0, x_max] of the kernel row
+    ``row``; f'' from central differences on a dense grid, at the points
+    where ``inside`` holds."""
     worst = 0.0
     for _ in range(brackets):
         lo = rng.uniform(x_max / 2048.0, x_max)
         hi = min(x_max, lo + x_max * 10.0 ** rng.uniform(-3.0, 0.0))
-        bound = float(np.broadcast_to(curvature(np.array([lo]), np.array([hi]), np.array([y])),
-                                      (1,))[0])
+        bound = float(np.broadcast_to(curvature(np.array([lo]), np.array([hi]), row), (1,))[0])
         step = min(1e-4, 1e-2 * (hi - lo))
         xs = np.linspace(lo, hi, 2001)
-        f = [kernel(x[None, :], np.array([[y]]))[0] for x in (xs - step, xs, xs + step)]
+        f = [kernel(x[None, :], row)[0] for x in (xs - step, xs, xs + step)]
         second = (f[0] - 2.0 * f[1] + f[2]) / step ** 2
         keep = np.ones(xs.size, bool) if inside is None else (
             inside(xs - step) & inside(xs) & inside(xs + step))
@@ -380,19 +394,20 @@ def test_curvature_bounds_the_ratio_kernels(family, monkeypatch):
     for y in (0.03, 0.2, 0.7, 1.0, 3.0, 10.0):
         if family == 3 and y >= Y_CRIT:
             continue
-        kernel, curvature, x_max = _captured(monkeypatch, lgqfi.kernels,
-                                             lambda: gamma_batch(family, [y]))
+        kernel, curvature, row, x_max = _captured(monkeypatch, lgqfi.kernels,
+                                                  lambda: gamma_batch(family, [y]))
         monkeypatch.undo()
-        worst = max(worst, _curvature_excess(kernel, curvature, x_max, y, rng))
+        assert row[0, 0] == y
+        worst = max(worst, _curvature_excess(kernel, curvature, row, x_max, rng))
     # M bounds f'' everywhere, and is tight enough that M / 2 would not
     assert 0.5 < worst <= 1.0 + 1e-6
 
 
 @pytest.mark.parametrize("p", [4, 5, 9])
 def test_curvature_bounds_hp(p, monkeypatch):
-    kernel, curvature, x_max = _captured(monkeypatch, lgqfi.kernels,
-                                         lambda: hp_max.__wrapped__(p))
-    worst = _curvature_excess(kernel, curvature, x_max, 0.0, np.random.default_rng(p))
+    kernel, curvature, row, x_max = _captured(monkeypatch, lgqfi.kernels,
+                                              lambda: hp_max.__wrapped__(p))
+    worst = _curvature_excess(kernel, curvature, row, x_max, np.random.default_rng(p))
     assert 0.5 < worst <= 1.0 + 1e-6
 
 
@@ -401,10 +416,10 @@ def test_curvature_bounds_hp(p, monkeypatch):
 def test_curvature_bounds_gamma_h(beta, tau, omega_star, monkeypatch):
     import lgqfi.response
 
-    kernel, curvature, x_max = _captured(monkeypatch, lgqfi.response,
-                                         lambda: lgqfi.response.gamma_H(beta, tau, omega_star))
+    kernel, curvature, row, x_max = _captured(
+        monkeypatch, lgqfi.response, lambda: lgqfi.response.gamma_H(beta, tau, omega_star))
     # phi'' on h's positive lobes; where max(h, 0) kinks, phi bends upward
-    worst = _curvature_excess(kernel, curvature, x_max, 0.0, np.random.default_rng(7),
+    worst = _curvature_excess(kernel, curvature, row, x_max, np.random.default_rng(7),
                               inside=lambda omega: h_kernel(omega * tau) > 0.0)
     assert worst <= 1.0 + 1e-6
 

@@ -15,6 +15,7 @@ from lgqfi.linalg import Operator, hermitian_eig
 from lgqfi.models import build_ghz, build_ghz_effective, build_qubit, build_tfim
 from lgqfi.response import m2_commutator, mn_gapped_lower
 from lgqfi.protocols import (
+    _MC_BLOCK,
     MeterConfig,
     ProtocolEstimate,
     ProtocolInstance,
@@ -253,8 +254,9 @@ def test_projective_mc_reproducible_and_gated():
 
 
 def test_projective_mc_blocks_match_one_draw_in_one_float_per_shot():
-    # the draws come block by block and the variance is taken in place, with
-    # the bits of one shot-sized draw and np.std, and no second shot array
+    # the draws come block by block and are tallied per outcome pair, so the
+    # memory is a few blocks at any shot count; value and stderr keep the bits
+    # of one shot-sized draw with np.mean and np.std (products of +-1 here)
     h, q = build_qubit(1.2, 0.8)
     inst = _instance(h, q, gibbs_density(h.matrix, 1.5))
     shots = 300_001
@@ -264,7 +266,7 @@ def test_projective_mc_blocks_match_one_draw_in_one_float_per_shot():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * shots
+    assert peak < 4 * 8 * _MC_BLOCK < 8 * shots
 
     joint = projective_joint(inst, 0.0, 0.9)
     cdf = np.cumsum(joint.probs.ravel())
