@@ -9,8 +9,9 @@ guarantees matter here and are enforced by this module:
   input to high accuracy;
 * determinism: identical input bits produce identical output bits at a fixed
   BLAS thread count, with a fixed phase convention, so that serialized
-  results are stable.  Inside a degenerate cluster the basis and its column
-  order are the ones LAPACK returns.
+  results are stable.  Each block (connected component of the nonzero
+  pattern) is diagonalized alone; inside its degenerate clusters the columns
+  are LAPACK's, and equal energies of different blocks go by smallest index.
 """
 
 from __future__ import annotations
@@ -104,62 +105,98 @@ class Eigensystem:
 
 
 def _fix_phases(basis: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive.
+    """Rotate each column of a matrix or stack so its largest-magnitude entry is real positive.
 
     A zero column stays zero.  ``np.hypot`` gives each pivot's magnitude with
     the same bits as the scalar ``abs``.
     """
-    pivot = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    pivot = np.take_along_axis(basis, np.argmax(np.abs(basis), axis=-2)[..., None, :], axis=-2)
     mag = np.hypot(pivot.real, pivot.imag)
     return basis * np.divide(pivot.conj(), mag, out=np.ones_like(pivot), where=mag > 0.0)
+
+
+def _components(matrix: np.ndarray) -> np.ndarray:
+    """The smallest index of each index's connected component of the nonzero pattern: each
+    pass hooks every index to its neighbours' least label (its row's first ``True`` with the
+    columns sorted by label), then follows the labels to their fixed points."""
+    pattern = matrix != 0
+    pattern.flat[::matrix.shape[0] + 1] = True
+    labels, hooked = np.arange(matrix.shape[0]), pattern.argmax(axis=1)
+    while hooked.any() and (hooked != labels).any():  # all zero: one component
+        labels = hooked
+        while (labels[labels] != labels).any():
+            labels = labels[labels]
+        order = np.argsort(labels, kind="stable")
+        hooked = labels[order[np.take(pattern, order, axis=1).argmax(axis=1)]]
+    return hooked
+
+
+def _check_overflow(energies: np.ndarray, dim: int) -> None:
+    # Python floats: no overflow warning; a stack's end-to-end spread is within the merged width
+    width = float(energies.flat[-1]) - float(energies.flat[0])
+    if not (np.all(np.isfinite(energies)) and np.isfinite(width)):
+        raise ValueError(f"the spectrum of a dim-{dim} operator overflows: an eigenvalue "
+                         f"or the spectral width is not finite")
+
+
+def _solve_blocks(op: Operator, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-fixed eigenpairs of ``op``'s matrix or stacked blocks, checked at ``op``'s scale."""
+    try:
+        energies, basis = np.linalg.eigh(blocks)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"eigendecomposition did not converge for a dim-{op.dim} "
+                            "matrix") from exc
+    _check_overflow(energies, op.dim)
+    basis = _fix_phases(basis)
+    scale = op.max_abs
+    gram = basis.conj().swapaxes(-1, -2) @ basis
+    unit_dev = float(np.max(np.abs(gram - np.eye(blocks.shape[-1]))))
+    if not unit_dev <= UNITARITY_TOL:  # NaN fails
+        raise NumericsError(f"eigenvector matrix for dim-{op.dim} operator is not unitary "
+                            f"(deviation {unit_dev:.3e})")
+    rebuilt = (basis * energies[..., None, :]) @ basis.conj().swapaxes(-1, -2)
+    recon_dev = float(np.max(np.abs(rebuilt - blocks)))
+    if not recon_dev <= RECONSTRUCTION_TOL * max(scale, 1e-300):
+        raise NumericsError(f"spectral reconstruction failed for dim-{op.dim} operator "
+                            f"(residual {recon_dev:.3e}, scale {scale:.3e})")
+    return energies, basis
 
 
 def hermitian_eig(op: Operator) -> Eigensystem:
     """Diagonalize a Hermitian operator with deterministic conventions.
 
     Returns an :class:`Eigensystem` with ascending eigenvalues and
-    phase-fixed eigenvectors (largest-magnitude entry real positive).  Inside
-    a degenerate cluster the columns are LAPACK's, in LAPACK's order: the same
-    input bits give the same output bits at a fixed BLAS thread count.  The
-    result is validated for unitarity and reconstruction accuracy before
-    being returned.
+    phase-fixed eigenvectors (largest-magnitude entry real positive).  Each
+    block (connected component of the nonzero pattern) is diagonalized and
+    validated on its own, one batched call per block size, and each column
+    lies on one block.  Equal energies of different blocks go in the order of
+    the blocks' smallest indices; inside a block's degenerate cluster the
+    columns are LAPACK's, in LAPACK's order: the same input bits give the
+    same output bits at a fixed BLAS thread count.
 
     Raises ``ValueError`` if an eigenvalue or the spectral width is not
     finite (the spectrum overflows the float range), and
     :class:`~lgqfi.errors.NumericsError` if the decomposition does not
     converge or fails validation; both messages name the matrix dimension.
     """
-    try:
-        energies, basis = np.linalg.eigh(op.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(
-            f"eigendecomposition did not converge for a dim-{op.dim} matrix"
-        ) from exc
-    width = float(energies[-1]) - float(energies[0])  # Python floats: no overflow warning
-    if not (np.all(np.isfinite(energies)) and np.isfinite(width)):
-        raise ValueError(f"the spectrum of a dim-{op.dim} operator overflows: an eigenvalue "
-                         f"or the spectral width is not finite")
-    basis = _fix_phases(basis)
-    scale = op.max_abs
-
-    gram = basis.conj().T @ basis
-    unit_dev = float(np.max(np.abs(gram - np.eye(op.dim))))
-    if not unit_dev <= UNITARITY_TOL:  # NaN fails
-        raise NumericsError(
-            f"eigenvector matrix for dim-{op.dim} operator is not unitary "
-            f"(deviation {unit_dev:.3e})"
-        )
-    rebuilt = (basis * energies) @ basis.conj().T
-    recon_dev = float(np.max(np.abs(rebuilt - op.matrix)))
-    if not recon_dev <= RECONSTRUCTION_TOL * max(scale, 1e-300):
-        raise NumericsError(
-            f"spectral reconstruction failed for dim-{op.dim} operator "
-            f"(residual {recon_dev:.3e}, scale {scale:.3e})"
-        )
-    return Eigensystem(
-        energies=_frozen_array(energies, np.float64),
-        basis=_frozen_array(basis, np.complex128),
-    )
+    labels = _components(op.matrix)
+    if not labels.any():  # one block: the whole matrix goes to LAPACK
+        energies, basis = _solve_blocks(op, op.matrix)
+    else:  # members[starts[c] + j] is block c's j-th index, blocks by smallest index
+        # counted with bincount: np.unique would import numpy.ma, half a MB
+        sizes = np.bincount(labels, minlength=op.dim)[labels == np.arange(op.dim)]
+        members, starts = np.argsort(labels, kind="stable"), np.cumsum(sizes) - sizes
+        energies, basis = np.empty(op.dim), np.zeros_like(op.matrix)
+        for k in np.flatnonzero(np.bincount(sizes)):
+            slots = starts[sizes == k][:, None] + np.arange(k)
+            rows = members[slots]
+            energies[slots], basis[rows[:, :, None], slots[:, None, :]] = _solve_blocks(
+                op, op.matrix[rows[:, :, None], rows[:, None, :]])
+        order = np.argsort(energies, kind="stable")
+        energies, basis = energies[order], np.take(basis, order, axis=1)
+        _check_overflow(energies, op.dim)
+    return Eigensystem(energies=_frozen_array(energies, np.float64),
+                       basis=_frozen_array(basis, np.complex128))
 
 
 def _state(rho: object, dim: int) -> np.ndarray:
@@ -195,6 +232,9 @@ def to_eigenbasis(op: Operator, eig: Eigensystem) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: operator is dim {op.dim}, eigensystem is dim {eig.dim}"
         )
+    diagonal = np.diagonal(op.matrix)
+    if np.count_nonzero(op.matrix) == np.count_nonzero(diagonal):  # V^dag diag(d) V, same bits
+        return (eig.basis.conj().T * diagonal) @ eig.basis
     return eig.basis.conj().T @ op.matrix @ eig.basis
 
 

@@ -11,11 +11,16 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from lgqfi.cli import main
+from lgqfi.bounds import best_bound
+from lgqfi.cli import RunConfig, _report_cells, main
 from lgqfi.errors import InvariantViolation
 from lgqfi.kernels import Y_CRIT
+from lgqfi.linalg import Eigensystem
+from lgqfi.models import build_ghz
+from lgqfi.spectral import make_state, spectral_data
 
 
 def _parse_csv(text: str):
@@ -200,6 +205,34 @@ def test_certify_instance_work_runs_once(tmp_path, capsys, monkeypatch):
     _, header, rows = _parse_csv(capsys.readouterr().out)
     assert len(rows) == 4 and "fsum_upper" in header
     assert calls == {"fsum_upper": 1, "qfi": 1}
+
+
+@pytest.mark.parametrize("state", [{"thermal": {"beta": 1.5}}, {"pure": {"index": 1}}],
+                         ids=["thermal", "pure"])
+def test_certify_full_ghz_matches_dense_reference(tmp_path, capsys, state):
+    # the block eigensolve of the 2^6 chain against LAPACK on the whole matrix
+    n, taus = 6, [0.1, 0.3, 0.7, 1.2, 2.0, 3.5]
+    doc = _certify_doc(model={"kind": "ghz", "params": {"n": n, "j": 1.0, "omega": 0.5}},
+                       state=state, tau_grid=taus, bounds={"depth_sites": n})
+    cfg = _write_config(tmp_path, doc)
+    assert main(["certify", "--config", cfg, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+
+    run = RunConfig(cfg)
+    h, q = build_ghz(n, 1.0, 0.5)
+    eig = Eigensystem(*np.linalg.eigh(h.matrix))
+    sd = spectral_data(eig, q, make_state(eig, beta=run.beta, index=run.index))
+    reports = best_bound(sd, taus, kp=run.kp, include_fsum=run.fsum, collective_n=n,
+                         families=run.families).reports
+    assert len(rows) == len(reports) == len(taus)
+    for row, report in zip(rows, reports):
+        want = dict(_report_cells(report, run.families, run.fsum, run.depth_sites))
+        assert list(row) == list(want)
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert row[key] == pytest.approx(value, rel=1e-12, abs=1e-300), key
+            else:
+                assert row[key] == value, key
 
 
 def test_certify_merges_lines_once(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.csgraph
 
 from conftest import random_hermitian
 from lgqfi.errors import NumericsError
@@ -156,11 +158,95 @@ def test_vectorized_phase_pass_matches_per_column_loop():
             assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("m", [np.full((2, 2), 1.7e308), np.diag([1.7e308, -1.7e308])],
-                         ids=["eigenvalue", "width"])
+# in the last two cases each block's spectrum is finite; only the merged width overflows
+@pytest.mark.parametrize("m", [np.full((2, 2), 1.7e308), np.diag([1.7e308, -1.7e308]),
+                               np.diag([1e308, -1e308]),
+                               scipy.linalg.block_diag([[1e308, 1.0], [1.0, 1e308]], [[-1e308]])],
+                         ids=["eigenvalue", "width", "two-singletons", "pair-and-singleton"])
 def test_overflowing_spectrum_raises(m):
-    with pytest.raises(ValueError, match="dim-2 operator overflows"):
+    with pytest.raises(ValueError, match=f"dim-{m.shape[0]} operator overflows"):
         hermitian_eig(Operator(m))
+
+
+def _block_diagonal_case(seed):
+    """A random Hermitian matrix of blocks of sizes 1-5, its rows and columns permuted.
+
+    Some blocks repeat an earlier block exactly, and two singletons share a
+    value, so equal energies occur in different blocks; one row is zero."""
+    rng = np.random.default_rng(seed)
+    blocks = [random_hermitian(rng, int(k)) for k in rng.integers(1, 6, size=6)]
+    blocks += [blocks[1], blocks[3], np.array([[0.25]]), np.array([[0.25]]), np.array([[0.0]])]
+    perm = rng.permutation(sum(b.shape[0] for b in blocks))
+    dense = scipy.linalg.block_diag(*blocks)
+    return dense[np.ix_(perm, perm)]
+
+
+def _projectors(energies, basis, tol=1e-9):
+    """(lowest energy, eigenprojector) of each cluster of energies closer than ``tol``."""
+    cuts = np.flatnonzero(np.diff(energies) > tol) + 1
+    return [(float(energies[idx[0]]), basis[:, idx] @ basis[:, idx].conj().T)
+            for idx in np.split(np.arange(energies.shape[0]), cuts)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_block_diagonal_eigensystem(seed):
+    op = Operator(_block_diagonal_case(seed))
+    eig = hermitian_eig(op)
+    np.testing.assert_allclose(eig.energies, np.linalg.eigvalsh(op.matrix),
+                               rtol=0, atol=1e-12 * op.max_abs)
+    dense_energies, dense_basis = np.linalg.eigh(op.matrix)
+    assert np.max(np.abs(eig.basis.conj().T @ eig.basis - np.eye(op.dim))) < 1e-10
+    _, labels = scipy.sparse.csgraph.connected_components(op.matrix != 0, directed=False)
+    for n in range(op.dim):
+        col = eig.basis[:, n]
+        support, pivot = np.flatnonzero(col), col[np.argmax(np.abs(col))]
+        assert support.size and np.unique(labels[support]).size == 1, n
+        assert abs(pivot.imag) < 1e-12 and pivot.real > 0.0, n
+    got, want = _projectors(eig.energies, eig.basis), _projectors(dense_energies, dense_basis)
+    assert [e for e, _ in got] == pytest.approx([e for e, _ in want], abs=1e-12)
+    assert any(p.trace().real > 1.5 for _, p in got)  # some level is degenerate across blocks
+    for (_, p), (_, q) in zip(got, want):
+        assert np.max(np.abs(p - q)) < 1e-10
+
+
+def test_block_diagonal_ties_follow_smallest_block_index():
+    # the singleton at index 2 and the pair {0, 3} share the energy 1
+    m = np.zeros((4, 4))
+    m[np.ix_([0, 3], [0, 3])] = [[2.0, 1.0], [1.0, 2.0]]
+    m[1, 1], m[2, 2] = 1.0, 5.0
+    eig = hermitian_eig(Operator(m))
+    assert eig.energies.tolist() == pytest.approx([1.0, 1.0, 3.0, 5.0], abs=1e-15)
+    assert np.flatnonzero(eig.basis[:, 0]).tolist() == [0, 3]
+    assert np.flatnonzero(eig.basis[:, 1]).tolist() == [1]
+
+
+@pytest.mark.parametrize("m", [random_hermitian(np.random.default_rng(67), 7),
+                               build_tfim(6, 1.0, 0.7)[0].matrix],
+                         ids=["random", "tfim"])
+def test_one_block_matches_dense_solver_bitwise(m):
+    op = Operator(m)
+    energies, basis = np.linalg.eigh(op.matrix)
+    eig = hermitian_eig(op)
+    assert eig.energies.tobytes() == energies.tobytes()
+    assert eig.basis.tobytes() == _fix_phases(basis).tobytes()
+
+
+@pytest.mark.parametrize("build", [lambda: build_tfim(6, 1.0, 0.7), lambda: build_ghz(6, 1.0, 0.3),
+                                   lambda: (build_ghz(6, 1.0, 0.3)[0], build_collective(6)[1])],
+                         ids=["tfim", "ghz", "collective"])
+def test_diagonal_observable_single_product_is_bitwise_dense(build):
+    h, q = build()
+    eig = hermitian_eig(h)
+    dense = eig.basis.conj().T @ q.matrix @ eig.basis
+    assert to_eigenbasis(q, eig).tobytes() == dense.tobytes()
+
+
+def test_non_diagonal_observable_keeps_triple_product():
+    rng = np.random.default_rng(71)
+    eig = hermitian_eig(build_ghz(4, 1.0, 0.3)[0])
+    q = Operator(random_hermitian(rng, 16))
+    dense = eig.basis.conj().T @ q.matrix @ eig.basis
+    assert to_eigenbasis(q, eig).tobytes() == dense.tobytes()
 
 
 def test_eigenbasis_roundtrip():
