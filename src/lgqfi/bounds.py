@@ -1,35 +1,37 @@
 """Certified lower bounds on quantum Fisher information from temporal data.
 
-Each bound converts measured correlation combinations into a device-relevant
-lower bound on F_Q through a kernel maximum from :mod:`lgqfi.kernels`:
+Every bound family is a coefficient vector a of :mod:`lgqfi.kernels`, and
+every bound is one rule: F_Q >= [sum_{k>0} a_k C(k tau) + a_0 C0] / gamma_a,
+with gamma_a the maximum of the family's ratio kernel at y = 2 tau / beta and
+C0 = C(0) = <Q^2>, or 1 in the weak variant (valid when <Q^2> <= 1).  The
+k > 0 sums are the Leggett-Garg combinations K and K_p:
 
-    pure eigenstate:   F_Q >= 8 [K(tau) - <Q^2>]
-    thermal state:     F_Q >= [K(tau) - <Q^2>] / gamma(2 tau / beta)
-    weak variant:      F_Q >= [K(tau) - 1] / gamma(2 tau / beta)   (<Q^2> <= 1)
-    thermal time:      F_Q >= 7 [K(z tau_th) - <Q^2>] / (2 z^2),  z >= 1,
-                       with tau_th = sqrt(2/7) beta
-    p-time family:     F_Q >= [K_p(tau) - (p-2) <Q^2>] / gamma_p(p, 2 tau / beta)
-    two-time:          F_Q >= [<Q^2> - C(tau)] / gamma_tilde(2 tau / beta)
+    thermal, a = (-1, 2, -1):   [K(tau) - <Q^2>] / gamma,  weak: [K(tau) - 1] / gamma
+    p-time, a_0 = 2 - p, a_1 = p - 1, a_{p-1} = -1:   [K_p(tau) - (p-2) <Q^2>] / gamma_p
+    two-time, a = (1, -1):      [<Q^2> - C(tau)] / gamma_tilde
 
-For pure stationary states the same formulas hold with the zero-temperature
-kernel limits (gamma -> 1/8, gamma_tilde -> 1/2, gamma_p -> h_p^max / 4).
-Negative bound values are uninformative, never wrong; reports clamp them to
-zero and flag the family.  A violated bound (lower above the actual F_Q
-beyond tolerance) raises :class:`~lgqfi.errors.InvariantViolation`, since it
-signals an implementation bug, not a physics outcome.
-
-The module also hosts the entanglement-depth witness based on the
+At beta = inf the maxima take their zero-temperature limits (gamma -> 1/8,
+gamma_tilde -> 1/2, gamma_p -> h_p^max / 4), so the thermal bound becomes the
+pure-eigenstate one, F_Q >= 8 [K(tau) - <Q^2>].  At tau = z tau_th, z >= 1,
+tau_th = sqrt(2/7) beta, gamma is in closed form: F_Q >= 7 [K - <Q^2>] / (2 z^2).
+Negative values are uninformative, never wrong; reports clamp them to zero and
+flag the family.  A bound above F_Q beyond tolerance even with its numerator
+lowered by sum_{k>0} |a_k| merge_error(k tau) raises
+:class:`~lgqfi.errors.InvariantViolation`: an implementation bug, not a physics
+outcome.  The module also hosts the entanglement-depth witness based on the
 k-producibility ceiling of the rescaled collective generator.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InvariantViolation, _finite, _integer, _positive
-from .kernels import gamma_batch, gamma_p_zero_temperature, gamma_tilde_zero_temperature
+from .kernels import (_coefficients, gamma_batch, gamma_p_zero_temperature,
+                      gamma_tilde_zero_temperature)
 from .response import fsum_upper
 from .spectral import SpectralData, correlator, qfi
 
@@ -50,6 +52,9 @@ __all__ = [
 
 #: Slack allowed before declaring a bound violated (implementation bug).
 THEOREM_TOL = 1e-9
+#: Largest site count N of the depth witness: N is an exact float, and N^2 F_Q / 4
+#: stays finite for every F_Q <= 4 <Q^2> of a unit-norm observable.
+MAX_SITES = 2**53
 
 
 def _kernel_maxima(families, taus: Sequence[float], beta: float) -> dict:
@@ -61,6 +66,28 @@ def _kernel_maxima(families, taus: Sequence[float], beta: float) -> dict:
                 for family in families}
     batch = gamma_batch(list(families), [2.0 * tau / beta for tau in taus])
     return {family: [r.value for r in column] for family, column in batch.items()}
+
+
+def _partial(terms, c: Mapping[int, float]) -> float:
+    """sum a_k c[k] over terms ((k, a_k), ...) with k > 0, in ascending k from -0.0: with
+    c[k] = C(k tau), a family's K, K_p or -C(tau), bit for bit as in :mod:`lgqfi.spectral`."""
+    total = -0.0
+    for k, a in terms:
+        total += a * c[k]
+    return total
+
+
+def _lowers(columns: Mapping, partial: Mapping, maxima: Mapping, i: int) -> dict[str, float]:
+    """The bound rule at the i-th tau: [partial[f] + a_0 C0] / gamma_a for every column
+    name: (family f, a_0 C0), with partial[f] the k > 0 sum and maxima[f][i] gamma_a."""
+    return {name: (partial[f] + a0c0) / maxima[f][i] for name, (f, a0c0) in columns.items()}
+
+
+def _bound(family, partial: float, c0: float, tau: float, beta: float) -> float:
+    """The bound rule at one point, with ``c0`` standing in for C(0)."""
+    maxima = _kernel_maxima([family], [_positive(tau, "tau")], _positive(beta, "beta"))
+    column = {family: (family, _coefficients(family)[0][1] * c0)}
+    return _lowers(column, {family: partial}, maxima, 0)[family]
 
 
 def thermal_time(beta: float) -> float:
@@ -79,8 +106,7 @@ def bound_thermal(k_value: float, q2: float, tau: float, beta: float) -> float:
     beta = inf uses the zero-temperature kernel limit 1/8 and reduces to the
     pure-eigenstate bound.
     """
-    divisor = _kernel_maxima([3], [_positive(tau, "tau")], _positive(beta, "beta"))[3][0]
-    return (_finite(k_value, "k_value") - _finite(q2, "q2")) / divisor
+    return _bound(3, _finite(k_value, "k_value"), _finite(q2, "q2"), tau, beta)
 
 
 def bound_thermal_weak(k_value: float, tau: float, beta: float) -> float:
@@ -89,8 +115,7 @@ def bound_thermal_weak(k_value: float, tau: float, beta: float) -> float:
     Valid when <Q^2> <= 1 (guaranteed for unit-norm observables); never
     stronger than :func:`bound_thermal` in that regime.
     """
-    divisor = _kernel_maxima([3], [_positive(tau, "tau")], _positive(beta, "beta"))[3][0]
-    return (_finite(k_value, "k_value") - 1.0) / divisor
+    return _bound(3, _finite(k_value, "k_value"), 1.0, tau, beta)
 
 
 def bound_thermal_time(k_value: float, q2: float, z: float, beta: float) -> float:
@@ -113,9 +138,7 @@ def bound_two_time(q2: float, c_tau: float, tau: float, beta: float) -> float:
     never negative (up to rounding).  beta = inf uses the zero-temperature
     limit gamma_tilde -> 1/2.
     """
-    divisor = _kernel_maxima(["tilde"], [_positive(tau, "tau")],
-                             _positive(beta, "beta"))["tilde"][0]
-    return (_finite(q2, "q2") - _finite(c_tau, "c_tau")) / divisor
+    return _bound("tilde", -_finite(c_tau, "c_tau"), _finite(q2, "q2"), tau, beta)
 
 
 def bound_Kp(kp_value: float, q2: float, p: int, tau: float, beta: float) -> float:
@@ -125,8 +148,7 @@ def bound_Kp(kp_value: float, q2: float, p: int, tau: float, beta: float) -> flo
     delegates to gamma there.  At fixed tau and beta the bound decays like
     1/p^2, so small p carry the information.
     """
-    divisor = _kernel_maxima([p], [_positive(tau, "tau")], _positive(beta, "beta"))[p][0]
-    return (_finite(kp_value, "kp_value") - (p - 2) * _finite(q2, "q2")) / divisor
+    return _bound(p, _finite(kp_value, "kp_value"), _finite(q2, "q2"), tau, beta)
 
 
 def depth_witness(f_q_tilde: float, n: int) -> int | None:
@@ -135,17 +157,16 @@ def depth_witness(f_q_tilde: float, n: int) -> int | None:
     A k-producible N-qubit state satisfies F_Q[Q_tilde] <= s k^2 + r^2 with
     s = floor(N/k) and r = N - s k.  The witness returns the certified depth
     k + 1 for the largest k in [1, N-1] whose ceiling is exceeded, or None
-    when no product structure is excluded (F_Q[Q_tilde] <= N).
+    when no product structure is excluded (F_Q[Q_tilde] <= N <= MAX_SITES).
     """
-    n = _integer(n, "n", 1)
+    n = _integer(n, "n", 1, MAX_SITES)
     f_q_tilde = float(f_q_tilde)
     if not f_q_tilde >= 0.0:
         raise ValueError(f"F_Q must be nonnegative, got {f_q_tilde}")
-    for k in range(n - 1, 0, -1):
-        s, r = divmod(n, k)
-        if f_q_tilde > s * k * k + r * r:
-            return k + 1
-    return None
+    # the ceiling does not decrease in k, so the k whose ceiling is exceeded are 1..k_max
+    k_max = bisect.bisect_left(range(1, n), True,
+                               key=lambda k: f_q_tilde <= (n // k) * k * k + (n % k) ** 2)
+    return k_max + 1 if k_max else None
 
 
 @dataclass(frozen=True)
@@ -214,19 +235,6 @@ def build_report(sd: SpectralData, tau: float, *, kp: Sequence[int] = (3, 4, 5),
                       collective_n=collective_n).reports[0]
 
 
-def _family_bounds(div: Mapping, q2: float, pure_like: bool, k_tau: float, c_tau: float,
-                   kp_vals: Mapping[int, float]) -> dict[str, float]:
-    """Raw lower bound of every family at one tau, in column order, with
-    ``div`` mapping 3, 'tilde' and each p to that tau's kernel maximum."""
-    raw = {"pure": bound_pure(k_tau, q2)} if pure_like else {}
-    raw["thermal"] = (float(k_tau) - float(q2)) / div[3]
-    if q2 <= 1.0 + 1e-9:
-        raw["thermal_weak"] = (float(k_tau) - 1.0) / div[3]
-    raw["two_time"] = (float(q2) - float(c_tau)) / div["tilde"]
-    raw.update({f"kp_{p}": (float(v) - (p - 2) * float(q2)) / div[p] for p, v in kp_vals.items()})
-    return raw
-
-
 @dataclass(frozen=True)
 class BestBound:
     """Best certified lower bound over a tau grid, with all per-tau reports.
@@ -251,8 +259,8 @@ def best_bound(sd: SpectralData, tau_grid: Sequence[float], *,
     to the instance (state kind, <Q^2>, F_Q, the f-sum and the depth
     witness) is computed once for the grid, and so is every family's kernel
     maximum at every tau, all in one :func:`~lgqfi.kernels.gamma_batch`
-    call; each tau then needs C only at the distinct times tau, 2 tau and
-    (p-1) tau.  The best bound is the largest entry of
+    call; each tau then needs C only at the distinct multiples k tau of the
+    families' vectors (tau, 2 tau and (p-1) tau).  The best bound is the largest entry of
     :meth:`BoundReport.lowers` over the grid, with ``families`` switching
     families off.  Ties resolve to the earliest tau
     in grid order, then to the earliest family in column order, so the
@@ -280,30 +288,34 @@ def best_bound(sd: SpectralData, tau_grid: Sequence[float], *,
             )
     depth = None
     if collective_n is not None:
+        collective_n = _integer(collective_n, "collective_n", 1, MAX_SITES)
         f_tilde = collective_n * collective_n * f_q / 4.0
         depth = depth_witness(f_tilde, collective_n)
     tau_th = thermal_time(beta) if beta is not None and not math.isinf(beta) else None
     kp = [_integer(p, "p", 3) for p in kp]
-    multiples = sorted({1, 2, *(p - 1 for p in kp)})
 
-    # p = 3 is the thermal family's gamma
+    # p = 3 is the thermal family; each family's vector a gives its k > 0 terms
     maxima = _kernel_maxima(dict.fromkeys((3, "tilde", *kp)), taus, kernel_beta)
+    terms = {family: _coefficients(family)[1:] for family in maxima}
+    multiples = sorted({k for a in terms.values() for k, _ in a})
+    # each column: its family and the value standing in for C(0); pure is thermal at beta = inf
+    stand_in = {"pure": (3, q2), "thermal": (3, q2), "thermal_weak": (3, 1.0),
+                "two_time": ("tilde", q2), **{f"kp_{p}": (p, q2) for p in kp}}
+    columns = {name: (f, _coefficients(f)[0][1] * c0) for name, (f, c0) in stand_in.items()
+               if (pure_like or name != "pure") and (q2 <= 1.0 + 1e-9 or name != "thermal_weak")}
 
     reports = []
     for i, tau in enumerate(taus):
-        div = {family: column[i] for family, column in maxima.items()}
-        # K and K_p as in spectral.lgi_Kp, sharing one C per distinct time.
         c = {m: correlator(sd, m * tau) for m in multiples}
-        k_tau = 2 * c[1] - c[2]
-        kp_vals = {p: (p - 1) * c[1] - c[p - 1] for p in kp}
-        raw = _family_bounds(div, q2, pure_like, k_tau, c[1], kp_vals)
+        partial = {family: _partial(a, c) for family, a in terms.items()}
+        raw = _lowers(columns, partial, maxima, i)
         if any(value > f_q + THEOREM_TOL for value in raw.values()):
-            # C is a line sum, within sd.merge_error(t) of the level-pair sum.
-            # Every family rises with K and K_p and falls with C, so a bound
-            # is violated only if it exceeds F_Q at the low end of that range.
+            # C is a line sum, within sd.merge_error(t) of the level-pair sum, so
+            # a numerator may be sum_{k>0} |a_k| merge_error(k tau) lower: a bound
+            # is violated only if it exceeds F_Q at that low end too.
             e = {m: sd.merge_error(m * tau) for m in multiples}
-            floor = _family_bounds(div, q2, pure_like, k_tau - 2 * e[1] - e[2], c[1] + e[1],
-                                   {p: v - (p - 1) * e[1] - e[p - 1] for p, v in kp_vals.items()})
+            floor = _lowers(columns, {f: s - _partial([(k, abs(a)) for k, a in terms[f]], e)
+                                      for f, s in partial.items()}, maxima, i)
             for name, value in raw.items():
                 if floor[name] > f_q + THEOREM_TOL:
                     raise InvariantViolation(f"lower bound '{name}' = {value!r} exceeds F_Q = "
@@ -322,14 +334,14 @@ def best_bound(sd: SpectralData, tau_grid: Sequence[float], *,
             q2_expect=q2,
             c_tau=c[1],
             c_2tau=c[2],
-            k_tau=k_tau,
-            kp_values=kp_vals,
+            k_tau=partial[3],
+            kp_values={p: partial[p] for p in kp},
             f_q=f_q,
             lower_pure=clamped.get("pure"),
             lower_thermal=clamped["thermal"],
             lower_thermal_weak=clamped.get("thermal_weak"),
             lower_two_time=clamped["two_time"],
-            lower_kp={p: clamped[f"kp_{p}"] for p in kp_vals},
+            lower_kp={p: clamped[f"kp_{p}"] for p in kp},
             fsum=fsum,
             slack=slack,
             raw_lower=raw,

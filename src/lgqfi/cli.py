@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .bounds import BoundReport, best_bound, depth_witness
+from .bounds import MAX_SITES, BoundReport, best_bound, depth_witness
 from .errors import ConfigError, InvariantViolation, NumericsError
 from .kernels import R_kernel, Y_CRIT, gamma_batch
 from .linalg import hermitian_eig
@@ -263,8 +263,8 @@ _SCHEMA = {
         "kp": ([_Rule(3, integer=True)], [3, 4, 5],
                "multi-time orders to evaluate (integers >= 3)"),
         "fsum": (bool, True, "include the f-sum upper bound column"),
-        "depth_sites": (_Rule(1, integer=True), None,
-                        "site count N enabling the depth-witness column"),
+        "depth_sites": (_Rule(1, MAX_SITES, integer=True), None,
+                        "site count N <= 2^53 enabling the depth witness"),
     },
     "protocol": {
         "tau": (_TIME, _REQUIRED, "time spacing of the three-time chain"),

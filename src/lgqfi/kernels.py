@@ -84,16 +84,8 @@ class KernelResult:
 
 
 def h_kernel(x):
-    """Three-time oscillation kernel h(x) = 2 cos x - cos 2x - 1.
-
-    Evaluated through the identity h(x) = 4 cos(x) sin^2(x/2), which is
-    algebraically equal and free of cancellation near x = 0.  Bounded above
-    by 1/2, attained at x = pi/3 (mod 2 pi).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    half = 0.5 * x
-    out = 4.0 * np.cos(x) * np.sin(half) ** 2
-    return out if out.ndim else float(out)
+    """Three-time kernel h(x) = 2 cos x - cos 2x - 1 = :func:`hp_kernel` at p = 3, at most 1/2."""
+    return hp_kernel(3, x)
 
 
 def hp_kernel(p: int, x):
@@ -276,7 +268,7 @@ def gamma_batch(family, ys):
     ys = np.array(ys, dtype=np.float64, ndmin=1)
     for y in ys[~(ys > 0.0)][:1]:
         _positive(y, _SCALED_TIME)
-    width = max(plan[0].size for plan in plans)
+    width = max((plan[0].size for plan in plans), default=0)
     # one row per (family, y), family after family: y, then the zero-padded plan row
     family_of = np.repeat(np.arange(len(plans)), ys.size)
     rows = np.column_stack([np.tile(ys, len(plans)), np.array(

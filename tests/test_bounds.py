@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     random_unit_observable,
 )
 from lgqfi.bounds import (
+    MAX_SITES,
     THEOREM_TOL,
     best_bound,
     bound_Kp,
@@ -180,6 +182,32 @@ def test_depth_witness_validation():
         depth_witness(4.0, 0)
     with pytest.raises(ValueError):
         depth_witness(4.0, True)
+    with pytest.raises(ValueError, match="n must lie in"):
+        depth_witness(4.0, MAX_SITES + 1)
+    with pytest.raises(ValueError, match="collective_n must lie in"):
+        best_bound(_qubit_sd(), [0.5], collective_n=10**400)
+
+
+def test_depth_witness_matches_a_scan_over_every_k():
+    # the largest exceeded ceiling over every k in [1, N-1], at each ceiling
+    # (ties) and half a unit on either side of it
+    for n in range(1, 301):
+        ks = np.arange(1, n)
+        ceilings = (n // ks) * ks * ks + (n % ks) ** 2
+        fs = np.unique(np.concatenate([[0.0], ceilings, ceilings - 0.5, ceilings + 0.5]))
+        for f, exceeded in zip(fs.tolist(), fs[:, None] > ceilings[None, :]):
+            assert depth_witness(f, n) == (int(ks[exceeded].max()) + 1 if exceeded.any() else None)
+
+
+def test_depth_witness_is_fast_at_a_trillion_sites():
+    n, f = 10**12, 1.5e18
+    start = time.perf_counter()
+    depth = depth_witness(f, n)
+    assert time.perf_counter() - start < 0.5
+    k = depth - 1  # the largest k whose ceiling f exceeds
+    assert f > (n // k) * k * k + (n % k) ** 2
+    assert not f > (n // (k + 1)) * (k + 1) ** 2 + (n % (k + 1)) ** 2
+    assert depth_witness(float(MAX_SITES) ** 2, MAX_SITES) == MAX_SITES
 
 
 # --------------------------------------------------------------------------
@@ -324,6 +352,10 @@ def test_grid_reports_match_single_point_reports():
                 assert report.k_tau == lgi_K(sd, tau)
                 assert report.kp_values == {p: lgi_Kp(sd, p, tau) for p in kp}
                 assert report.f_q == qfi(sd)
+                if sd.state.is_pure or sd.state.beta == math.inf:
+                    # one rule: the pure column is the thermal column at beta = inf
+                    pure = 8.0 * (report.k_tau - report.q2_expect)
+                    assert report.raw_lower["pure"] == report.raw_lower["thermal"] == pure
 
 
 def test_best_bound_empty_grid():
@@ -332,33 +364,44 @@ def test_best_bound_empty_grid():
         best_bound(sd, [])
 
 
+# each family's allowance sum_{k>0} |a_k| merge_error(k tau), written out
+_MERGE_ALLOWANCE = {
+    "thermal": lambda e, tau: 2.0 * e(tau) + e(2.0 * tau),
+    "two_time": lambda e, tau: e(tau),
+    "kp_4": lambda e, tau: 3.0 * e(tau) + e(3.0 * tau),
+}
+
+
+@pytest.mark.parametrize("name", list(_MERGE_ALLOWANCE))
 @pytest.mark.parametrize("slope_in_tol, raises", [(3.0, False), (0.5, True)])
-def test_violation_check_allows_the_line_merge_error(monkeypatch, slope_in_tol, raises):
-    # C is a line sum, so K is known only to within err_k of the level-pair
-    # value; a bound that exceeds F_Q at the line K but not everywhere on
-    # [K - err_k, K + err_k] is not a violation.
+def test_violation_check_allows_the_line_merge_error(monkeypatch, name, slope_in_tol, raises):
+    # C is a line sum, so a family's numerator is known only to within its
+    # allowance of the level-pair value; a bound that exceeds F_Q at the line
+    # value but not everywhere in that range is not a violation.
     import lgqfi.bounds
 
     sd = chained_gap_instance(np.random.default_rng(84), 0.7).sd
-    tau = 30.0
-    err_k = 2.0 * sd.merge_error(tau) + sd.merge_error(2.0 * tau)
-    assert err_k > 10.0 * THEOREM_TOL
-    f_q, k_line = qfi(sd), lgi_K(sd, tau)
-    slope = slope_in_tol * THEOREM_TOL / err_k
+    tau = 60.0
+    allowance = _MERGE_ALLOWANCE[name](sd.merge_error, tau)
+    assert allowance > 10.0 * THEOREM_TOL
+    f_q = qfi(sd)
+    slope = slope_in_tol * THEOREM_TOL / allowance
+    lowers, line = lgqfi.bounds._lowers, {}
 
-    family_bounds = lgqfi.bounds._family_bounds
-
-    def fake_thermal(div, q2, pure_like, k_tau, *rest):
-        raw = family_bounds(div, q2, pure_like, k_tau, *rest)
-        raw["thermal"] = f_q + 2.0 * THEOREM_TOL + slope * (k_tau - k_line)
+    def fake(columns, partial, maxima, i):
+        # the first call takes the line sums, the floor call the lowered ones
+        raw = lowers(columns, partial, maxima, i)
+        family = columns[name][0]
+        line.setdefault(family, partial[family])
+        raw[name] = f_q + 2.0 * THEOREM_TOL + slope * (partial[family] - line[family])
         return raw
 
-    monkeypatch.setattr(lgqfi.bounds, "_family_bounds", fake_thermal)
+    monkeypatch.setattr(lgqfi.bounds, "_lowers", fake)
     if raises:
-        with pytest.raises(InvariantViolation, match="'thermal'"):
-            best_bound(sd, [tau], kp=(3,))
+        with pytest.raises(InvariantViolation, match=f"'{name}'"):
+            best_bound(sd, [tau], kp=(3, 4))
     else:
-        assert best_bound(sd, [tau], kp=(3,)).reports[0].raw_lower["thermal"] > f_q
+        assert best_bound(sd, [tau], kp=(3, 4)).reports[0].raw_lower[name] > f_q
 
 
 def test_best_bound_never_exceeds_qfi():

@@ -260,6 +260,14 @@ def test_certify_depth_column(tmp_path, capsys):
     assert header[-1] == "depth"
 
 
+@pytest.mark.parametrize("sites", [2**53 + 1, 10**400])
+def test_certify_depth_sites_over_the_ceiling_exits_one(tmp_path, capsys, sites):
+    cfg = _write_config(tmp_path, _certify_doc(bounds={"depth_sites": sites}))
+    assert main(["certify", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "'bounds.depth_sites'" in err and "Traceback" not in err
+
+
 # --------------------------------------------------------------------------
 # configuration failures
 

@@ -60,7 +60,7 @@ def test_hp_matches_naive_form(p):
 
 def test_hp_three_is_h():
     xs = np.linspace(0.0, 7.0, 701)
-    np.testing.assert_allclose(hp_kernel(3, xs), h_kernel(xs), atol=1e-14)
+    assert np.array_equal(hp_kernel(3, xs), h_kernel(xs))
 
 
 @pytest.mark.parametrize("p", [3, 4, 6, 9])
@@ -323,6 +323,8 @@ def test_batched_maxima_reject_bad_rows():
     with pytest.raises(ValueError, match="gamma_p with p = 1000000"):
         gamma_batch(10**6, [0.5])
     assert gamma_batch(4, []) == ()
+    assert gamma_batch([3], []) == {3: ()}
+    assert gamma_batch([], [0.5, 1.0]) == {}
 
 
 @pytest.mark.parametrize("call", ["gamma_tilde(1e160)", "gamma_p(4, 1e160)", "gamma(1e160)"])
