@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .bounds import MAX_SITES, BoundReport, best_bound, depth_witness
+from .bounds import MAX_SITES, BoundReport, best_bound
 from .errors import ConfigError, InvariantViolation, NumericsError
 from .kernels import R_kernel, Y_CRIT, gamma_batch
 from .linalg import hermitian_eig
@@ -77,12 +77,13 @@ _BOUND_FAMILIES = {"pure": "pure", "thermal": "thermal", "weak": "thermal_weak",
 
 def _fmt(value: object) -> str:
     """Render one CSV cell: 17 significant digits for floats."""
+    if isinstance(value, (float, np.floating)):  # 'inf', '-inf', 'nan' as _jsonable spells them
+        return format(float(value), ".17g")
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    value = _jsonable(value)
-    return format(value, ".17g") if isinstance(value, float) else str(value)
+    return str(_jsonable(value))
 
 
 def _jsonable(value: object) -> object:
@@ -509,8 +510,8 @@ def _cmd_tfim(args: argparse.Namespace) -> int:
     header = ["tau", "k_tau", "k_excess_over_tau2", "m2_spectral",
               "m2_commutator", "rel_error_vs_m2", "f_q"]
     rows = []
-    for tau in args.taus:
-        k_tau = 2 * _pair_correlator(sd, tau) - _pair_correlator(sd, 2 * tau)
+    c = _pair_correlator(sd, [*args.taus, *(2 * tau for tau in args.taus)])  # C(tau), C(2 tau)
+    for tau, k_tau in zip(args.taus, 2 * c[:len(args.taus)] - c[len(args.taus):]):
         curvature = (k_tau - 1.0) / (tau * tau)
         rows.append([tau, k_tau, curvature, m2_spec, m2_comm,
                      abs(curvature - m2_spec) / m2_spec, f_q])
@@ -523,26 +524,22 @@ def _cmd_ghz(args: argparse.Namespace) -> int:
                                        "omega": args.omega})
     sd = _instantiate(spec, index=1)[-1]
     omega_taus = [float(w) for w in np.linspace(math.pi / args.points, math.pi, args.points)]
-    reports = best_bound(sd, [w / args.omega for w in omega_taus], kp=(3,),
-                         include_fsum=False).reports
+    n, omega_tau_max = args.sites, math.pi / 3.0
+    # the grid's reports, then the one at omega tau = pi / 3, where the pure bound saturates
+    *reports, at_max = best_bound(sd, [w / args.omega for w in [*omega_taus, omega_tau_max]],
+                                  kp=(3,), include_fsum=False, collective_n=n).reports
     f_q = reports[0].f_q
-    n = args.sites
     f_tilde = n * n * f_q / 4.0
-
-    omega_tau_max = math.pi / 3.0
-    tau_max = omega_tau_max / args.omega
-    k_max = lgi_K(sd, tau_max)
-    saturation_residual = abs(f_q - 8.0 * (k_max - sd.q2_expect))
     two_time_at_pi = reports[-1].raw_lower["two_time"]  # the grid ends at omega tau = pi
     summary = {
         "sites": n,
-        "k_max": k_max,
+        "k_max": at_max.k_tau,
         "omega_tau_at_max": omega_tau_max,
-        "saturation_residual": saturation_residual,
+        "saturation_residual": abs(f_q - at_max.raw_lower["pure"]),
         "f_q": f_q,
         "f_q_collective_rescaled": f_tilde,
         "heisenberg_ratio": f_tilde / (n * n),
-        "depth": depth_witness(f_tilde, n),
+        "depth": at_max.depth,
         "two_time_bound_at_pi": two_time_at_pi,
     }
 

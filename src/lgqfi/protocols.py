@@ -2,7 +2,8 @@
 
 Every protocol runs on one :class:`ProtocolInstance`, which holds the state
 and Q in H's and Q's eigenbases, where time evolution is a phase per level
-and a projector a block of columns.  Three routes to the correlator:
+and a projector a block of columns, and the state times the basis overlap
+(``rho_ov``) that measurements at t = 0 reuse.  Three routes to the correlator:
 
 * exact projective statistics: the joint outcome distribution of ideal
   projective measurements of Q at two times, with the correlator read off
@@ -10,7 +11,7 @@ and a projector a block of columns.  Three routes to the correlator:
   correlator used throughout the rest of the package.
 * Monte Carlo sampling of the same joint distribution with a counter-based
   generator, so results are reproducible for a fixed seed and independent
-  of shot-evaluation order.
+  of shot-evaluation order; sorted blocks of draws are tallied per cdf edge.
 * a weak two-meter scheme: both times are read out through Gaussian meters
   of coupling ``lam`` and position spread ``delta_x``; the expectation of
   the product of pointer readings is computed in closed form.  For
@@ -148,7 +149,8 @@ class ProtocolInstance:
     are rho's diagonal in H's basis.  Made once: the overlap
     ``overlap = V^+ W`` with Q's eigenbasis W (eigenvalues ``q_values``,
     grouped into ``outcomes`` by column indices ``members``), the state and
-    Q in H's basis (``rho_h``, ``q_h``) and the state in Q's basis (``rho_w``).
+    Q in H's basis (``rho_h``, ``q_h``), ``rho_ov = rho_h V^+ W`` and the
+    state in Q's basis (``rho_w``).
     """
 
     h_eig: Eigensystem
@@ -159,6 +161,7 @@ class ProtocolInstance:
     q_values: np.ndarray = field(init=False)
     overlap: np.ndarray = field(init=False)
     rho_h: np.ndarray = field(init=False)
+    rho_ov: np.ndarray = field(init=False)
     q_h: np.ndarray = field(init=False)
     rho_w: np.ndarray = field(init=False)
 
@@ -166,18 +169,21 @@ class ProtocolInstance:
         dim, v = self.h_eig.dim, self.h_eig.basis
         if dim != self.q.dim:
             raise ValueError(f"H has dimension {dim} but Q has dimension {self.q.dim}")
-        if isinstance(rho, StationaryState):
-            rho_h = np.diag(_as_weights(rho, dim).astype(np.complex128))
-        else:
-            rho = _state(rho, dim)
-            rho_h = v.conj().T @ (np.outer(rho, rho.conj()) if rho.ndim == 1 else rho) @ v
         q_eig = hermitian_eig(self.q)
         outcomes, members = cluster_eigenvalues(q_eig.energies)
         overlap = v.conj().T @ q_eig.basis
+        if isinstance(rho, StationaryState):  # diagonal rho_h: scale by the weights, no product
+            weights = _as_weights(rho, dim)
+            rho_h, rho_ov = np.diag(weights.astype(np.complex128)), weights[:, None] * overlap
+            rho_w = (overlap.conj().T * weights) @ overlap
+        else:
+            rho = _state(rho, dim)
+            rho_h = v.conj().T @ (np.outer(rho, rho.conj()) if rho.ndim == 1 else rho) @ v
+            rho_ov, rho_w = rho_h @ overlap, overlap.conj().T @ rho_h @ overlap
         for name, value in (("outcomes", outcomes), ("members", tuple(members)),
                             ("q_values", q_eig.energies), ("overlap", overlap),
-                            ("rho_h", rho_h), ("q_h", to_eigenbasis(self.q, self.h_eig)),
-                            ("rho_w", overlap.conj().T @ rho_h @ overlap)):
+                            ("rho_h", rho_h), ("rho_ov", rho_ov),
+                            ("q_h", to_eigenbasis(self.q, self.h_eig)), ("rho_w", rho_w)):
             object.__setattr__(self, name, value)
 
 
@@ -196,7 +202,8 @@ def projective_joint(inst: ProtocolInstance, t1: float, t2: float) -> JointDistr
     if t2 < t1:
         raise ValueError(f"measurement times must be ordered, got t1={t1} > t2={t2}")
     ph, ov = np.exp(-1j * inst.h_eig.energies * t1), inst.overlap
-    rho_ov = (ph[:, None] * inst.rho_h * ph.conj()) @ ov  # rho(t1) in H's basis, times V^+ W
+    # rho(t1) in H's basis, times V^+ W; every phase is exactly 1 at t1 = 0
+    rho_ov = inst.rho_ov if t1 == 0.0 else (ph[:, None] * inst.rho_h * ph.conj()) @ ov
     u_gap = (ov.conj().T * np.exp(-1j * inst.h_eig.energies * (t2 - t1))) @ ov
 
     probs = np.empty((len(inst.outcomes), len(inst.outcomes)))
@@ -220,8 +227,10 @@ def projective_mc(inst: ProtocolInstance, t1: float, t2: float, shots: int,
     Sampling uses a counter-based generator keyed by ``seed``: each shot
     consumes a fixed amount of counter stream, so the estimate is bitwise
     reproducible for the same seed regardless of how the draw is batched.
-    Shots are tallied per outcome pair, so memory does not grow with
-    ``shots``.  The returned standard error uses the unbiased sample variance.
+    Each block of draws is sorted and searched once per cdf edge; the shots
+    per outcome pair, the integers that binning each draw gives, are the
+    differences of the running counts of draws below each edge, so memory
+    does not grow with ``shots``.  The standard error uses the unbiased sample variance.
     """
     shots, seed = _integer(shots, "shots", 1), _integer(seed, "seed", 0, _MAX_SEED - 1)
 
@@ -232,11 +241,12 @@ def projective_mc(inst: ProtocolInstance, t1: float, t2: float, shots: int,
     cdf[-1] = 1.0
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    counts = np.zeros(flat_products.size, dtype=np.int64)
+    below = np.zeros(cdf.size, dtype=np.int64)  # draws under each cdf edge
     for lo in range(0, shots, _MC_BLOCK):
         draws = rng.random(min(_MC_BLOCK, shots - lo))
-        counts += np.bincount(np.searchsorted(cdf, draws, side="right"),
-                              minlength=flat_products.size)
+        draws.sort()
+        below += np.searchsorted(draws, cdf)
+    counts = np.diff(below, prepend=0)
 
     value = float(counts @ flat_products) / shots
     # the ddof=1 sample variance over the shots, from the per-outcome counts
@@ -284,7 +294,7 @@ def weak_two_meter(inst: ProtocolInstance, tau: float,
     q_tau_w = inst.overlap.conj().T @ _heisenberg_h(inst, tau) @ inst.overlap
     weighted = q_tau_w * inst.rho_w.T * (0.5 * (qvals[:, None] + qvals[None, :]))
     gap = qvals[:, None] - qvals[None, :]
-    exact = symmetrized_correlator(inst, 0.0, tau)
+    exact = float(np.sum(weighted).real)  # the zero-width value, (1/2) Tr[rho {Q, Q(tau)}]
     estimates = []
     for cfg in meters:
         value_c = np.sum(weighted * np.exp(-0.5 * (cfg.coupling * cfg.width * gap) ** 2))

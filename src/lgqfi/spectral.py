@@ -286,15 +286,15 @@ def _pair_grid(sd: SpectralData) -> tuple[np.ndarray, np.ndarray]:
     return omega, 0.5 * (p[:, None] + p[None, :]) * np.abs(sd.elements) ** 2
 
 
-def _pair_correlator(sd: SpectralData, tau: float) -> float:
-    """C(tau) as the unmerged level-pair sum, rebuilt on demand.
+def _pair_correlator(sd: SpectralData, taus: list[float]) -> np.ndarray:
+    """C at each of ``taus`` as the unmerged level-pair sum, over one pair grid.
 
     Serves only the ``tfim`` preset: its (K - 1) / tau^2 columns amplify the
     last bit of K by 1e4 at tau = 0.01, and its reference output was
-    recorded with this summation order.
+    recorded with this summation order, one time per ``_cos_sum`` call.
     """
-    omega, weight = _pair_grid(sd)
-    return float(_cos_sum(np.array([float(tau)]), omega.ravel(), weight.ravel())[0])
+    omega, weight = (grid.ravel() for grid in _pair_grid(sd))
+    return np.concatenate([_cos_sum(np.array([float(tau)]), omega, weight) for tau in taus])
 
 
 def qfi(sd: SpectralData) -> float:

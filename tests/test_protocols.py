@@ -14,8 +14,10 @@ from lgqfi.errors import InvariantViolation
 from lgqfi.linalg import Operator, hermitian_eig
 from lgqfi.models import build_ghz, build_ghz_effective, build_qubit, build_tfim
 from lgqfi.response import m2_commutator, mn_gapped_lower
+from lgqfi import protocols
 from lgqfi.protocols import (
     _MC_BLOCK,
+    JointDistribution,
     MeterConfig,
     ProtocolEstimate,
     ProtocolInstance,
@@ -215,13 +217,17 @@ def test_stationary_state_matches_dense_density_matrix(kind):
     state = make_state(eig, beta=1.3) if kind == "thermal" else make_state(eig, index=2)
     from_state = ProtocolInstance(eig, q, state)
     dense = ProtocolInstance(eig, q, (eig.basis * state.weights) @ eig.basis.conj().T)
-    np.testing.assert_allclose(projective_joint(from_state, 0.2, 1.1).probs,
-                               projective_joint(dense, 0.2, 1.1).probs, rtol=0.0, atol=1e-12)
+    for t1, t2 in ((0.2, 1.1), (0.0, 0.9)):  # t1 = 0 reuses each instance's stored rho_ov
+        np.testing.assert_allclose(projective_joint(from_state, t1, t2).probs,
+                                   projective_joint(dense, t1, t2).probs, rtol=0.0, atol=1e-12)
     assert abs(symmetrized_correlator(from_state, 0.3, 1.4)
                - symmetrized_correlator(dense, 0.3, 1.4)) < 1e-12
     meters = [MeterConfig(1.0, 0.5), MeterConfig(1.0, 0.05)]
     for a, b in zip(weak_two_meter(from_state, 0.8, meters), weak_two_meter(dense, 0.8, meters)):
         assert abs(a.value - b.value) < 1e-12 and abs(a.exact_ref - b.exact_ref) < 1e-12
+        # the zero-width reference is the symmetrized correlator, on either instance
+        for inst, est in ((from_state, a), (dense, b)):
+            assert abs(est.exact_ref - symmetrized_correlator(inst, 0.0, 0.8)) < 1e-12
 
 
 @pytest.mark.parametrize("weights", [[0.5, 0.5, 0.0], [1.2, -0.2], [0.5, 0.4999], [np.nan, 1.0],
@@ -276,6 +282,48 @@ def test_projective_mc_blocks_match_one_draw_in_one_float_per_shot():
     samples = products[np.searchsorted(cdf, draws, side="right")]
     assert est.value == float(samples.mean())
     assert est.stderr == float(samples.std(ddof=1) / math.sqrt(shots))
+
+
+class _KeepDiff:
+    """numpy, keeping every array np.diff returns: projective_mc's shots per bin."""
+
+    def __init__(self):
+        self.kept = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def diff(self, *args, **kwargs):
+        self.kept.append(np.diff(*args, **kwargs))
+        return self.kept[-1]
+
+
+@pytest.mark.parametrize("shots", [1, _MC_BLOCK, 3 * _MC_BLOCK + 17])
+@pytest.mark.parametrize("k", [1, 4, 81])
+def test_projective_mc_sorted_blocks_count_as_binning_each_draw(monkeypatch, k, shots):
+    draws = np.random.Generator(np.random.Philox(key=11)).random(shots)
+    m, probs = math.isqrt(k), np.ones(1)
+    if k > 1:  # a cdf edge equal to the first draw, zero-probability bins (the
+        # last two among them) and edges just above 1 before the last is clamped
+        probs = np.random.default_rng(k).random(k)
+        probs[2::3] = probs[-2:] = 0.0
+        probs[1:] *= (1.0 - draws[0]) / probs[1:].sum()
+        probs[0] = draws[0]
+        probs[1] += 1e-15
+    joint = JointDistribution(outcomes=np.linspace(-1.0, 1.0, m), probs=probs.reshape(m, m),
+                              times=(0.0, 1.0))
+    cdf = np.cumsum(probs)
+    assert k == 1 or cdf[-2] > 1.0
+    cdf[-1] = 1.0
+    keep = _KeepDiff()
+    monkeypatch.setattr(protocols, "projective_joint", lambda inst, t1, t2: joint)
+    monkeypatch.setattr(protocols, "np", keep)
+    projective_mc(_QUBIT_THERMAL, 0.0, 1.0, shots, seed=11)
+
+    (counts,) = keep.kept
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(
+        counts, np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=k))
 
 
 def test_projective_mc_validation():
