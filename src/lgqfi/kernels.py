@@ -22,7 +22,7 @@ family of a tau grid in one :func:`gamma_batch` call): coarse probes plus a
 nested zoom on every local maximum, with the x -> 0 endpoint value as a
 candidate.  Each bracket zooms on its own until a closed-form bound on |f''|
 shows that it cannot rise above its row's best value by more than a relative
-eps.  Each vector a's constants and coarse oscillation are cached, never by y.
+eps.  Plans per vector a and per ordered family list are cached, never by y.
 
 The oscillatory factors are 2*pi-periodic while coth^2(x/y) is strictly
 decreasing in x > 0, so where the oscillation is positive at x > 2 pi the
@@ -65,7 +65,8 @@ Y_CRIT = math.sqrt(8.0 / 7.0)
 MAX_PROBES = 2_000_000
 #: Least probes per period of the fastest oscillation and in all; zoom points.
 _PROBES_PER_PERIOD, _MIN_PROBES, _ZOOM_POINTS = 64, 1024, 33
-_ZOOM_STEPS = np.arange(_ZOOM_POINTS)
+_ZOOM_STEPS, _ONE_EPS = np.arange(_ZOOM_POINTS), 1.0 + np.finfo(float).eps
+_LO_HI_TOP = np.vstack([np.clip(_ZOOM_STEPS + [[-1], [1]], 0, _ZOOM_POINTS - 1), _ZOOM_STEPS])
 _SCALED_TIME = "scaled time y = 2 tau / beta"
 
 
@@ -95,7 +96,8 @@ def hp_kernel(p: int, x):
     cancellation-free form.  Requires integer p >= 3; h_3 = h.  The supremum
     h_p^max approaches 2 from below as p grows.
     """
-    out = _osc(np.asarray(x, dtype=np.float64), _plan(_coefficients(p))[0][5:])
+    x = np.asarray(x, dtype=np.float64)
+    out = _osc(x, _plan(_coefficients(p))[0][5:].reshape((-1,) + (1,) * x.ndim))
     return out if out.ndim else float(out)
 
 
@@ -125,19 +127,35 @@ def _plan(a: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray, np.nd
                     *(v for k, ak in a if k for v in (-2.0 * ak, 0.5 * k))])
     cause = {1: "gamma_tilde", 2: "gamma"}.get(k_max, f"gamma_p with p = {k_max + 1}")
     xs = _grid(2.0 * math.pi * turns, k_max * turns, cause)
-    osc = _osc(xs, row[5:])
+    osc = _osc(xs, row[5:, None])
     row.flags.writeable = xs.flags.writeable = osc.flags.writeable = False
     return row, xs, osc, cause
 
 
+@lru_cache(maxsize=32)
+def _batch_plan(vectors: tuple) -> tuple:
+    """(plans, table, three, groups) of :func:`gamma_batch`'s vectors a: plan rows zero-padded
+    (width 1 with none), which is gamma's, and per coarse-probe count (members, their (xs, osc))."""
+    plans = tuple(map(_plan, vectors))
+    table = np.zeros((len(plans), max((plan[0].size for plan in plans), default=1)))
+    for i, plan in enumerate(plans):
+        table[i, :plan[0].size] = plan[0]
+    groups = {}
+    for i, plan in enumerate(plans):
+        groups.setdefault(plan[1].size, []).append(i)
+    return plans, table, np.array([a[-1][0] == 2 for a in vectors], bool), tuple(
+        (np.array(m), np.array([[plans[i][j] for i in m] for j in (1, 2)]))
+        for m in groups.values())
+
+
 def _osc(x, terms):
-    """sum_t w_t sin^2(c_t x) for terms = (w_1, c_1, w_2, c_2, ...), each broadcasting against x."""
-    return sum(terms[t] * np.sin(terms[t + 1] * x) ** 2 for t in range(0, len(terms), 2))
+    """sum_t w_t sin^2(c_t x) for terms = (w_1, c_1, w_2, ...) on axis 0, broadcasting against x."""
+    return (terms[0::2] * np.sin(terms[1::2] * x) ** 2).sum(axis=0)
 
 
 def _ratio_kernel(ax, row, osc=None):
-    """(1/4) coth^2(ax/y) osc at ax = |x| for ``row`` = (y, *plan row), whose entries
-    broadcast against ax; ``osc`` is the oscillation at ax (from the row's terms
+    """(1/4) coth^2(ax/y) osc at ax = |x| for ``row`` = (y, *plan row) on axis 0, each
+    broadcasting against ax; ``osc`` is the oscillation at ax (from the row's terms
     when None).  For ax < 1e-4 y it is the series
     (1/4) [alpha y^2 + (beta4 y^2 + 2 alpha / 3) ax^2], accurate to O(ax^4)."""
     y, alpha, beta4 = row[0], row[1], row[2]
@@ -166,9 +184,9 @@ def R_kernel(x, y: float):
 
 def rp_kernel(p: int, x, y: float):
     """p-time ratio kernel (1/4) coth^2(x/y) h_p(x), with h_p as in :func:`hp_kernel`."""
-    row = _plan(_coefficients(p))[0]
-    out = _ratio_kernel(np.abs(np.asarray(x, dtype=np.float64)),
-                        (_positive(y, _SCALED_TIME), *row))
+    ax = np.abs(np.asarray(x, dtype=np.float64))
+    row = np.append(_positive(y, _SCALED_TIME), _plan(_coefficients(p))[0])
+    out = _ratio_kernel(ax, row.reshape((-1,) + (1,) * ax.ndim))
     return out if out.ndim else float(out)
 
 
@@ -206,37 +224,38 @@ def _maximize(kernel: Callable, curvature: Callable, xs: np.ndarray, rows: np.nd
     owner, peaks = np.nonzero((vals > padded[:, :-2]) & (vals >= padded[:, 2:]))
     lo = np.where(peaks > 0, xs[owner, np.maximum(peaks - 1, 0)], 0.5 * xs[owner, 0])
     hi = xs[owner, np.minimum(peaks + 1, n - 1)]
-    best_x, best_v = xs[owner, peaks], vals[owner, peaks]
     row_best = np.maximum(endpoints, vals.max(axis=1))
     # a bracket that stops leaves the working arrays; slot is its place
-    slot, ob, rb = np.arange(peaks.size), owner, rows[owner]
-    final_x, final_v = np.empty_like(best_x), np.empty_like(best_v)
+    at = slot = np.arange(peaks.size)
+    ob, rb, final = owner, rows[owner], np.empty((2, peaks.size))
+    # one column per open bracket: lo, hi, best x, best value and M / 8
+    work = np.array([lo, hi, xs[owner, peaks], vals[owner, peaks], lo])
+    lo, hi, best_x, best_v, bound = work
     # M / 8 of a coarse bracket holds on its sub-brackets; inf or NaN keeps it open
     with np.errstate(all="ignore"):
-        bound = np.broadcast_to(curvature(lo, hi, rb) / 8.0, lo.shape)
+        bound[:] = curvature(lo, hi, rb) / 8.0
     while True:
         step = (hi - lo) / (_ZOOM_POINTS - 1)
         level = kernel(lo[:, None] + step[:, None] * _ZOOM_STEPS, rb)
         top = level.argmax(axis=1)
-        top_v = level.max(axis=1)
+        top_v, around = level[at, top], lo + step * _LO_HI_TOP[:, top]
         better = top_v > best_v
-        best_x = np.where(better, lo + step * top, best_x)
-        best_v = np.where(better, top_v, best_v)
+        np.copyto(best_x, around[2], where=better)
+        np.copyto(best_v, top_v, where=better)
         np.maximum.at(row_best, ob, best_v)
-        hi = lo + step * np.minimum(top + 1, _ZOOM_POINTS - 1)
-        lo = lo + step * np.maximum(top - 1, 0)
+        work[:2] = around[:2]
         open_ = ((hi - lo > 4.0 * np.spacing(hi))
-                 & ~(best_v + bound * step * step <= (1.0 + np.finfo(float).eps) * row_best[ob]))
+                 & ~(best_v + bound * step * step <= _ONE_EPS * row_best[ob]))
         if not open_.all():
-            final_x[slot], final_v[slot] = best_x, best_v
+            final[:, slot] = work[2:4]
             if not open_.any():
                 break
-            lo, hi, best_x, best_v, slot, rb, ob, bound = (
-                a[open_] for a in (lo, hi, best_x, best_v, slot, rb, ob, bound))
+            lo, hi, best_x, best_v, bound = work = work[:, open_]
+            slot, ob, rb, at = slot[open_], ob[open_], rb[open_], at[:open_.sum()]
     # each row's first bracket with its largest value (lexsort is stable)
-    k = np.lexsort((-final_v, owner))[np.searchsorted(owner, np.arange(count))]
-    wins = endpoints > final_v[k]
-    return np.where(wins, 0.0, final_x[k]), np.where(wins, endpoints, final_v[k])
+    k = np.lexsort((-final[1], owner))[np.searchsorted(owner, np.arange(count))]
+    wins = endpoints > final[1, k]
+    return np.where(wins, 0.0, final[0, k]), np.where(wins, endpoints, final[1, k])
 
 
 def _ratio_curvature(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -259,33 +278,32 @@ def gamma_batch(family, ys):
     One family gives a tuple with one result per y (those functions are
     one-row calls of this one), a list a dict of such tuples.  The numeric
     (family, y) rows share one coarse block and :func:`_maximize` call per
-    MAX_PROBES probes, each bit for bit as on its own.  A row whose kernel
-    or maximum is not finite raises ValueError naming the family and its y.
+    MAX_PROBES probes, each bit for bit as on its own, from the family list's
+    cached plan.  A row whose kernel or maximum is not finite raises ValueError
+    naming the family and its y.
     """
     several = isinstance(family, (list, tuple))
     families = list(dict.fromkeys(family)) if several else [family]
-    plans = [_plan(_coefficients(f)) for f in families]
+    plans, table, three, groups = _batch_plan(tuple(map(_coefficients, families)))
     ys = np.array(ys, dtype=np.float64, ndmin=1)
     for y in ys[~(ys > 0.0)][:1]:
         _positive(y, _SCALED_TIME)
-    width = max((plan[0].size for plan in plans), default=0)
     # one row per (family, y), family after family: y, then the zero-padded plan row
-    family_of = np.repeat(np.arange(len(plans)), ys.size)
-    rows = np.column_stack([np.tile(ys, len(plans)), np.array(
-        [np.pad(plan[0], (0, width - plan[0].size)) for plan in plans])[family_of]])
-    numeric = ~(np.array([f == 3 for f in families], bool)[family_of] & ~(rows[:, 0] < Y_CRIT))
+    rows = np.empty((len(plans), ys.size, 1 + table.shape[1]))
+    rows[:, :, 0], rows[:, :, 1:] = ys, table[:, None]
+    rows = rows.reshape(-1, rows.shape[2])
+    numeric = ~(three[:, None] & ~(ys < Y_CRIT))
     # y^2 overflows above about 1.3e154: the ValueErrors below report it
     with np.errstate(over="ignore", invalid="ignore"):
         # the x -> 0 endpoint value (1/4) alpha y^2, which is gamma(y) for y >= Y_CRIT
         args, values = np.zeros(len(rows)), 0.25 * rows[:, 1] * rows[:, 0] * rows[:, 0]
-        for n in dict.fromkeys(plan[1].size for plan in plans):
-            same = [i for i, plan in enumerate(plans) if plan[1].size == n]
-            grid, osc = (np.stack([plans[i][j] for i in same]) for j in (1, 2))
-            at, step = np.searchsorted(same, family_of), max(1, MAX_PROBES // n)
-            index = np.flatnonzero(numeric & np.isin(family_of, same))
-            for chunk in (index[i:i + step] for i in range(0, index.size, step)):
-                xs, r = grid[at[chunk]], rows[chunk]
-                vals = _ratio_kernel(xs, r.T[..., None], osc[at[chunk]])
+        for members, probes in groups:
+            mi, yi = np.nonzero(numeric[members])
+            index, step = members[mi] * ys.size + yi, max(1, MAX_PROBES // probes.shape[2])
+            for i in range(0, index.size, step):
+                chunk, m = index[i:i + step], mi[i:i + step]
+                (xs, osc), r = probes[:, m], rows[chunk]
+                vals = _ratio_kernel(xs, r.T[..., None], osc)
                 if not np.isfinite(vals).all():  # no peak to zoom: reported below
                     values[chunk[~np.isfinite(vals).all(axis=1)]] = np.nan
                     continue
@@ -293,12 +311,11 @@ def gamma_batch(family, ys):
                     lambda x, rb: _ratio_kernel(x, rb.T[..., None]), _ratio_curvature, xs, r,
                     vals, values[chunk])
     for bad in np.flatnonzero(~np.isfinite(values))[:1]:
-        raise ValueError(f"{plans[family_of[bad]][3]} is not finite at scaled time "
+        raise ValueError(f"{plans[bad // ys.size][3]} is not finite at scaled time "
                          f"y = {float(rows[bad, 0])!r}")
-    shape = (len(plans), ys.size)
-    method = np.where(numeric, "numeric", "closed-form").reshape(shape).tolist()
-    columns = {f: tuple(map(KernelResult, ys.tolist(), v, x, m)) for f, v, x, m in
-               zip(families, values.reshape(shape).tolist(), args.reshape(shape).tolist(), method)}
+    columns = {f: tuple(map(KernelResult, ys.tolist(), v, x, m)) for f, v, x, m in zip(
+        families, *(a.reshape(numeric.shape).tolist() for a in (values, args)),
+        np.where(numeric, "numeric", "closed-form").tolist())}
     return columns if several else columns[family]
 
 
@@ -344,10 +361,10 @@ def hp_max(p: int) -> float:
     p = _integer(p, "p", 3)
     if p == 3:
         return 0.5
-    xs = _grid(2.0 * math.pi, p - 1, f"hp_max with p = {p}")
+    xs = _grid(2.0 * math.pi, p - 1, f"hp_max with p = {p}")[None]
     row = _plan(_coefficients(p))[0]
-    _, (value,) = _maximize(lambda x, _: _osc(x, row[5:]), lambda *_: row[4], xs[None],
-                            np.zeros((1, 1)), _osc(xs, row[5:])[None], np.zeros(1))
+    _, (value,) = _maximize(lambda x, _: _osc(x, row[5:, None, None]), lambda *_: row[4], xs,
+                            np.zeros((1, 1)), _osc(xs, row[5:, None, None]), np.zeros(1))
     return float(value)
 
 

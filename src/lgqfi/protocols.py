@@ -150,7 +150,7 @@ class ProtocolInstance:
     ``overlap = V^+ W`` with Q's eigenbasis W (eigenvalues ``q_values``,
     grouped into ``outcomes`` by column indices ``members``), the state and
     Q in H's basis (``rho_h``, ``q_h``), ``rho_ov = rho_h V^+ W`` and the
-    state in Q's basis (``rho_w``).
+    state in Q's basis (``rho_w``), and a stationary state's ``weights`` (else None).
     """
 
     h_eig: Eigensystem
@@ -164,6 +164,7 @@ class ProtocolInstance:
     rho_ov: np.ndarray = field(init=False)
     q_h: np.ndarray = field(init=False)
     rho_w: np.ndarray = field(init=False)
+    weights: np.ndarray | None = field(init=False)
 
     def __post_init__(self, rho: np.ndarray | StationaryState) -> None:
         dim, v = self.h_eig.dim, self.h_eig.basis
@@ -171,7 +172,7 @@ class ProtocolInstance:
             raise ValueError(f"H has dimension {dim} but Q has dimension {self.q.dim}")
         q_eig = hermitian_eig(self.q)
         outcomes, members = cluster_eigenvalues(q_eig.energies)
-        overlap = v.conj().T @ q_eig.basis
+        overlap, weights = v.conj().T @ q_eig.basis, None
         if isinstance(rho, StationaryState):  # diagonal rho_h: scale by the weights, no product
             weights = _as_weights(rho, dim)
             rho_h, rho_ov = np.diag(weights.astype(np.complex128)), weights[:, None] * overlap
@@ -182,7 +183,7 @@ class ProtocolInstance:
             rho_ov, rho_w = rho_h @ overlap, overlap.conj().T @ rho_h @ overlap
         for name, value in (("outcomes", outcomes), ("members", tuple(members)),
                             ("q_values", q_eig.energies), ("overlap", overlap),
-                            ("rho_h", rho_h), ("rho_ov", rho_ov),
+                            ("rho_h", rho_h), ("rho_ov", rho_ov), ("weights", weights),
                             ("q_h", to_eigenbasis(self.q, self.h_eig)), ("rho_w", rho_w)):
             object.__setattr__(self, name, value)
 
@@ -202,8 +203,9 @@ def projective_joint(inst: ProtocolInstance, t1: float, t2: float) -> JointDistr
     if t2 < t1:
         raise ValueError(f"measurement times must be ordered, got t1={t1} > t2={t2}")
     ph, ov = np.exp(-1j * inst.h_eig.energies * t1), inst.overlap
-    # rho(t1) in H's basis, times V^+ W; every phase is exactly 1 at t1 = 0
-    rho_ov = inst.rho_ov if t1 == 0.0 else (ph[:, None] * inst.rho_h * ph.conj()) @ ov
+    # rho(t1) V^+ W in H's basis: all phases are exactly 1 at t1 = 0; a diagonal rho scales rows
+    rho_ov = (inst.rho_ov if t1 == 0.0 else (ph[:, None] * inst.rho_h * ph.conj()) @ ov
+              if inst.weights is None else (ph * inst.weights * ph.conj())[:, None] * ov)
     u_gap = (ov.conj().T * np.exp(-1j * inst.h_eig.energies * (t2 - t1))) @ ov
 
     probs = np.empty((len(inst.outcomes), len(inst.outcomes)))

@@ -315,6 +315,28 @@ def test_batched_maxima_match_one_row_calls(family, monkeypatch):
         assert together[family] == batched
 
 
+def test_batched_maxima_of_two_probe_counts_match_one_row_calls():
+    # p = 20 needs 1216 coarse probes, the others 1024: two groups in one call
+    ys = _row_ys()
+    together = gamma_batch([3, "tilde", 5, 9, 20], ys)
+    for family, column in together.items():
+        one_row = _ONE_ROW.get(family, lambda y: gamma_p(20, y))
+        assert column == tuple(one_row(y) for y in ys.tolist())
+
+
+def test_kernel_caches_are_never_keyed_by_y():
+    batch_plan, plan = lgqfi.kernels._batch_plan, lgqfi.kernels._plan
+    assert batch_plan.cache_info().maxsize == plan.cache_info().maxsize == 32
+    batch_plan.cache_clear()
+    plan.cache_clear()
+    gamma_batch([3, "tilde", 4, 5], [0.5])
+    first = (batch_plan.cache_info().currsize, plan.cache_info().currsize)
+    assert first == (1, 4)
+    for y in np.linspace(0.01, 5.0, 500):
+        gamma_batch([3, "tilde", 4, 5], [y])
+    assert (batch_plan.cache_info().currsize, plan.cache_info().currsize) == first
+
+
 def test_batched_maxima_reject_bad_rows():
     with pytest.raises(ValueError, match="must be positive"):
         gamma_batch("tilde", [0.5, 0.0])

@@ -217,6 +217,9 @@ def test_stationary_state_matches_dense_density_matrix(kind):
     state = make_state(eig, beta=1.3) if kind == "thermal" else make_state(eig, index=2)
     from_state = ProtocolInstance(eig, q, state)
     dense = ProtocolInstance(eig, q, (eig.basis * state.weights) @ eig.basis.conj().T)
+    # at t1 > 0 the stationary instance scales rows by its weights, the dense one multiplies
+    np.testing.assert_array_equal(from_state.weights, state.weights)
+    assert dense.weights is None
     for t1, t2 in ((0.2, 1.1), (0.0, 0.9)):  # t1 = 0 reuses each instance's stored rho_ov
         np.testing.assert_allclose(projective_joint(from_state, t1, t2).probs,
                                    projective_joint(dense, t1, t2).probs, rtol=0.0, atol=1e-12)
