@@ -138,10 +138,9 @@ def _batch_plan(vectors: tuple) -> tuple:
     (width 1 with none), which is gamma's, and per coarse-probe count (members, their (xs, osc))."""
     plans = tuple(map(_plan, vectors))
     table = np.zeros((len(plans), max((plan[0].size for plan in plans), default=1)))
-    for i, plan in enumerate(plans):
-        table[i, :plan[0].size] = plan[0]
     groups = {}
     for i, plan in enumerate(plans):
+        table[i, :plan[0].size] = plan[0]
         groups.setdefault(plan[1].size, []).append(i)
     return plans, table, np.array([a[-1][0] == 2 for a in vectors], bool), tuple(
         (np.array(m), np.array([[plans[i][j] for i in m] for j in (1, 2)]))
