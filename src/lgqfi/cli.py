@@ -33,6 +33,7 @@ violation (an implementation bug, never a physics outcome).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -640,7 +641,9 @@ _FLAG_RULES = {"y_min": _POSITIVE, "y_max": _POSITIVE, "beta": _POSITIVE, "point
                "tau_min": _TIME, "tau_max": _TIME, "taus": _TIME, "sites": _INTEGER}
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", default=None,
                         help="output file (default: stdout)")

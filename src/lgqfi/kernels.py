@@ -101,6 +101,10 @@ def hp_kernel(p: int, x):
     return out if out.ndim else float(out)
 
 
+#: The coefficient vector of h (family 3), the only one with the closed form y^2/4
+_H = ((0, -1), (1, 2), (2, -1))
+
+
 def _coefficients(family) -> tuple[tuple[int, int], ...]:
     """The nonzero entries (k, a_k) of the coefficient vector a of 'tilde' or a p >= 3."""
     if isinstance(family, str) and family == "tilde":
@@ -121,11 +125,11 @@ def _plan(a: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray, np.nd
     """
     k_max = a[-1][0]
     # h <= 0 on [pi/2, 3 pi/2] and h(2 pi - x) = h(x), so its maximum lies in (0, pi/2]
-    turns = 0.25 if k_max == 2 else 1.0
+    turns = 0.25 if a == _H else 1.0
     row = np.array([-0.5 * sum(ak * k * k for k, ak in a), sum(ak * k ** 4 for k, ak in a) / 24.0,
                     *(float(sum(abs(ak) * k ** j for k, ak in a)) for j in (0, 1, 2)),
                     *(v for k, ak in a if k for v in (-2.0 * ak, 0.5 * k))])
-    cause = {1: "gamma_tilde", 2: "gamma"}.get(k_max, f"gamma_p with p = {k_max + 1}")
+    cause = {1: "gamma_tilde"}.get(k_max, "gamma" if a == _H else f"gamma_p with p = {k_max + 1}")
     xs = _grid(2.0 * math.pi * turns, k_max * turns, cause)
     osc = _osc(xs, row[5:, None])
     row.flags.writeable = xs.flags.writeable = osc.flags.writeable = False
@@ -142,7 +146,7 @@ def _batch_plan(vectors: tuple) -> tuple:
     for i, plan in enumerate(plans):
         table[i, :plan[0].size] = plan[0]
         groups.setdefault(plan[1].size, []).append(i)
-    return plans, table, np.array([a[-1][0] == 2 for a in vectors], bool), tuple(
+    return plans, table, np.array([a == _H for a in vectors], bool), tuple(
         (np.array(m), np.array([[plans[i][j] for i in m] for j in (1, 2)]))
         for m in groups.values())
 

@@ -1,22 +1,23 @@
-"""Dense Hermitian linear algebra with deterministic spectral output.
+"""Hermitian linear algebra in block form, with deterministic spectral output.
 
 Everything downstream (correlators, Fisher information, transition spectra)
-is built on exact diagonalization of small dense Hermitian matrices.  Two
-guarantees matter here and are enforced by this module:
+is built on exact diagonalization of Hermitian operators held as blocks: a
+dense matrix is one block, a diagonal is all 1x1.  Two guarantees matter
+here and are enforced by this module:
 
-* validity: eigenvalues ascending with a finite spectral width, eigenvector
-  matrix unitary, and the reconstruction ``V diag(E) V^dag`` reproduces the
-  input to high accuracy;
+* validity: eigenvalues ascending with a finite spectral width, eigenvectors
+  unitary, and ``V diag(E) V^dag`` reproduces each block to high accuracy;
 * determinism: identical input bits produce identical output bits at a fixed
   BLAS thread count, with a fixed phase convention, so that serialized
-  results are stable.  Each block (connected component of the nonzero
-  pattern) is diagonalized alone; inside its degenerate clusters the columns
-  are LAPACK's, and equal energies of different blocks go by smallest index.
+  results are stable.  Each block (for a dense input, each connected
+  component of the nonzero pattern) is diagonalized alone; inside its
+  degenerate clusters the columns are LAPACK's, and equal energies of
+  different blocks go by smallest index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,61 +48,121 @@ def _frozen_array(values: np.ndarray, dtype: type) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class Operator:
-    """An immutable dense Hermitian operator.
+    """An immutable Hermitian operator in block form.
 
-    The constructor rejects non-finite entries, validates Hermiticity
-    entrywise (tolerance ``HERMITICITY_TOL``) and stores the exactly
-    symmetrized matrix ``A/2 + A^dag/2`` read-only, so every downstream
-    routine can rely on exact Hermiticity.
+    ``groups`` holds one ``(rows, blocks)`` pair per block size k: the index
+    groups ``rows`` (b, k) partition range(dim), ``blocks`` (b, k, k) are the
+    entries on them, and every other entry is zero.  ``Operator(matrix)`` is
+    a dense matrix as one block, ``Operator(blocks=[(rows, blocks), ...])``
+    any block form.  The constructor rejects non-finite entries, validates
+    Hermiticity entrywise (tolerance ``HERMITICITY_TOL``) and stores each
+    block exactly symmetrized, ``A/2 + A^dag/2``, read-only, so every
+    downstream routine can rely on exact Hermiticity.
     """
 
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
-        if m.shape[0] < 1:
+    def __init__(self, matrix: np.ndarray | None = None, *, blocks=None) -> None:
+        dense = blocks is None
+        if dense:
+            m = np.asarray(matrix, dtype=np.complex128)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
+            blocks = [(np.arange(m.shape[0])[None], m[None])]
+        groups = []
+        for rows, m in blocks:
+            rows, m = np.asarray(rows, dtype=np.intp), np.asarray(m, dtype=np.complex128)
+            if rows.ndim != 2 or m.shape != rows.shape + rows.shape[1:]:
+                raise ValueError(f"blocks of shape {m.shape} do not fit index groups {rows.shape}")
+            with np.errstate(invalid="ignore"):
+                deviation = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0))
+            # a NaN or inf entry makes its own deviation NaN or inf
+            if not np.isfinite(deviation):
+                raise ValueError("matrix has a non-finite (NaN or inf) entry")
+            if deviation > HERMITICITY_TOL:
+                raise ValueError(f"matrix is not Hermitian: max |A_ij - conj(A_ji)| = "
+                                 f"{deviation:.3e} exceeds {HERMITICITY_TOL:.1e}")
+            sym = m / 2.0  # halved first: entries near the float maximum cannot overflow
+            np.add(sym, sym.conj().swapaxes(-1, -2), out=sym)
+            if not dense and len(blocks) == len(rows) == 1:
+                # one block goes in index order: its rows are then also its levels
+                # (hermitian_eig), and its values are the dense matrix (_dense)
+                order = np.argsort(rows[0])
+                rows, sym = rows[:, order], sym[:, order[:, None], order]
+            groups.append((_frozen_array(rows, np.intp), _frozen_array(sym, np.complex128)))
+        self.groups, self.dim = tuple(groups), sum(rows.size for rows, _ in groups)
+        if self.dim < 1:
             raise ValueError("operator dimension must be at least 1")
-        with np.errstate(invalid="ignore"):
-            deviation = float(np.max(np.abs(m - m.conj().T)))
-        # a NaN or inf entry makes its own deviation NaN or inf
-        if not np.isfinite(deviation):
-            raise ValueError("matrix has a non-finite (NaN or inf) entry")
-        if deviation > HERMITICITY_TOL:
-            raise ValueError(
-                f"matrix is not Hermitian: max |A_ij - conj(A_ji)| = {deviation:.3e} "
-                f"exceeds {HERMITICITY_TOL:.1e}"
-            )
-        sym = m / 2.0  # halved first: entries near the float maximum cannot overflow
-        object.__setattr__(self, "matrix", _frozen_array(np.add(sym, sym.conj().T, out=sym), np.complex128))
+        if dense:  # the one block is the matrix
+            self.__dict__["matrix"] = groups[0][1][0]
+        elif (np.bincount(np.concatenate([r.ravel() for r, _ in groups]),
+                          minlength=self.dim) != 1).any():
+            raise ValueError(f"block index groups must partition range({self.dim})")
+
+    @classmethod
+    def from_diagonal(cls, values) -> Operator:
+        """diag(values) as 1x1 blocks."""
+        values = np.asarray(values, dtype=np.complex128)
+        return cls(blocks=[(np.arange(values.size)[:, None], values[:, None, None])])
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The operator as one dense dim x dim array, read-only (built on first use)."""
+        return _dense(self.dim, [(r[:, :, None], r[:, None, :], b) for r, b in self.groups])
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def diagonal(self) -> np.ndarray | None:
+        """The diagonal entries when every off-diagonal entry is zero, else None."""
+        if any(np.count_nonzero(b) != np.count_nonzero(np.diagonal(b, 0, 1, 2))
+               for _, b in self.groups):
+            return None
+        out = np.empty(self.dim, dtype=np.complex128)
+        for rows, blocks in self.groups:
+            out[rows] = np.diagonal(blocks, 0, 1, 2)
+        return out
 
     @property
     def max_abs(self) -> float:
         """Largest entry magnitude, used as the scale for relative tolerances."""
-        return float(np.max(np.abs(self.matrix)))
+        return max(float(np.max(np.abs(blocks))) for _, blocks in self.groups)
 
 
-@dataclass(frozen=True)
 class Eigensystem:
-    """Spectral decomposition of a Hermitian operator.
+    """Spectral decomposition of a Hermitian operator, block by block.
 
-    ``energies`` is ascending; column ``basis[:, n]`` is the eigenvector of
-    ``energies[n]``.  Both arrays are read-only.
+    ``energies`` ascends.  ``groups`` holds one ``(rows, vectors, levels)``
+    triple per block size k: column j of ``vectors[i]`` (k x k), on the
+    indices ``rows[i]``, is the eigenvector of ``energies[levels[i, j]]``.
+    ``Eigensystem(energies, basis)`` takes a dense eigenvector matrix as one
+    block, and :attr:`basis` is the dense view of any eigensystem.
     """
 
-    energies: np.ndarray
-    basis: np.ndarray
+    def __init__(self, energies: np.ndarray, basis: np.ndarray | None = None, *,
+                 groups: tuple | None = None) -> None:
+        self.energies, self.dim = energies, energies.shape[0]
+        if groups is None:
+            every = np.arange(self.dim)[None]
+            groups = ((every, basis[None], every),)
+        if len(groups) == 1 and len(groups[0][0]) == 1:  # one block: rows and levels in order
+            self.__dict__["basis"] = groups[0][1][0]
+        self.groups = groups
 
-    @property
-    def dim(self) -> int:
-        return self.energies.shape[0]
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The eigenvectors as the columns of one dense dim x dim array, read-only."""
+        return _dense(self.dim, [(r[:, :, None], lv[:, None, :], v) for r, v, lv in self.groups])
+
+
+def _dense(dim: int, parts) -> np.ndarray:
+    """The dim x dim array with ``out[rows, columns] = values`` for each ``(rows,
+    columns, values)`` part, zero elsewhere, read-only.  One part on every entry
+    is one block, whose rows and columns are in order: its values are returned."""
+    if len(parts) == 1 and parts[0][2].size == dim * dim:
+        return parts[0][2].reshape(dim, dim)
+    out = np.zeros((dim, dim), dtype=parts[0][2].dtype)
+    for rows, columns, values in parts:
+        out[rows, columns] = values
+    out.flags.writeable = False
+    return out
 
 
 def _fix_phases(basis: np.ndarray) -> np.ndarray:
@@ -167,36 +228,48 @@ def hermitian_eig(op: Operator) -> Eigensystem:
 
     Returns an :class:`Eigensystem` with ascending eigenvalues and
     phase-fixed eigenvectors (largest-magnitude entry real positive).  Each
-    block (connected component of the nonzero pattern) is diagonalized and
-    validated on its own, one batched call per block size, and each column
-    lies on one block.  Equal energies of different blocks go in the order of
-    the blocks' smallest indices; inside a block's degenerate cluster the
-    columns are LAPACK's, in LAPACK's order: the same input bits give the
-    same output bits at a fixed BLAS thread count.
+    block of ``op`` is diagonalized and validated on its own, one batched
+    call per block size; a dense ``op`` (one block) is first split into the
+    connected components of its nonzero pattern.  Equal energies of
+    different blocks go in the order of the blocks' smallest indices; inside
+    a block's degenerate cluster the columns are LAPACK's, in LAPACK's order:
+    the same input bits give the same output bits at a fixed BLAS thread count.
 
     Raises ``ValueError`` if an eigenvalue or the spectral width is not
     finite (the spectrum overflows the float range), and
     :class:`~lgqfi.errors.NumericsError` if the decomposition does not
     converge or fails validation; both messages name the matrix dimension.
     """
-    labels = _components(op.matrix)
-    if not labels.any():  # one block: the whole matrix goes to LAPACK
-        energies, basis = _solve_blocks(op, op.matrix)
-    else:  # members[starts[c] + j] is block c's j-th index, blocks by smallest index
+    groups = op.groups
+    if len(groups) == 1 and groups[0][0].shape[0] == 1:
+        rows, matrix = groups[0][0][0], groups[0][1][0]
+        labels = _components(matrix)
+        if not labels.any():  # one block: its energies ascend, its rows and levels in order
+            energies, vectors = _solve_blocks(op, groups[0][1])
+            return Eigensystem(_frozen_array(energies[0], np.float64), groups=(
+                (groups[0][0], _frozen_array(vectors, np.complex128), groups[0][0]),))
+        # members[starts[c] + j] is component c's j-th index, components by smallest index;
         # counted with bincount: np.unique would import numpy.ma, half a MB
         sizes = np.bincount(labels, minlength=op.dim)[labels == np.arange(op.dim)]
         members, starts = np.argsort(labels, kind="stable"), np.cumsum(sizes) - sizes
-        energies, basis = np.empty(op.dim), np.zeros_like(op.matrix)
-        for k in np.flatnonzero(np.bincount(sizes)):
-            slots = starts[sizes == k][:, None] + np.arange(k)
-            rows = members[slots]
-            energies[slots], basis[rows[:, :, None], slots[:, None, :]] = _solve_blocks(
-                op, op.matrix[rows[:, :, None], rows[:, None, :]])
-        order = np.argsort(energies, kind="stable")
-        energies, basis = energies[order], np.take(basis, order, axis=1)
-        _check_overflow(energies, op.dim)
-    return Eigensystem(energies=_frozen_array(energies, np.float64),
-                       basis=_frozen_array(basis, np.complex128))
+        local = [members[starts[sizes == k][:, None] + np.arange(k)]
+                 for k in np.flatnonzero(np.bincount(sizes))]
+        groups = [(rows[c], matrix[c[:, :, None], c[:, None, :]]) for c in local]
+    solved = [(rows, *_solve_blocks(op, blocks)) for rows, blocks in groups]
+    # ascending energy, ties by the block's smallest index, then by position in the block
+    order = np.lexsort([np.concatenate(keys) for keys in zip(*(
+        (np.tile(np.arange(k), b), np.repeat(rows.min(axis=1), k), e.ravel())
+        for (rows, e, _), (b, k) in zip(solved, (g[0].shape for g in groups))))])
+    level = np.empty(op.dim, dtype=np.intp)
+    level[order] = np.arange(op.dim)
+    energies = np.concatenate([e.ravel() for _, e, _ in solved])[order]
+    _check_overflow(energies, op.dim)
+    out, start = [], 0
+    for rows, e, vectors in solved:
+        levels, start = level[start:start + e.size].reshape(e.shape), start + e.size
+        out.append((_frozen_array(rows, np.intp), _frozen_array(vectors, np.complex128),
+                    _frozen_array(levels, np.intp)))
+    return Eigensystem(_frozen_array(energies, np.float64), groups=tuple(out))
 
 
 def _state(rho: object, dim: int) -> np.ndarray:
@@ -226,18 +299,44 @@ def _state(rho: object, dim: int) -> np.ndarray:
     return rho
 
 
-def to_eigenbasis(op: Operator, eig: Eigensystem) -> np.ndarray:
-    """Matrix elements ``Q_nm = <n|Q|m>`` of ``op`` in the given eigenbasis."""
+def _eigen_rows(op: Operator, eig: Eigensystem) -> tuple[list, float]:
+    """``op`` in the eigenbasis of ``eig`` as row stacks, and its Hermiticity loss.
+
+    A row stack ``(levels, columns, values)`` holds Q_nm at the rows
+    ``levels`` (r, 1) and the column levels ``columns`` (r, k, or 1, k when
+    shared), rows in level order; entries outside the stacks are zero.  A
+    diagonal ``op`` couples each block only to itself, so each block size
+    gives one stack of k entries per level, at the cost of sum_A d_A^3.  Any
+    other ``op`` is one dense stack ``V^dag Q V``.  The Hermiticity loss is
+    ``max |Q_nm - conj(Q_mn)|``.
+    """
     if op.dim != eig.dim:
         raise ValueError(
             f"dimension mismatch: operator is dim {op.dim}, eigensystem is dim {eig.dim}"
         )
-    diagonal = np.diagonal(op.matrix)
-    if np.count_nonzero(op.matrix) == np.count_nonzero(diagonal):  # V^dag diag(d) V, same bits
-        return (eig.basis.conj().T * diagonal) @ eig.basis
-    return eig.basis.conj().T @ op.matrix @ eig.basis
+    diagonal = op.diagonal
+    if diagonal is None:
+        every, values = np.arange(eig.dim), eig.basis.conj().T @ op.matrix @ eig.basis
+        return ([(every[:, None], every[None], values)],
+                float(np.max(np.abs(values - values.conj().T))))
+    stacks, deviation = [], 0.0
+    for rows, v, levels in eig.groups:  # V_A^dag diag(d_A) V_A as one scaled product per block
+        values = (v.conj().swapaxes(-1, -2) * diagonal[rows][:, None, :]) @ v
+        deviation = max(deviation, float(np.max(np.abs(values - values.conj().swapaxes(-1, -2)))))
+        if len(rows) == 1:  # one block: its levels ascend
+            stacks.append((levels.T, levels, values[0]))
+        else:  # + 0.0 is the dense product's -0.0 + 0.0 = 0.0
+            order, k = np.argsort(levels.ravel()), rows.shape[1]
+            stacks.append((levels.reshape(-1, 1)[order], np.repeat(levels, k, axis=0)[order],
+                           values.reshape(-1, k)[order] + 0.0))
+    return stacks, deviation
+
+
+def to_eigenbasis(op: Operator, eig: Eigensystem) -> np.ndarray:
+    """Matrix elements ``Q_nm = <n|Q|m>`` of ``op`` in the given eigenbasis, as a dense array."""
+    return _dense(eig.dim, _eigen_rows(op, eig)[0])
 
 
 def operator_norm(op: Operator) -> float:
     """Spectral norm (largest absolute eigenvalue) of a Hermitian operator."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(op.matrix))))
+    return max(float(np.max(np.abs(np.linalg.eigvalsh(blocks)))) for _, blocks in op.groups)

@@ -50,7 +50,28 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
 
+#: Site caps: tfim holds H as one dense 2^n x 2^n block; the GHZ builders use
+#: 2 x 2 blocks and diagonals, so the memory ceiling limits them first.
 MAX_SITES = 12
+MAX_GHZ_SITES = 64
+
+#: Builders refuse a chain whose estimated peak footprint exceeds this many
+#: bytes: BYTES_PER_ENTRY per stored entry of H's blocks, the sum of k^2 over
+#: its block sizes k (4^n for tfim, 2^(n+1) for GHZ).  The estimate is 2.7 GB
+#: for tfim at n = 12 (1.9 GB measured), and GHZ fits up to n = 23.
+MEMORY_CEILING = 4 * 2**30
+BYTES_PER_ENTRY = 160
+
+
+def _sites(n: object, dense: bool, lo: int = 2) -> int:
+    """``n`` as a site count whose chain fits ``MEMORY_CEILING``, checked before anything
+    is allocated: H holds 4^n entries in one block when ``dense``, else 2^(n+1) in 2 x 2."""
+    n = _integer(n, "number of sites", lo, MAX_SITES if dense else MAX_GHZ_SITES)
+    need = BYTES_PER_ENTRY * (4 ** n if dense else 2 ** (n + 1))
+    if need > MEMORY_CEILING:
+        raise ValueError(f"a chain of {n} sites needs about {need:.3g} bytes, above the "
+                         f"memory ceiling of {MEMORY_CEILING:.3g} bytes")
+    return n
 
 
 def _site_signs(n: int, a: int) -> np.ndarray:
@@ -61,18 +82,17 @@ def _site_signs(n: int, a: int) -> np.ndarray:
 
 
 def _ising_bonds(n: int, j: float, periodic: bool = False) -> np.ndarray:
-    """-J sum_a sigma^z_a sigma^z_{a+1} as a dense complex matrix (a ring if ``periodic``)."""
+    """The diagonal of -J sum_a sigma^z_a sigma^z_{a+1} (a ring if ``periodic``)."""
     signs = [_site_signs(n, a) for a in range(1, n + 1)]
     diag = np.zeros(2 ** n)
     for a in range(n - 1 + periodic):
         diag -= j * signs[a] * signs[(a + 1) % n]
-    return np.diag(diag.astype(np.complex128))
+    return diag
 
 
 def _collective(n: int, divisor: float) -> Operator:
     """(1/divisor) sum_a sigma^z_a, diagonal in the computational basis."""
-    total = sum(_site_signs(n, a) for a in range(1, n + 1))
-    return Operator(np.diag((total / divisor).astype(np.complex128)))
+    return Operator.from_diagonal(sum(_site_signs(n, a) for a in range(1, n + 1)) / divisor)
 
 
 def build_qubit(epsilon: float, theta: float) -> tuple[Operator, Operator]:
@@ -104,7 +124,7 @@ def build_tfim(n: int, j: float, h: float, boundary: str = "open",
     ``h = 0`` is admitted (the chain becomes classical with degenerate
     ground states); scenario configurations require a nonzero field.
     """
-    n = _integer(n, "number of sites", 2, MAX_SITES)
+    n = _sites(n, dense=True)
     if not j > 0.0:
         raise ValueError(f"Ising coupling J must be positive, got {j}")
     if boundary not in ("open", "periodic"):
@@ -116,14 +136,13 @@ def build_tfim(n: int, j: float, h: float, boundary: str = "open",
     site = (n + 1) // 2 if site is None else _integer(site, "site", 1, n)
 
     dim = 2 ** n
-    ham = _ising_bonds(n, j, periodic=boundary == "periodic")
+    ham = np.diag(_ising_bonds(n, j, periodic=boundary == "periodic").astype(np.complex128))
     if h != 0.0:
         rows = np.arange(dim)
         for a in range(1, n + 1):
             flipped = rows ^ (1 << (n - a))
             ham[rows, flipped] += -h
-    q = np.diag(_site_signs(n, site).astype(np.complex128))
-    return Operator(ham), Operator(q)
+    return Operator(ham), Operator.from_diagonal(_site_signs(n, site))
 
 
 def build_ghz(n: int, j: float, omega: float) -> tuple[Operator, Operator]:
@@ -132,18 +151,21 @@ def build_ghz(n: int, j: float, omega: float) -> tuple[Operator, Operator]:
     H = -J sum_{a=1}^{N-1} sigma^z_a sigma^z_{a+1} + (Omega/2) prod_a sigma^x_a
     and Q = (1/N) sum_a sigma^z_a.  The collective flip term couples only the
     two fully polarized states, so the GHZ doublet spans an invariant
-    two-dimensional subspace (see :func:`build_ghz_effective`).
+    two-dimensional subspace (see :func:`build_ghz_effective`).  H is built as
+    the 2 x 2 blocks it splits into, on each basis state and its complement,
+    and Q as a diagonal.
     """
-    n = _integer(n, "number of sites", 2, MAX_SITES)
+    n = _sites(n, dense=False)
     if not j > 0.0:
         raise ValueError(f"Ising coupling J must be positive, got {j}")
     if not omega > 0.0:
         raise ValueError(f"collective flip rate Omega must be positive, got {omega}")
-    dim = 2 ** n
-    ham = _ising_bonds(n, j)
-    rows = np.arange(dim)
-    ham[rows, rows ^ (dim - 1)] += 0.5 * omega
-    return Operator(ham), _collective(n, n)
+    half = np.arange(2 ** (n - 1))
+    rows = np.stack([half, half ^ (2 ** n - 1)], axis=1)  # index i < 2^(n-1), its complement
+    blocks = np.zeros(rows.shape + (2,), dtype=np.complex128)
+    blocks[:, [0, 1], [0, 1]] = _ising_bonds(n, j)[rows]
+    blocks[:, 0, 1] = blocks[:, 1, 0] = 0.5 * omega
+    return Operator(blocks=[(rows, blocks)]), _collective(n, n)
 
 
 def build_ghz_effective(n: int, j: float, omega: float) -> tuple[Operator, Operator]:
@@ -153,7 +175,7 @@ def build_ghz_effective(n: int, j: float, omega: float) -> tuple[Operator, Opera
     H_eff = -J (N-1) I + (Omega/2) tau_z and the collective magnetization
     restricts to Q = tau_x, which is dichotomic with Q^2 = I.
     """
-    n = _integer(n, "number of sites", 2, MAX_SITES)
+    n = _integer(n, "number of sites", 2, MAX_GHZ_SITES)
     if not j > 0.0:
         raise ValueError(f"Ising coupling J must be positive, got {j}")
     if not omega > 0.0:
@@ -170,13 +192,13 @@ def build_collective(n: int) -> tuple[Operator, Operator]:
     Q_tilde = N Q / 2 is the one whose Fisher information enters the
     entanglement-depth witness (N^2 for a GHZ state).
     """
-    n = _integer(n, "number of sites", 1, MAX_SITES)
+    n = _sites(n, dense=False, lo=1)
     return _collective(n, n), _collective(n, 2.0)
 
 
 def ghz_state(n: int, sign: int = +1) -> np.ndarray:
     """The GHZ state (|all up> + sign |all down>)/sqrt(2) as a dense vector."""
-    n = _integer(n, "number of sites", 2, MAX_SITES)
+    n = _sites(n, dense=False)
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     dim = 2 ** n
@@ -195,7 +217,7 @@ def ghz_reduction_residuals(n: int, j: float, omega: float) -> tuple[float, floa
     the effective two-level Hamiltonian.  Both should vanish to numerical
     precision.
     """
-    h_full, _ = build_ghz(n, j, omega)
+    h_full, _ = build_ghz(_sites(n, dense=True), j, omega)
     h_eff, _ = build_ghz_effective(n, j, omega)
     plus = ghz_state(n, +1)
     minus = ghz_state(n, -1)

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvariantViolation, _integer, _positive
 from .kernels import h_kernel
-from .linalg import Eigensystem, Operator, _frozen_array, _state, to_eigenbasis
+from .linalg import Eigensystem, Operator, _dense, _eigen_rows, _frozen_array, _state
 
 __all__ = [
     "StationaryState", "SpectralData", "make_state", "spectral_data", "correlator",
@@ -118,17 +119,18 @@ def make_state(eig: Eigensystem, *, beta: float | None = None,
 class SpectralData:
     """Everything needed to evaluate correlators, QFI and response for one instance.
 
-    ``elements`` holds Q in the energy eigenbasis and ``q2_expect`` is
-    <Q^2> = Tr[rho Q^2].  ``delta``, ``w_s`` and ``w_chi`` are the transition
-    lines, built once: ``delta`` ascends from ``delta[0] = 0``, the
-    zero-frequency line of diagonal and degenerate-pair weight (its w_chi is
-    identically 0).  ``line_span`` is the widest frequency range merged into
+    ``_rows`` holds Q in the energy eigenbasis as the row stacks of
+    :func:`~lgqfi.linalg._eigen_rows`, ``elements`` is their dense view, and
+    ``q2_expect`` is <Q^2> = Tr[rho Q^2].  ``delta``, ``w_s`` and ``w_chi``
+    are the transition lines, built once: ``delta`` ascends from ``delta[0] =
+    0``, the zero-frequency line of diagonal and degenerate-pair weight (its
+    w_chi is identically 0).  ``line_span`` is the widest frequency range merged into
     one line, which bounds how far a pair frequency lies from its line.
     Arrays are read-only.
     """
 
     energies: np.ndarray
-    elements: np.ndarray
+    _rows: tuple
     state: StationaryState
     q2_expect: float
     delta: np.ndarray
@@ -168,6 +170,11 @@ class SpectralData:
         """Largest |C(tau)| difference between the line and level-pair sums."""
         return self.line_span * abs(tau) * float(np.sum(np.abs(self._weight)))
 
+    @cached_property
+    def elements(self) -> np.ndarray:
+        """Q in the energy eigenbasis as one dense dim x dim array (built on first use)."""
+        return _dense(self.dim, self._rows)
+
 
 def spectral_data(eig: Eigensystem, q: Operator, state: StationaryState) -> SpectralData:
     """Assemble :class:`SpectralData` from an eigensystem, observable, and state."""
@@ -176,40 +183,49 @@ def spectral_data(eig: Eigensystem, q: Operator, state: StationaryState) -> Spec
     weight_sum = float(np.sum(state.weights))
     if abs(weight_sum - 1.0) > 1e-12:
         raise InvariantViolation(f"stationary weights sum to {weight_sum!r}, expected 1")
-    elements = to_eigenbasis(q, eig)
-    herm_dev = float(np.max(np.abs(elements - elements.conj().T)))
+    rows, herm_dev = _eigen_rows(q, eig)
     if herm_dev > 1e-10:
         raise InvariantViolation(
             f"observable lost Hermiticity in the eigenbasis (deviation {herm_dev:.3e})"
         )
-    abs_sq = np.abs(elements) ** 2
-    q2 = float(np.sum(state.weights[:, None] * abs_sq))
-    delta, w_s, w_chi, span = _merge_lines(eig.energies, abs_sq, state.weights)
+    p = state.weights
+    abs_sq = [(levels, columns, np.abs(values) ** 2) for levels, columns, values in rows]
+    q2 = float(sum(np.sum(p[levels] * sq) for levels, _, sq in abs_sq))
+    delta, w_s, w_chi, span = _merge_lines(eig.energies, abs_sq, p)
     weight = 2.0 * w_s + w_chi / math.pi
     weight[0] = w_s[0]
     delta, w_s, w_chi, weight = (_frozen_array(a, np.float64) for a in (delta, w_s, w_chi, weight))
-    return SpectralData(energies=eig.energies, elements=elements, state=state, q2_expect=q2,
+    rows = tuple((levels, columns, _frozen_array(values, np.complex128))
+                 for levels, columns, values in rows)
+    return SpectralData(energies=eig.energies, _rows=rows, state=state, q2_expect=q2,
                         delta=delta, w_s=w_s, w_chi=w_chi, line_span=span, _weight=weight)
 
 
-def _merge_lines(energies: np.ndarray, abs_sq: np.ndarray, p: np.ndarray):
+def _merge_lines(energies: np.ndarray, abs_sq, p: np.ndarray):
     """Merge the level pairs of ascending ``energies`` into transition lines.
 
-    w_S and w_chi are as in :mod:`lgqfi.response`; pairs within
-    ``LINE_MERGE_TOL`` of Delta = 0 (and the diagonal) go on the zero line.
-    Returns (delta, w_s, w_chi, line_span).
+    ``abs_sq`` holds the |Q_nm|^2 as the row stacks of
+    :func:`~lgqfi.linalg._eigen_rows`; pairs outside them carry no weight
+    and are left out.  w_S and w_chi are as in :mod:`lgqfi.response`; pairs
+    within ``LINE_MERGE_TOL`` of Delta = 0 (and the diagonal) go on the zero
+    line.  Returns (delta, w_s, w_chi, line_span).
     """
-    upper = np.triu(np.ones(abs_sq.shape, dtype=bool), 1)
-    deltas = (energies[None, :] - energies[:, None])[upper]
-    pair_sq = abs_sq[upper]
-    p_lo, p_hi = (np.broadcast_to(v, abs_sq.shape)[upper] for v in (p[:, None], p[None, :]))
+    columns = []  # per stack: Delta, |Q|^2, p_lo and p_hi of each pair n < m, then p_n |Q_nn|^2
+    for lo, hi, sq in abs_sq:
+        upper, diagonal = lo < hi, lo == hi
+        p_lo, p_hi = (np.broadcast_to(p[i], sq.shape) for i in (lo, hi))
+        columns.append([(energies[hi] - energies[lo])[upper], sq[upper], p_lo[upper],
+                        p_hi[upper], p_lo[diagonal] * sq[diagonal]])
+    # one stack (one block) is used as it is: no copy
+    deltas, pair_sq, p_lo, p_hi, diag = (c[0] if len(c) == 1 else np.concatenate(c)
+                                         for c in zip(*columns))
     zero = deltas <= LINE_MERGE_TOL
-    w_s_zero = float(np.sum(p * np.diag(abs_sq)))
+    w_s_zero = float(np.sum(diag))
     w_s_zero += float(np.sum((p_lo[zero] + p_hi[zero]) * pair_sq[zero]))
     span = float(np.max(deltas[zero], initial=0.0))
 
     pair_ws, pair_wchi = p_lo * pair_sq, -math.pi * (p_lo - p_hi) * pair_sq
-    del upper, pair_sq, p_lo, p_hi
+    del columns, pair_sq, p_lo, p_hi
     # zero-line frequencies sort first, so the positive pairs are the tail
     pos = np.argsort(deltas, kind="stable")[np.count_nonzero(zero):]
     pairs = [deltas[pos], pair_ws[pos], pair_wchi[pos]]
@@ -303,7 +319,7 @@ def qfi(sd: SpectralData) -> float:
     Terms with p_n + p_m <= 1e-14 are skipped (numerically empty support).
     Postconditions 0 <= F_Q <= 4 <Q^2> are enforced.
     """
-    total = float(np.sum(f_terms(sd)))
+    total = float(sum(np.sum(f) for _, _, f in _f_stacks(sd)))
     if total < -1e-12 or total > 4.0 * sd.q2_expect + 1e-9:
         raise InvariantViolation(
             f"QFI value {total} outside [0, 4 <Q^2>] with <Q^2> = {sd.q2_expect}"
@@ -317,13 +333,18 @@ def f_terms(sd: SpectralData) -> np.ndarray:
     Returns the matrix f_nm = 2 (p_n - p_m)^2 / (p_n + p_m) |Q_nm|^2 (zero
     where the weight sum is numerically empty); F_Q is its total sum.
     """
-    p = sd.state.weights
-    p_sum = p[:, None] + p[None, :]
-    p_diff = p[:, None] - p[None, :]
-    abs_sq = np.abs(sd.elements) ** 2
-    out = np.zeros_like(p_sum)
-    mask = p_sum > WEIGHT_FLOOR
-    out[mask] = 2.0 * (p_diff[mask] ** 2 / p_sum[mask]) * abs_sq[mask]
+    return _dense(sd.dim, _f_stacks(sd))
+
+
+def _f_stacks(sd: SpectralData) -> list:
+    """The f_nm of :func:`f_terms` on each row stack of ``sd``."""
+    p, out = sd.state.weights, []
+    for levels, columns, elements in sd._rows:
+        p_sum, p_diff = p[levels] + p[columns], p[levels] - p[columns]
+        f = np.zeros_like(p_sum)
+        mask = p_sum > WEIGHT_FLOOR
+        f[mask] = 2.0 * (p_diff[mask] ** 2 / p_sum[mask]) * (np.abs(elements) ** 2)[mask]
+        out.append((levels, columns, f))
     return out
 
 
@@ -334,12 +355,14 @@ def qfi_pure(psi: np.ndarray, q: Operator | np.ndarray) -> float:
     :class:`~lgqfi.linalg.Operator` or a raw Hermitian matrix.
     """
     psi = np.asarray(psi, dtype=np.complex128)
-    matrix = q.matrix if isinstance(q, Operator) else np.asarray(q, dtype=np.complex128)
-    if psi.ndim != 1 or matrix.shape != (psi.size, psi.size):
+    q = q if isinstance(q, Operator) else Operator(q)
+    if psi.ndim != 1 or q.dim != psi.size:
         raise ValueError(f"qfi_pure takes a state vector and a matching square observable, "
-                         f"got shapes {psi.shape} and {matrix.shape}")
+                         f"got a state of shape {psi.shape} and a dim-{q.dim} observable")
     psi = _state(psi, psi.size)
-    q_psi = matrix @ psi
+    q_psi = np.empty_like(psi)
+    for rows, blocks in q.groups:  # Q psi block by block
+        q_psi[rows] = (blocks @ psi[rows][..., None])[..., 0]
     mean = float(np.real(np.vdot(psi, q_psi)))
     second = float(np.real(np.vdot(q_psi, q_psi)))
     return 4.0 * (second - mean * mean)

@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from lgqfi.bounds import best_bound
+import lgqfi.cli
 from lgqfi.cli import RunConfig, _report_cells, main
 from lgqfi.errors import InvariantViolation
 from lgqfi.kernels import Y_CRIT
 from lgqfi.linalg import Eigensystem
-from lgqfi.models import build_ghz
+from lgqfi.models import BYTES_PER_ENTRY, MEMORY_CEILING, build_ghz
 from lgqfi.spectral import make_state, spectral_data
 
 
@@ -795,3 +796,33 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# lgqfi ")
+
+
+def test_main_calls_share_one_parser(capsys):
+    lgqfi.cli._build_parser.cache_clear()
+    assert main(["gamma-table", "--points", "3"]) == 0
+    assert main(["gamma-table", "--points", "4"]) == 0
+    info = lgqfi.cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    capsys.readouterr()
+    assert main(["gamma-table", "--points", "many"]) == 1
+    assert "--points must be an integer" in capsys.readouterr().err
+    assert lgqfi.cli._build_parser.cache_info().misses == 1
+
+
+def test_ghz_over_the_memory_ceiling_fails_fast(tmp_path, capsys):
+    # 2^40 states: the estimate from the 2 x 2 block sizes refuses them before any array exists
+    import tracemalloc
+
+    cfg = _write_config(tmp_path, _certify_doc(
+        model={"kind": "ghz", "params": {"n": 40, "j": 1.0, "omega": 0.5}}))
+    tracemalloc.start()
+    try:
+        assert main(["certify", "--config", cfg]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert "invalid model: a chain of 40 sites needs about" in err
+    assert f"{BYTES_PER_ENTRY * 2**41:.3g} bytes" in err and f"{MEMORY_CEILING:.3g} bytes" in err
+    assert peak < 2**20

@@ -466,3 +466,21 @@ def test_one_row_maxima_stop_within_nine_kernel_evaluations(monkeypatch):
             gamma_batch(family, [y])
             counts.append(len(calls))
         assert max(counts) <= 9, (family, max(counts))
+
+
+def test_only_h_takes_the_quarter_window_and_the_closed_form(monkeypatch):
+    # 1 - 2 cos x + cos 2x = 2 cos x (cos x - 1): an m = 2 vector other than h,
+    # <= 0 on (0, pi/2] and largest (4) at x = pi
+    vector = ((0, 1), (1, -2), (2, 1))
+    coefficients = lgqfi.kernels._coefficients
+    monkeypatch.setattr(lgqfi.kernels, "_coefficients",
+                        lambda family: vector if family == 7 else coefficients(family))
+    assert lgqfi.kernels._plan(vector)[1][-1] == pytest.approx(2.0 * math.pi, rel=1e-15)
+    ys = [0.3, Y_CRIT, 2.0, 40.0]
+    for r in gamma_batch(7, ys):
+        assert r.method == "numeric"
+        assert math.pi / 2.0 < r.argmax_x <= 2.0 * math.pi
+        # at least the kernel's value at x = pi, never the closed form of h
+        assert r.value >= (1.0 - 1e-12) / math.tanh(math.pi / r.y) ** 2
+        assert r.value != r.y * r.y / 4.0
+    assert [r.value for r in gamma_batch(3, ys)] == [gamma(y).value for y in ys]

@@ -279,3 +279,40 @@ def test_validation_failure_names_dimension(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", bad_eigh)
     with pytest.raises(NumericsError, match="dim-4"):
         hermitian_eig(op)
+
+
+def test_block_form_operator_and_its_dense_view():
+    rows = np.array([[3, 0], [1, 2]])
+    blocks = np.array([[[1.0, 0.5j], [-0.5j, -1.0]], [[2.0, 0.25], [0.25, 0.0]]])
+    op = Operator(blocks=[(rows, blocks), (np.array([[4]]), np.array([[[7.0]]]))])
+    assert op.dim == 5 and op.max_abs == 7.0 and op.diagonal is None
+    dense = np.zeros((5, 5), complex)
+    dense[np.ix_([3, 0], [3, 0])], dense[np.ix_([1, 2], [1, 2])] = blocks
+    dense[4, 4] = 7.0
+    assert np.array_equal(op.matrix, dense) and not op.matrix.flags.writeable
+    assert operator_norm(op) == pytest.approx(7.0, abs=1e-15)
+    diag = Operator.from_diagonal([0.5, -1.0, 2.0])
+    assert np.array_equal(diag.matrix, np.diag([0.5, -1.0, 2.0]))
+    assert diag.diagonal.tolist() == [0.5, -1.0, 2.0]
+    with pytest.raises(ValueError, match="partition"):
+        Operator(blocks=[(np.array([[0, 1], [1, 2]]), np.zeros((2, 2, 2)))])
+    skewed = blocks.copy()
+    skewed[1, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="Hermitian"):
+        Operator(blocks=[(rows, skewed), (np.array([[4]]), np.array([[[7.0]]]))])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_form_eigensystem_is_bitwise_its_dense_twin(seed):
+    # blocks on ascending rows, given in a shuffled order: the eigensolve of the dense
+    # matrix finds the same blocks, so every energy and vector keeps its bits
+    dense = _block_diagonal_case(seed)
+    _, labels = scipy.sparse.csgraph.connected_components(dense != 0, directed=False)
+    components = [np.flatnonzero(labels == c) for c in np.random.default_rng(seed).permutation(
+        labels.max() + 1)]
+    op = Operator(blocks=[(np.array([c for c in components if c.size == k]),
+                           np.array([dense[np.ix_(c, c)] for c in components if c.size == k]))
+                          for k in {c.size for c in components}])
+    block, twin = hermitian_eig(op), hermitian_eig(Operator(dense))
+    assert block.energies.tobytes() == twin.energies.tobytes()
+    assert block.basis.tobytes() == twin.basis.tobytes()

@@ -8,9 +8,11 @@ import math
 import numpy as np
 import pytest
 
+import lgqfi.models
 from lgqfi.linalg import hermitian_eig, operator_norm
 from lgqfi.models import (
     MAX_SITES,
+    MEMORY_CEILING,
     ModelSpec,
     build_collective,
     build_ghz,
@@ -141,6 +143,29 @@ def test_ghz_matches_kron(n):
     ham, q = build_ghz(n, j, omega)
     np.testing.assert_allclose(ham.matrix, _kron_ghz(n, j, omega), atol=1e-13)
     np.testing.assert_allclose(q.matrix, _kron_collective(n), atol=1e-15)
+
+
+def test_ghz_builds_two_by_two_blocks_above_the_dense_cap():
+    n = MAX_SITES + 2
+    ham, q = build_ghz(n, 1.0, 0.4)
+    ((rows, blocks),) = ham.groups
+    assert rows.shape == (2 ** (n - 1), 2) and (rows.sum(axis=1) == 2 ** n - 1).all()
+    assert (blocks[:, 0, 1] == 0.2).all() and (blocks[:, 0, 0] == blocks[:, 1, 1]).all()
+    assert q.diagonal is not None and q.diagonal[0] == 1.0 and q.diagonal[-1] == -1.0
+    eig = hermitian_eig(ham)
+    assert eig.energies[0] == pytest.approx(-(n - 1) - 0.2, abs=1e-12)
+
+
+def test_builders_refuse_chains_over_the_memory_ceiling():
+    with pytest.raises(ValueError, match="above the memory ceiling") as info:
+        build_ghz(24, 1.0, 0.4)
+    assert f"{MEMORY_CEILING:.3g} bytes" in str(info.value)
+    for build in (build_collective, ghz_state):
+        with pytest.raises(ValueError, match="memory ceiling"):
+            build(40)
+    # the largest chains the estimate admits, checked without building them
+    assert lgqfi.models._sites(MAX_SITES, dense=True) == MAX_SITES
+    assert lgqfi.models._sites(23, dense=False) == 23
 
 
 def test_ghz_effective_matrices():

@@ -18,8 +18,10 @@ from conftest import (
     random_unit_observable,
 )
 from lgqfi.errors import InvariantViolation
-from lgqfi.linalg import Operator, hermitian_eig
+from lgqfi.bounds import best_bound
+from lgqfi.linalg import Eigensystem, Operator, hermitian_eig
 from lgqfi.models import build_collective, build_qubit, build_tfim, ghz_state
+from lgqfi.response import fsum_upper
 from lgqfi.spectral import (
     LINE_MERGE_TOL,
     _pair_correlator,
@@ -350,3 +352,47 @@ def test_weight_mismatch_raises_invariant_violation():
     object.__setattr__(state, "weights", np.array([0.9, 0.3]))
     with pytest.raises(InvariantViolation):
         spectral_data(eig, Operator(np.eye(2) * 0.5), state)
+
+
+def _permuted_block_hamiltonian(rng):
+    """Random Hermitian blocks of sizes 1-4 on randomly permuted index groups, in block form."""
+    sizes = rng.integers(1, 5, size=7)
+    rows = np.split(rng.permutation(int(sizes.sum())), np.cumsum(sizes)[:-1])
+    return Operator(blocks=[(np.array([r for r in rows if r.size == k]),
+                             np.array([random_hermitian(rng, k) for r in rows if r.size == k]))
+                            for k in np.unique(sizes)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("diagonal_q", [True, False], ids=["diagonal-q", "dense-q"])
+@pytest.mark.parametrize("state", [{"beta": 0.6}, {"beta": 4.0}, {"index": 0}, {"index": 3}],
+                         ids=["beta0.6", "beta4", "pure0", "pure3"])
+def test_block_form_matches_dense_eigensystem(seed, diagonal_q, state):
+    rng = np.random.default_rng(900 + seed)
+    h = _permuted_block_hamiltonian(rng)
+    q = (Operator.from_diagonal(rng.uniform(-1.0, 1.0, h.dim)) if diagonal_q
+         else Operator(random_unit_observable(rng, h.dim)))
+    block = hermitian_eig(h)
+    assert len(block.groups) > 1 or len(block.groups[0][0]) > 1
+    dense = Eigensystem(*np.linalg.eigh(h.matrix))
+    sds = [spectral_data(eig, q, make_state(eig, **state)) for eig in (block, dense)]
+    close = dict(rel=1e-12, abs=1e-12)
+
+    # the lines that carry weight; the dense ones also hold the pairs no block couples
+    lines = []
+    for sd in sds:
+        keep = np.maximum(sd.w_s, np.abs(sd.w_chi)) > 1e-20
+        keep[0] = True
+        lines.append(np.stack([sd.delta, sd.w_s, sd.w_chi])[:, keep])
+    assert lines[0].shape == lines[1].shape
+    assert lines[0].ravel().tolist() == pytest.approx(lines[1].ravel().tolist(), **close)
+    taus = np.array([0.05, 0.4, 1.3, 3.0, 7.5])
+    for k in range(1, 5):
+        assert correlator(sds[0], k * taus).tolist() == pytest.approx(
+            correlator(sds[1], k * taus).tolist(), **close)
+    assert qfi(sds[0]) == pytest.approx(qfi(sds[1]), **close)
+    if "beta" in state:
+        assert fsum_upper(sds[0]) == pytest.approx(fsum_upper(sds[1]), **close)
+    best = [best_bound(sd, taus.tolist(), kp=(3, 4, 5)) for sd in sds]
+    assert best[0].value == pytest.approx(best[1].value, **close)
+    assert best[0].tau == best[1].tau
