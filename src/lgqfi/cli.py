@@ -391,13 +391,14 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(args.config)
 
 
-def _instantiate(spec: ModelSpec, *, beta: float | None = None,
-                 index: int | None = None, config_path: str | None = None):
+def _instantiate(spec: ModelSpec, *, beta: float | None = None, index: int | None = None,
+                 config_path: str | None = None, dense: bool = False):
     """Build (H, Q, eigensystem, state, spectral data) for one model spec.
 
-    The state is thermal at ``beta`` or pure on level ``index``.  Model and
-    state errors become ``ConfigError``: prefixed with ``config_path`` for
-    config runs, with the builder's message alone for preset commands.
+    The state is thermal at ``beta`` or pure on level ``index``, and ``dense``
+    goes to :func:`~lgqfi.models.build_model`.  Model and state errors become
+    ``ConfigError``: prefixed with ``config_path`` for config runs, with the
+    builder's message alone for preset commands.
     """
     def fail(what: str, exc: ValueError) -> ConfigError:
         if config_path is None:
@@ -405,7 +406,7 @@ def _instantiate(spec: ModelSpec, *, beta: float | None = None,
         return ConfigError(f"{config_path}: invalid {what}: {exc}")
 
     try:
-        h_op, q_op = build_model(spec)
+        h_op, q_op = build_model(spec, dense=dense)
         eig = hermitian_eig(h_op)
     except ValueError as exc:
         raise fail("model", exc) from exc
@@ -557,7 +558,7 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     if cfg.protocol is None:
         raise ConfigError(f"{cfg.path}: 'protocol' requires a 'protocol' block")
     _, q_op, eig, state, sd = _instantiate(
-        cfg.model_spec, beta=cfg.beta, index=cfg.index, config_path=cfg.path)
+        cfg.model_spec, beta=cfg.beta, index=cfg.index, config_path=cfg.path, dense=True)
     inst = ProtocolInstance(eig, q_op, state)
 
     tau, shots, widths, coupling = (cfg.protocol[key]

@@ -129,7 +129,9 @@ def _plan(a: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray, np.nd
     row = np.array([-0.5 * sum(ak * k * k for k, ak in a), sum(ak * k ** 4 for k, ak in a) / 24.0,
                     *(float(sum(abs(ak) * k ** j for k, ak in a)) for j in (0, 1, 2)),
                     *(v for k, ak in a if k for v in (-2.0 * ak, 0.5 * k))])
-    cause = {1: "gamma_tilde"}.get(k_max, "gamma" if a == _H else f"gamma_p with p = {k_max + 1}")
+    p = k_max + 1  # a vector of no named family is named by its coefficients
+    cause = ("gamma_tilde" if k_max == 1 else "gamma" if a == _H else f"gamma_p with p = {p}"
+             if p > 3 and a == _coefficients(p) else f"the family with vector {a}")
     xs = _grid(2.0 * math.pi * turns, k_max * turns, cause)
     osc = _osc(xs, row[5:, None])
     row.flags.writeable = xs.flags.writeable = osc.flags.writeable = False

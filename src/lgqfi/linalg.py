@@ -48,6 +48,25 @@ def _frozen_array(values: np.ndarray, dtype: type) -> np.ndarray:
     return out
 
 
+def _immutable(self, name: str, *value: object) -> None:
+    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """A matrix or stack ``m`` as ``A/2 + A^dag/2``, read-only, once every entry is finite
+    and Hermiticity holds entrywise within ``HERMITICITY_TOL``."""
+    with np.errstate(invalid="ignore"):
+        deviation = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0))
+    # a NaN or inf entry makes its own deviation NaN or inf
+    if not np.isfinite(deviation):
+        raise ValueError("matrix has a non-finite (NaN or inf) entry")
+    if deviation > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |A_ij - conj(A_ji)| = "
+                         f"{deviation:.3e} exceeds {HERMITICITY_TOL:.1e}")
+    sym = m / 2.0  # halved first: entries near the float maximum cannot overflow
+    return _frozen_array(np.add(sym, sym.conj().swapaxes(-1, -2), out=sym), np.complex128)
+
+
 class Operator:
     """An immutable Hermitian operator in block form.
 
@@ -55,48 +74,40 @@ class Operator:
     groups ``rows`` (b, k) partition range(dim), ``blocks`` (b, k, k) are the
     entries on them, and every other entry is zero.  ``Operator(matrix)`` is
     a dense matrix as one block, ``Operator(blocks=[(rows, blocks), ...])``
-    any block form.  The constructor rejects non-finite entries, validates
-    Hermiticity entrywise (tolerance ``HERMITICITY_TOL``) and stores each
-    block exactly symmetrized, ``A/2 + A^dag/2``, read-only, so every
-    downstream routine can rely on exact Hermiticity.
+    any block form, and :attr:`matrix` the dense view of either.  The
+    constructor rejects non-finite entries, validates Hermiticity entrywise
+    (tolerance ``HERMITICITY_TOL``) and stores each block exactly
+    symmetrized, ``A/2 + A^dag/2``, read-only, so every downstream routine
+    can rely on exact Hermiticity.
     """
 
+    __setattr__ = __delattr__ = _immutable
+
     def __init__(self, matrix: np.ndarray | None = None, *, blocks=None) -> None:
-        dense = blocks is None
-        if dense:
+        if blocks is None:
             m = np.asarray(matrix, dtype=np.complex128)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
-            blocks = [(np.arange(m.shape[0])[None], m[None])]
+            if m.shape[0] < 1:
+                raise ValueError("operator dimension must be at least 1")
+            every = _frozen_array(np.arange(m.shape[0])[None], np.intp)
+            self.__dict__.update(groups=((every, _symmetrized(m)[None]),), dim=m.shape[0])
+            return
         groups = []
         for rows, m in blocks:
             rows, m = np.asarray(rows, dtype=np.intp), np.asarray(m, dtype=np.complex128)
             if rows.ndim != 2 or m.shape != rows.shape + rows.shape[1:]:
                 raise ValueError(f"blocks of shape {m.shape} do not fit index groups {rows.shape}")
-            with np.errstate(invalid="ignore"):
-                deviation = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0))
-            # a NaN or inf entry makes its own deviation NaN or inf
-            if not np.isfinite(deviation):
-                raise ValueError("matrix has a non-finite (NaN or inf) entry")
-            if deviation > HERMITICITY_TOL:
-                raise ValueError(f"matrix is not Hermitian: max |A_ij - conj(A_ji)| = "
-                                 f"{deviation:.3e} exceeds {HERMITICITY_TOL:.1e}")
-            sym = m / 2.0  # halved first: entries near the float maximum cannot overflow
-            np.add(sym, sym.conj().swapaxes(-1, -2), out=sym)
-            if not dense and len(blocks) == len(rows) == 1:
-                # one block goes in index order: its rows are then also its levels
-                # (hermitian_eig), and its values are the dense matrix (_dense)
+            if len(blocks) == len(rows) == 1:  # one block goes in index order
                 order = np.argsort(rows[0])
-                rows, sym = rows[:, order], sym[:, order[:, None], order]
-            groups.append((_frozen_array(rows, np.intp), _frozen_array(sym, np.complex128)))
-        self.groups, self.dim = tuple(groups), sum(rows.size for rows, _ in groups)
-        if self.dim < 1:
+                rows, m = rows[:, order], m[:, order[:, None], order]
+            groups.append((_frozen_array(rows, np.intp), _symmetrized(m)))
+        dim = sum(rows.size for rows, _ in groups)
+        if dim < 1:
             raise ValueError("operator dimension must be at least 1")
-        if dense:  # the one block is the matrix
-            self.__dict__["matrix"] = groups[0][1][0]
-        elif (np.bincount(np.concatenate([r.ravel() for r, _ in groups]),
-                          minlength=self.dim) != 1).any():
-            raise ValueError(f"block index groups must partition range({self.dim})")
+        if (np.bincount(np.concatenate([r.ravel() for r, _ in groups]), minlength=dim) != 1).any():
+            raise ValueError(f"block index groups must partition range({dim})")
+        self.__dict__.update(groups=tuple(groups), dim=dim)
 
     @classmethod
     def from_diagonal(cls, values) -> Operator:
@@ -136,15 +147,14 @@ class Eigensystem:
     block, and :attr:`basis` is the dense view of any eigensystem.
     """
 
+    __setattr__ = __delattr__ = _immutable
+
     def __init__(self, energies: np.ndarray, basis: np.ndarray | None = None, *,
                  groups: tuple | None = None) -> None:
-        self.energies, self.dim = energies, energies.shape[0]
         if groups is None:
-            every = np.arange(self.dim)[None]
+            every = np.arange(energies.shape[0])[None]
             groups = ((every, basis[None], every),)
-        if len(groups) == 1 and len(groups[0][0]) == 1:  # one block: rows and levels in order
-            self.__dict__["basis"] = groups[0][1][0]
-        self.groups = groups
+        self.__dict__.update(energies=energies, dim=energies.shape[0], groups=groups)
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -154,8 +164,8 @@ class Eigensystem:
 
 def _dense(dim: int, parts) -> np.ndarray:
     """The dim x dim array with ``out[rows, columns] = values`` for each ``(rows,
-    columns, values)`` part, zero elsewhere, read-only.  One part on every entry
-    is one block, whose rows and columns are in order: its values are returned."""
+    columns, values)`` part, zero elsewhere, read-only.  One part on every entry is
+    one block, held in index order (a block's levels ascend): its values are returned."""
     if len(parts) == 1 and parts[0][2].size == dim * dim:
         return parts[0][2].reshape(dim, dim)
     out = np.zeros((dim, dim), dtype=parts[0][2].dtype)
@@ -245,9 +255,9 @@ def hermitian_eig(op: Operator) -> Eigensystem:
         rows, matrix = groups[0][0][0], groups[0][1][0]
         labels = _components(matrix)
         if not labels.any():  # one block: its energies ascend, its rows and levels in order
-            energies, vectors = _solve_blocks(op, groups[0][1])
-            return Eigensystem(_frozen_array(energies[0], np.float64), groups=(
-                (groups[0][0], _frozen_array(vectors, np.complex128), groups[0][0]),))
+            energies, vectors = _solve_blocks(op, matrix)
+            return Eigensystem(_frozen_array(energies, np.float64), groups=((
+                groups[0][0], _frozen_array(vectors[None], np.complex128), groups[0][0]),))
         # members[starts[c] + j] is component c's j-th index, components by smallest index;
         # counted with bincount: np.unique would import numpy.ma, half a MB
         sizes = np.bincount(labels, minlength=op.dim)[labels == np.arange(op.dim)]
@@ -299,16 +309,16 @@ def _state(rho: object, dim: int) -> np.ndarray:
     return rho
 
 
-def _eigen_rows(op: Operator, eig: Eigensystem) -> tuple[list, float]:
+def _eigen_rows(op: Operator, eig: Eigensystem) -> tuple[tuple, float]:
     """``op`` in the eigenbasis of ``eig`` as row stacks, and its Hermiticity loss.
 
     A row stack ``(levels, columns, values)`` holds Q_nm at the rows
     ``levels`` (r, 1) and the column levels ``columns`` (r, k, or 1, k when
-    shared), rows in level order; entries outside the stacks are zero.  A
-    diagonal ``op`` couples each block only to itself, so each block size
-    gives one stack of k entries per level, at the cost of sum_A d_A^3.  Any
-    other ``op`` is one dense stack ``V^dag Q V``.  The Hermiticity loss is
-    ``max |Q_nm - conj(Q_mn)|``.
+    shared), rows in level order, values read-only; entries outside the
+    stacks are zero.  A diagonal ``op`` couples each block only to itself, so
+    each block size gives one stack of k entries per level, at the cost of
+    sum_A d_A^3.  Any other ``op`` is one dense stack ``V^dag Q V``.  The
+    Hermiticity loss is ``max |Q_nm - conj(Q_mn)|``.
     """
     if op.dim != eig.dim:
         raise ValueError(
@@ -317,19 +327,19 @@ def _eigen_rows(op: Operator, eig: Eigensystem) -> tuple[list, float]:
     diagonal = op.diagonal
     if diagonal is None:
         every, values = np.arange(eig.dim), eig.basis.conj().T @ op.matrix @ eig.basis
-        return ([(every[:, None], every[None], values)],
+        return (((every[:, None], every[None], _frozen_array(values, np.complex128)),),
                 float(np.max(np.abs(values - values.conj().T))))
     stacks, deviation = [], 0.0
     for rows, v, levels in eig.groups:  # V_A^dag diag(d_A) V_A as one scaled product per block
         values = (v.conj().swapaxes(-1, -2) * diagonal[rows][:, None, :]) @ v
         deviation = max(deviation, float(np.max(np.abs(values - values.conj().swapaxes(-1, -2)))))
         if len(rows) == 1:  # one block: its levels ascend
-            stacks.append((levels.T, levels, values[0]))
+            stacks.append((levels.T, levels, _frozen_array(values[0], np.complex128)))
         else:  # + 0.0 is the dense product's -0.0 + 0.0 = 0.0
             order, k = np.argsort(levels.ravel()), rows.shape[1]
             stacks.append((levels.reshape(-1, 1)[order], np.repeat(levels, k, axis=0)[order],
-                           values.reshape(-1, k)[order] + 0.0))
-    return stacks, deviation
+                           _frozen_array(values.reshape(-1, k)[order] + 0.0, np.complex128)))
+    return tuple(stacks), deviation
 
 
 def to_eigenbasis(op: Operator, eig: Eigensystem) -> np.ndarray:

@@ -314,13 +314,15 @@ class ModelSpec:
     observable: str = "default"
 
 
-def build_model(spec: ModelSpec) -> tuple[Operator, Operator]:
+def build_model(spec: ModelSpec, *, dense: bool = False) -> tuple[Operator, Operator]:
     """Instantiate ``(H, Q)`` from a :class:`ModelSpec`.
 
     Raises ``ValueError`` on unknown kinds, unknown parameters, or parameter
     values outside the documented ranges.  For 'tfim' specs a nonzero
     transverse field is required (the h = 0 chain has no dynamics for Q and
-    is only reachable through the direct builder call).
+    is only reachable through the direct builder call).  ``dense`` holds a
+    'ghz' chain to tfim's cap and estimate, for callers that build dense
+    dim x dim views of the model (protocols).
     """
     params = dict(spec.params)
     if spec.kind != "ghz" and spec.observable != "default":
@@ -362,7 +364,7 @@ def build_model(spec: ModelSpec) -> tuple[Operator, Operator]:
         pair = build_tfim(n, j, h, boundary=boundary, site=integer("site", required=False))
     elif spec.kind == "ghz":
         n, j, omega = integer("n"), real("j"), real("omega")
-        ham, q = build_ghz(n, j, omega)
+        ham, q = build_ghz(_sites(n, dense=True) if dense else n, j, omega)
         if spec.observable == "collective_rescaled":
             q = build_collective(n)[1]
         elif spec.observable not in ("default", "collective"):

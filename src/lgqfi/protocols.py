@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import InvariantViolation, _finite, _integer, _positive
 from .linalg import Eigensystem, Operator, _state, hermitian_eig, to_eigenbasis
+from .models import MAX_SITES
 from .spectral import StationaryState
 
 __all__ = [
@@ -151,6 +152,7 @@ class ProtocolInstance:
     grouped into ``outcomes`` by column indices ``members``), the state and
     Q in H's basis (``rho_h``, ``q_h``), ``rho_ov = rho_h V^+ W`` and the
     state in Q's basis (``rho_w``), and a stationary state's ``weights`` (else None).
+    These are dense dim x dim arrays, so dim is capped at 2^MAX_SITES (a ``ValueError``).
     """
 
     h_eig: Eigensystem
@@ -167,7 +169,11 @@ class ProtocolInstance:
     weights: np.ndarray | None = field(init=False)
 
     def __post_init__(self, rho: np.ndarray | StationaryState) -> None:
-        dim, v = self.h_eig.dim, self.h_eig.basis
+        dim = self.h_eig.dim
+        if dim > 2 ** MAX_SITES:
+            raise ValueError(f"a protocol instance holds dense dim x dim arrays: dim {dim} is "
+                             f"above 2^{MAX_SITES} = {2 ** MAX_SITES}")
+        v = self.h_eig.basis
         if dim != self.q.dim:
             raise ValueError(f"H has dimension {dim} but Q has dimension {self.q.dim}")
         q_eig = hermitian_eig(self.q)

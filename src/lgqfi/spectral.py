@@ -195,8 +195,6 @@ def spectral_data(eig: Eigensystem, q: Operator, state: StationaryState) -> Spec
     weight = 2.0 * w_s + w_chi / math.pi
     weight[0] = w_s[0]
     delta, w_s, w_chi, weight = (_frozen_array(a, np.float64) for a in (delta, w_s, w_chi, weight))
-    rows = tuple((levels, columns, _frozen_array(values, np.complex128))
-                 for levels, columns, values in rows)
     return SpectralData(energies=eig.energies, _rows=rows, state=state, q2_expect=q2,
                         delta=delta, w_s=w_s, w_chi=w_chi, line_span=span, _weight=weight)
 

@@ -826,3 +826,21 @@ def test_ghz_over_the_memory_ceiling_fails_fast(tmp_path, capsys):
     assert "invalid model: a chain of 40 sites needs about" in err
     assert f"{BYTES_PER_ENTRY * 2**41:.3g} bytes" in err and f"{MEMORY_CEILING:.3g} bytes" in err
     assert peak < 2**20
+
+
+def test_protocol_holds_ghz_to_the_dense_cap(tmp_path, capsys):
+    # certify runs a 16-site GHZ chain in block form, but protocols build dense
+    # dim x dim views: the run is refused before any array exists
+    import tracemalloc
+
+    doc = _protocol_doc()
+    doc["model"] = {"kind": "ghz", "params": {"n": 16, "j": 1.0, "omega": 0.5}}
+    cfg = _write_config(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        assert main(["protocol", "--config", cfg]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "invalid model: number of sites" in capsys.readouterr().err
+    assert peak < 2**20

@@ -476,6 +476,9 @@ def test_only_h_takes_the_quarter_window_and_the_closed_form(monkeypatch):
     monkeypatch.setattr(lgqfi.kernels, "_coefficients",
                         lambda family: vector if family == 7 else coefficients(family))
     assert lgqfi.kernels._plan(vector)[1][-1] == pytest.approx(2.0 * math.pi, rel=1e-15)
+    assert lgqfi.kernels._plan(vector)[3] == f"the family with vector {vector}"
+    assert [lgqfi.kernels._plan(coefficients(p))[3] for p in ("tilde", 3, 4)] == [
+        "gamma_tilde", "gamma", "gamma_p with p = 4"]
     ys = [0.3, Y_CRIT, 2.0, 40.0]
     for r in gamma_batch(7, ys):
         assert r.method == "numeric"

@@ -300,6 +300,29 @@ def test_block_form_operator_and_its_dense_view():
     skewed[1, 0, 1] = 1.0
     with pytest.raises(ValueError, match="Hermitian"):
         Operator(blocks=[(rows, skewed), (np.array([[4]]), np.array([[[7.0]]]))])
+    eig = hermitian_eig(op)
+    for obj, name in ((op, "groups"), (op, "dim"), (op, "matrix"), (eig, "energies"),
+                      (eig, "basis")):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(obj, name, None)
+    with pytest.raises(AttributeError, match="immutable"):
+        del op.groups
+
+
+def test_one_block_on_permuted_indices():
+    # a single explicit block in any index order: the dense views put it in place
+    rng = np.random.default_rng(3)
+    dense = random_hermitian(rng, 5)
+    order = rng.permutation(5)
+    op = Operator(blocks=[(order[None], dense[np.ix_(order, order)][None])])
+    assert np.array_equal(op.matrix, dense)
+    block, twin = hermitian_eig(op), hermitian_eig(Operator(dense))
+    assert np.allclose(block.energies, twin.energies, rtol=0.0, atol=1e-12)
+    assert np.allclose(block.basis @ np.diag(block.energies) @ block.basis.conj().T, dense,
+                       rtol=0.0, atol=1e-12)
+    q = Operator.from_diagonal(rng.uniform(-1.0, 1.0, 5))
+    assert np.allclose(np.abs(to_eigenbasis(q, block)), np.abs(to_eigenbasis(q, twin)),
+                       rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -614,3 +614,17 @@ def test_noisy_readout_validation():
     with pytest.raises(ValueError):
         noisy_readout_correlator(np.ones(10), np.ones(10), 0.1, seed=0,
                                  noise=(np.ones(9), np.ones(10)))
+
+
+def test_protocol_instance_refuses_dims_above_the_dense_cap():
+    # 2^13 levels solve in block form; the instance refuses them before any dense view
+    h, q = build_ghz(13, 1.0, 0.5)
+    eig = hermitian_eig(h)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dim 8192 is above 2\\^12 = 4096"):
+            ProtocolInstance(eig, q, make_state(eig, beta=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
