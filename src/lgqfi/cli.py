@@ -570,7 +570,7 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
 
     mc = projective_mc(inst, 0.0, tau, shots, seed)
     c_01 = mc.exact_ref  # the (0, tau) joint distribution's correlator, computed once
-    c_12 = projective_joint(inst, tau, 2.0 * tau).correlator()
+    c_12 = c_01  # a stationary state (make_state): the (tau, 2 tau) joint is the (0, tau) one
     c_02 = projective_joint(inst, 0.0, 2.0 * tau).correlator()
     k_value = c_01 + c_12 - c_02
 

@@ -74,25 +74,25 @@ def _sites(n: object, dense: bool, lo: int = 2) -> int:
     return n
 
 
-def _site_signs(n: int, a: int) -> np.ndarray:
-    """sigma^z_a eigenvalue (+1/-1) for every basis index; site 1 is the MSB."""
-    idx = np.arange(2 ** n)
-    bit = (idx >> (n - a)) & 1
-    return 1.0 - 2.0 * bit
+def _site_signs(n: int) -> np.ndarray:
+    """Row a - 1: the sigma^z_a eigenvalue (+1/-1, int8) of every basis index; site 1 is the MSB."""
+    idx, signs = np.arange(2 ** n), np.empty((n, 2 ** n), dtype=np.int8)
+    for a in range(n):
+        signs[a] = 1 - 2 * ((idx >> (n - 1 - a)) & 1)
+    return signs
 
 
-def _ising_bonds(n: int, j: float, periodic: bool = False) -> np.ndarray:
+def _ising_bonds(signs: np.ndarray, j: float, periodic: bool = False) -> np.ndarray:
     """The diagonal of -J sum_a sigma^z_a sigma^z_{a+1} (a ring if ``periodic``)."""
-    signs = [_site_signs(n, a) for a in range(1, n + 1)]
-    diag = np.zeros(2 ** n)
+    n, diag = len(signs), np.zeros(signs.shape[1])
     for a in range(n - 1 + periodic):
         diag -= j * signs[a] * signs[(a + 1) % n]
     return diag
 
 
-def _collective(n: int, divisor: float) -> Operator:
+def _collective(signs: np.ndarray, divisor: float) -> Operator:
     """(1/divisor) sum_a sigma^z_a, diagonal in the computational basis."""
-    return Operator.from_diagonal(sum(_site_signs(n, a) for a in range(1, n + 1)) / divisor)
+    return Operator.from_diagonal(sum(signs) / divisor)
 
 
 def build_qubit(epsilon: float, theta: float) -> tuple[Operator, Operator]:
@@ -135,14 +135,14 @@ def build_tfim(n: int, j: float, h: float, boundary: str = "open",
         )
     site = (n + 1) // 2 if site is None else _integer(site, "site", 1, n)
 
-    dim = 2 ** n
-    ham = np.diag(_ising_bonds(n, j, periodic=boundary == "periodic").astype(np.complex128))
+    dim, signs = 2 ** n, _site_signs(n)
+    ham = np.diag(_ising_bonds(signs, j, periodic=boundary == "periodic").astype(np.complex128))
     if h != 0.0:
         rows = np.arange(dim)
         for a in range(1, n + 1):
             flipped = rows ^ (1 << (n - a))
             ham[rows, flipped] += -h
-    return Operator(ham), Operator.from_diagonal(_site_signs(n, site))
+    return Operator(ham), Operator.from_diagonal(signs[site - 1])
 
 
 def build_ghz(n: int, j: float, omega: float) -> tuple[Operator, Operator]:
@@ -160,12 +160,12 @@ def build_ghz(n: int, j: float, omega: float) -> tuple[Operator, Operator]:
         raise ValueError(f"Ising coupling J must be positive, got {j}")
     if not omega > 0.0:
         raise ValueError(f"collective flip rate Omega must be positive, got {omega}")
-    half = np.arange(2 ** (n - 1))
+    half, signs = np.arange(2 ** (n - 1)), _site_signs(n)  # shared by H and Q
     rows = np.stack([half, half ^ (2 ** n - 1)], axis=1)  # index i < 2^(n-1), its complement
     blocks = np.zeros(rows.shape + (2,), dtype=np.complex128)
-    blocks[:, [0, 1], [0, 1]] = _ising_bonds(n, j)[rows]
+    blocks[:, [0, 1], [0, 1]] = _ising_bonds(signs, j)[rows]
     blocks[:, 0, 1] = blocks[:, 1, 0] = 0.5 * omega
-    return Operator(blocks=[(rows, blocks)]), _collective(n, n)
+    return Operator(blocks=[(rows, blocks)]), _collective(signs, n)
 
 
 def build_ghz_effective(n: int, j: float, omega: float) -> tuple[Operator, Operator]:
@@ -192,8 +192,8 @@ def build_collective(n: int) -> tuple[Operator, Operator]:
     Q_tilde = N Q / 2 is the one whose Fisher information enters the
     entanglement-depth witness (N^2 for a GHZ state).
     """
-    n = _sites(n, dense=False, lo=1)
-    return _collective(n, n), _collective(n, 2.0)
+    signs = _site_signs(_sites(n, dense=False, lo=1))
+    return _collective(signs, len(signs)), _collective(signs, 2.0)
 
 
 def ghz_state(n: int, sign: int = +1) -> np.ndarray:

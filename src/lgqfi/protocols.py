@@ -1,9 +1,9 @@
 """Measurement protocols for temporal correlations.
 
 Every protocol runs on one :class:`ProtocolInstance`, which holds the state
-and Q in H's and Q's eigenbases, where time evolution is a phase per level
-and a projector a block of columns, and the state times the basis overlap
-(``rho_ov``) that measurements at t = 0 reuse.  Three routes to the correlator:
+and Q in H's and Q's eigenbases, where time evolution is a phase per level,
+a projector is a block of columns and a stationary state, which does not
+change in time, is held as its weights.  Three routes to the correlator:
 
 * exact projective statistics: the joint outcome distribution of ideal
   projective measurements of Q at two times, with the correlator read off
@@ -11,7 +11,7 @@ and a projector a block of columns, and the state times the basis overlap
   correlator used throughout the rest of the package.
 * Monte Carlo sampling of the same joint distribution with a counter-based
   generator, so results are reproducible for a fixed seed and independent
-  of shot-evaluation order; sorted blocks of draws are tallied per cdf edge.
+  of shot-evaluation order; each block of draws is tallied per cdf edge.
 * a weak two-meter scheme: both times are read out through Gaussian meters
   of coupling ``lam`` and position spread ``delta_x``; the expectation of
   the product of pointer readings is computed in closed form.  For
@@ -57,6 +57,8 @@ OUTCOME_TOL = 1e-9
 _MAX_SEED = 2**64
 #: Shots drawn per block in ``projective_mc`` (512 KB of uniforms at a time).
 _MC_BLOCK = 1 << 16
+#: Most cdf edges ``projective_mc`` tallies in one pass each; a sort costs about 20-25 passes.
+_EDGE_PASSES = 16
 
 
 @dataclass(frozen=True)
@@ -149,9 +151,10 @@ class ProtocolInstance:
     :class:`~lgqfi.spectral.StationaryState` over ``h_eig``, whose weights
     are rho's diagonal in H's basis.  Made once: the overlap
     ``overlap = V^+ W`` with Q's eigenbasis W (eigenvalues ``q_values``,
-    grouped into ``outcomes`` by column indices ``members``), the state and
-    Q in H's basis (``rho_h``, ``q_h``), ``rho_ov = rho_h V^+ W`` and the
-    state in Q's basis (``rho_w``), and a stationary state's ``weights`` (else None).
+    grouped into ``outcomes`` by column indices ``members``) one block of W
+    at a time, Q in H's basis (``q_h``), the state in Q's basis (``rho_w``),
+    and a stationary state's ``weights`` (else None).  Only a non-stationary
+    state keeps its H-basis ``rho_h`` and ``rho_ov = rho_h V^+ W`` (else None).
     These are dense dim x dim arrays, so dim is capped at 2^MAX_SITES (a ``ValueError``).
     """
 
@@ -162,8 +165,8 @@ class ProtocolInstance:
     members: tuple[np.ndarray, ...] = field(init=False)
     q_values: np.ndarray = field(init=False)
     overlap: np.ndarray = field(init=False)
-    rho_h: np.ndarray = field(init=False)
-    rho_ov: np.ndarray = field(init=False)
+    rho_h: np.ndarray | None = field(init=False)
+    rho_ov: np.ndarray | None = field(init=False)
     q_h: np.ndarray = field(init=False)
     rho_w: np.ndarray = field(init=False)
     weights: np.ndarray | None = field(init=False)
@@ -178,14 +181,17 @@ class ProtocolInstance:
             raise ValueError(f"H has dimension {dim} but Q has dimension {self.q.dim}")
         q_eig = hermitian_eig(self.q)
         outcomes, members = cluster_eigenvalues(q_eig.energies)
-        overlap, weights = v.conj().T @ q_eig.basis, None
-        if isinstance(rho, StationaryState):  # diagonal rho_h: scale by the weights, no product
+        # V^+ W one block of W at a time: a diagonal Q's 1 x 1 blocks gather columns
+        vh, overlap = v.conj().T, np.empty((dim, dim), dtype=np.complex128)
+        for rows, w, levels in q_eig.groups:
+            overlap[:, levels] = (vh[:, rows].transpose(1, 0, 2) @ w).transpose(1, 0, 2)
+        rho_h = rho_ov = weights = None
+        if isinstance(rho, StationaryState):  # diagonal in H's basis: scale by the weights
             weights = _as_weights(rho, dim)
-            rho_h, rho_ov = np.diag(weights.astype(np.complex128)), weights[:, None] * overlap
             rho_w = (overlap.conj().T * weights) @ overlap
         else:
             rho = _state(rho, dim)
-            rho_h = v.conj().T @ (np.outer(rho, rho.conj()) if rho.ndim == 1 else rho) @ v
+            rho_h = vh @ (np.outer(rho, rho.conj()) if rho.ndim == 1 else rho) @ v
             rho_ov, rho_w = rho_h @ overlap, overlap.conj().T @ rho_h @ overlap
         for name, value in (("outcomes", outcomes), ("members", tuple(members)),
                             ("q_values", q_eig.energies), ("overlap", overlap),
@@ -203,28 +209,29 @@ def projective_joint(inst: ProtocolInstance, t1: float, t2: float) -> JointDistr
         p(a, b) = Tr[ P_b U P_a U_1 rho U_1^+ P_a U^+ ],   U = U(t2 - t1).
 
     In Q's basis, with U~ = W^+ U W and rho~ = W^+ rho(t1) W, p(a, b) sums
-    the diagonal of U~[:, a] rho~[a, a] U~[:, a]^+ over b's rows.
+    the diagonal of U~[:, a] rho~[a, a] U~[:, a]^+ over b's rows.  A
+    stationary state has rho(t1) = rho, so its joint depends on t2 - t1 alone.
     """
     t1, t2 = _finite(t1, "t1"), _finite(t2, "t2")
     if t2 < t1:
         raise ValueError(f"measurement times must be ordered, got t1={t1} > t2={t2}")
-    ph, ov = np.exp(-1j * inst.h_eig.energies * t1), inst.overlap
-    # rho(t1) V^+ W in H's basis: all phases are exactly 1 at t1 = 0; a diagonal rho scales rows
-    rho_ov = (inst.rho_ov if t1 == 0.0 else (ph[:, None] * inst.rho_h * ph.conj()) @ ov
-              if inst.weights is None else (ph * inst.weights * ph.conj())[:, None] * ov)
+    ov = inst.overlap
+    if inst.weights is None:  # rho(t1) V^+ W in H's basis: all phases are exactly 1 at t1 = 0
+        ph = np.exp(-1j * inst.h_eig.energies * t1)
+        rho_ov = inst.rho_ov if t1 == 0.0 else (ph[:, None] * inst.rho_h * ph.conj()) @ ov
     u_gap = (ov.conj().T * np.exp(-1j * inst.h_eig.energies * (t2 - t1))) @ ov
 
     probs = np.empty((len(inst.outcomes), len(inst.outcomes)))
     for a, cols in enumerate(inst.members):
         u_a = u_gap[:, cols]
-        diag = ((u_a @ (ov[:, cols].conj().T @ rho_ov[:, cols])) * u_a.conj()).real.sum(axis=1)
+        rho_a = (inst.rho_w[cols[:, None], cols] if inst.weights is not None
+                 else ov[:, cols].conj().T @ rho_ov[:, cols])
+        diag = ((u_a @ rho_a) * u_a.conj()).real.sum(axis=1)
         probs[a] = [diag[rows].sum() for rows in inst.members]
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if not abs(total - 1.0) <= 1e-10:  # NaN fails
-        raise InvariantViolation(
-            f"projective joint probabilities sum to {total!r}, expected 1"
-        )
+        raise InvariantViolation(f"projective joint probabilities sum to {total!r}, expected 1")
     return JointDistribution(outcomes=inst.outcomes, probs=probs, times=(t1, t2))
 
 
@@ -235,10 +242,11 @@ def projective_mc(inst: ProtocolInstance, t1: float, t2: float, shots: int,
     Sampling uses a counter-based generator keyed by ``seed``: each shot
     consumes a fixed amount of counter stream, so the estimate is bitwise
     reproducible for the same seed regardless of how the draw is batched.
-    Each block of draws is sorted and searched once per cdf edge; the shots
-    per outcome pair, the integers that binning each draw gives, are the
-    differences of the running counts of draws below each edge, so memory
-    does not grow with ``shots``.  The standard error uses the unbiased sample variance.
+    Each block of draws is counted below each cdf edge, in one pass per edge
+    or, past ``_EDGE_PASSES`` edges, one sort and search; the shots per
+    outcome pair, the integers that binning each draw gives, are the
+    differences of these running counts, so memory does not grow with
+    ``shots``.  The standard error uses the unbiased sample variance.
     """
     shots, seed = _integer(shots, "shots", 1), _integer(seed, "seed", 0, _MAX_SEED - 1)
 
@@ -252,8 +260,11 @@ def projective_mc(inst: ProtocolInstance, t1: float, t2: float, shots: int,
     below = np.zeros(cdf.size, dtype=np.int64)  # draws under each cdf edge
     for lo in range(0, shots, _MC_BLOCK):
         draws = rng.random(min(_MC_BLOCK, shots - lo))
-        draws.sort()
-        below += np.searchsorted(draws, cdf)
+        if cdf.size <= _EDGE_PASSES:
+            below += [np.count_nonzero(draws < edge) for edge in cdf]
+        else:
+            draws.sort()
+            below += np.searchsorted(draws, cdf)
     counts = np.diff(below, prepend=0)
 
     value = float(counts @ flat_products) / shots
@@ -274,11 +285,13 @@ def _heisenberg_h(inst: ProtocolInstance, t: float) -> np.ndarray:
 def symmetrized_correlator(inst: ProtocolInstance, t1: float, t2: float) -> float:
     """Symmetrized correlator (1/2) Tr[rho {Q(t1), Q(t2)}] for any state.
 
-    Summed in H's basis as (1/2) Tr[(rho Q1 + Q1 rho) Q2], by cyclicity.
+    Summed in H's basis as (1/2) Tr[(rho Q1 + Q1 rho) Q2], by cyclicity; a
+    stationary rho scales Q1's rows and columns by its weights.
     """
-    q1 = _heisenberg_h(inst, _finite(t1, "t1"))
-    q2 = _heisenberg_h(inst, _finite(t2, "t2"))
-    return float(0.5 * np.sum((inst.rho_h @ q1 + q1 @ inst.rho_h) * q2.T).real)
+    q1, q2 = (_heisenberg_h(inst, _finite(t, name)) for t, name in ((t1, "t1"), (t2, "t2")))
+    w, rho = inst.weights, inst.rho_h
+    anti = rho @ q1 + q1 @ rho if w is None else w[:, None] * q1 + q1 * w
+    return float(0.5 * np.sum(anti * q2.T).real)
 
 
 def weak_two_meter(inst: ProtocolInstance, tau: float,
@@ -321,24 +334,17 @@ def lgi_from_protocol(e12: ProtocolEstimate, e23: ProtocolEstimate,
     t3 - t2 equal within 1e-12, and the (1,3) pair spanning their sum.
     Standard errors combine in quadrature (independent runs assumed).
     """
-    gap12 = e12.times[1] - e12.times[0]
-    gap23 = e23.times[1] - e23.times[0]
-    gap13 = e13.times[1] - e13.times[0]
+    gap12, gap23, gap13 = (e.times[1] - e.times[0] for e in (e12, e23, e13))
     if abs(gap12 - gap23) > 1e-12:
-        raise ValueError(
-            f"time spacings differ: t2-t1 = {gap12!r}, t3-t2 = {gap23!r}"
-        )
+        raise ValueError(f"time spacings differ: t2-t1 = {gap12!r}, t3-t2 = {gap23!r}")
     if abs(gap13 - (gap12 + gap23)) > 1e-12:
-        raise ValueError(
-            f"outer spacing {gap13!r} is not the sum of the inner spacings"
-        )
+        raise ValueError(f"outer spacing {gap13!r} is not the sum of the inner spacings")
     value = e12.value + e23.value - e13.value
     stderr = math.sqrt(e12.stderr**2 + e23.stderr**2 + e13.stderr**2)
     exact = e12.exact_ref + e23.exact_ref - e13.exact_ref
     shots = e12.shots + e23.shots + e13.shots
     seed = e12.seed if (e12.seed == e23.seed == e13.seed) else None
-    return ProtocolEstimate(value=value, stderr=stderr, shots=shots,
-                            exact_ref=exact, seed=seed,
+    return ProtocolEstimate(value=value, stderr=stderr, shots=shots, exact_ref=exact, seed=seed,
                             times=(e12.times[0], e13.times[1]))
 
 
@@ -353,14 +359,10 @@ def macrorealist_oracle(probs: np.ndarray, outcomes1: np.ndarray,
     defining property of macrorealist statistics.
     """
     probs = np.asarray(probs, dtype=float)
-    q1 = np.asarray(outcomes1, dtype=float)
-    q2 = np.asarray(outcomes2, dtype=float)
-    q3 = np.asarray(outcomes3, dtype=float)
+    q1, q2, q3 = (np.asarray(q, dtype=float) for q in (outcomes1, outcomes2, outcomes3))
     if probs.shape != (q1.size, q2.size, q3.size):
-        raise ValueError(
-            f"probability table shape {probs.shape} does not match outcome "
-            f"grid sizes ({q1.size}, {q2.size}, {q3.size})"
-        )
+        raise ValueError(f"probability table shape {probs.shape} does not match outcome "
+                         f"grid sizes ({q1.size}, {q2.size}, {q3.size})")
     for name, q in (("first", q1), ("second", q2), ("third", q3)):
         if not np.max(np.abs(q)) <= 1.0 + 1e-12:
             raise ValueError(f"{name} outcome grid exceeds magnitude 1")
@@ -389,8 +391,7 @@ def noisy_readout_correlator(q0: np.ndarray, qtau: np.ndarray,
     bias can be demonstrated directly.
     """
     seed = _integer(seed, "seed", 0, _MAX_SEED - 1)
-    q0 = np.asarray(q0, dtype=float)
-    qtau = np.asarray(qtau, dtype=float)
+    q0, qtau = np.asarray(q0, dtype=float), np.asarray(qtau, dtype=float)
     if q0.shape != qtau.shape or q0.ndim != 1:
         raise ValueError("readout records must be 1-D arrays of equal length")
     if not 0.0 <= noise_variance < math.inf:
@@ -404,13 +405,11 @@ def noisy_readout_correlator(q0: np.ndarray, qtau: np.ndarray,
         xi1 = rng.normal(0.0, sigma, size=shots)
         xi2 = rng.normal(0.0, sigma, size=shots)
     else:
-        xi1 = np.asarray(noise[0], dtype=float)
-        xi2 = np.asarray(noise[1], dtype=float)
+        xi1, xi2 = (np.asarray(xi, dtype=float) for xi in noise)
         if xi1.shape != q0.shape or xi2.shape != q0.shape:
             raise ValueError("explicit noise records must match the readout shape")
     products = (q0 + xi1) * (qtau + xi2)
     value = float(products.mean())
     stderr = float(products.std(ddof=1) / math.sqrt(shots))
-    return ProtocolEstimate(value=value, stderr=stderr, shots=shots,
-                            exact_ref=float(np.mean(q0 * qtau)), seed=seed,
-                            times=(0.0, math.nan))
+    return ProtocolEstimate(value=value, stderr=stderr, shots=shots, seed=seed,
+                            exact_ref=float(np.mean(q0 * qtau)), times=(0.0, math.nan))

@@ -100,11 +100,12 @@ def m2_commutator(h_op: Operator, q_op: Operator, state: np.ndarray) -> float:
 
     ``state`` may be a normalized vector or a density matrix supported on
     the ground manifold.  This path never touches the eigendecomposition,
-    so it cross-checks the spectral sum in :func:`m2_moment`.
+    so it cross-checks :func:`m2_moment`; a diagonal Q scales H's columns and rows.
     """
     if h_op.dim != q_op.dim:
         raise ValueError(f"dimension mismatch: H is dim {h_op.dim}, Q is dim {q_op.dim}")
-    comm = h_op.matrix @ q_op.matrix - q_op.matrix @ h_op.matrix
+    h, q = h_op.matrix, q_op.diagonal
+    comm = (h @ q_op.matrix - q_op.matrix @ h) if q is None else h * q - q[:, None] * h
     state = _state(state, h_op.dim)
     if state.ndim == 1:
         image = comm @ state

@@ -732,8 +732,9 @@ def test_protocol_instance_work_runs_once(tmp_path, capsys, monkeypatch):
     assert main(["protocol", "--config", cfg]) == 0
     _, _, rows = _parse_csv(capsys.readouterr().out)
     assert [row[0] for row in rows].count("weak_two_meter") == 3
-    # the stationary state goes in as its weights, not as a dense density matrix
-    assert calls == {"hermitian_eig": 2, "_state": 0, "projective_joint": 3}
+    # the stationary state goes in as its weights, not as a dense density matrix, and
+    # its (tau, 2 tau) joint is its (0, tau) one: one joint per distinct gap
+    assert calls == {"hermitian_eig": 2, "_state": 0, "projective_joint": 2}
     # protocols work in the eigenbases: no dense propagator, no outcome projectors
     h, q = build_qubit(1.0, 0.5)
     inst = lgqfi.protocols.ProtocolInstance(hermitian_eig(h), q, np.eye(2) / 2.0)

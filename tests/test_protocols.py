@@ -220,17 +220,56 @@ def test_stationary_state_matches_dense_density_matrix(kind):
     # at t1 > 0 the stationary instance scales rows by its weights, the dense one multiplies
     np.testing.assert_array_equal(from_state.weights, state.weights)
     assert dense.weights is None
-    for t1, t2 in ((0.2, 1.1), (0.0, 0.9)):  # t1 = 0 reuses each instance's stored rho_ov
+    for t1, t2 in ((0.2, 1.1), (0.0, 0.9)):  # t1 = 0 reuses the dense instance's rho_ov
         np.testing.assert_allclose(projective_joint(from_state, t1, t2).probs,
                                    projective_joint(dense, t1, t2).probs, rtol=0.0, atol=1e-12)
+    # rho(t) = rho: the stationary joint depends on the gap alone, bit for bit, and the
+    # instance holds no dense H-basis state
+    assert from_state.rho_h is None and from_state.rho_ov is None
+    for t, gap in ((0.9, 0.9), (0.25, 1.5)):  # gaps t2 - t1 that are exact in floats
+        assert (t + gap) - t == gap
+        np.testing.assert_array_equal(projective_joint(from_state, t, t + gap).probs,
+                                      projective_joint(from_state, 0.0, gap).probs)
     assert abs(symmetrized_correlator(from_state, 0.3, 1.4)
                - symmetrized_correlator(dense, 0.3, 1.4)) < 1e-12
+    # on the weights it keeps the bits of the products with the dense diagonal rho
+    rho_h = np.diag(state.weights.astype(np.complex128))
+    q1, q2 = (np.exp(1j * eig.energies * t)[:, None] * from_state.q_h
+              * np.exp(-1j * eig.energies * t) for t in (0.3, 1.4))
+    assert symmetrized_correlator(from_state, 0.3, 1.4) == float(
+        0.5 * np.sum((rho_h @ q1 + q1 @ rho_h) * q2.T).real)
     meters = [MeterConfig(1.0, 0.5), MeterConfig(1.0, 0.05)]
     for a, b in zip(weak_two_meter(from_state, 0.8, meters), weak_two_meter(dense, 0.8, meters)):
         assert abs(a.value - b.value) < 1e-12 and abs(a.exact_ref - b.exact_ref) < 1e-12
         # the zero-width reference is the symmetrized correlator, on either instance
         for inst, est in ((from_state, a), (dense, b)):
             assert abs(est.exact_ref - symmetrized_correlator(inst, 0.0, 0.8)) < 1e-12
+
+
+@pytest.mark.parametrize("q", ["diagonal", "ghz_blocks", "dense", "shuffled_blocks"])
+def test_overlap_is_built_block_by_block(q):
+    # V^+ W one block of Q's eigensystem at a time.  Where the dense product adds
+    # only exact zeros to one term (1 x 1 blocks) or is the same product (one
+    # block), it has the same bits; a block of k >= 2 sums its k terms in an order
+    # the dense product need not share, so it agrees within rounding there
+    rng = np.random.default_rng(3)
+    h, q_op = build_tfim(8, 1.0, 0.7)
+    if q == "ghz_blocks":
+        q_op = build_ghz(8, 1.0, 0.3)[0]
+    elif q == "dense":
+        q_op = Operator(random_hermitian(rng, 256))
+    elif q == "shuffled_blocks":  # 3 x 3 blocks on shuffled indices, one 1 x 1
+        m, groups = np.zeros((256, 256), dtype=complex), rng.permutation(256)
+        for idx in np.split(groups, range(3, 256, 3)):
+            m[np.ix_(idx, idx)] = random_hermitian(rng, idx.size)
+        q_op = Operator(m)
+    eig, q_eig = hermitian_eig(h), hermitian_eig(q_op)
+    inst = ProtocolInstance(eig, q_op, make_state(eig, beta=1.0))
+    dense = eig.basis.conj().T @ q_eig.basis
+    if q in ("diagonal", "dense"):
+        np.testing.assert_array_equal(inst.overlap, dense)
+    else:
+        np.testing.assert_allclose(inst.overlap, dense, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("weights", [[0.5, 0.5, 0.0], [1.2, -0.2], [0.5, 0.4999], [np.nan, 1.0],
