@@ -231,7 +231,9 @@ def projective_joint(inst: ProtocolInstance, t1: float, t2: float) -> JointDistr
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if not abs(total - 1.0) <= 1e-10:  # NaN fails
-        raise InvariantViolation(f"projective joint probabilities sum to {total!r}, expected 1")
+        raise InvariantViolation(
+            f"projective joint probabilities sum to {total!r}, expected 1"
+        )
     return JointDistribution(outcomes=inst.outcomes, probs=probs, times=(t1, t2))
 
 
@@ -288,7 +290,8 @@ def symmetrized_correlator(inst: ProtocolInstance, t1: float, t2: float) -> floa
     Summed in H's basis as (1/2) Tr[(rho Q1 + Q1 rho) Q2], by cyclicity; a
     stationary rho scales Q1's rows and columns by its weights.
     """
-    q1, q2 = (_heisenberg_h(inst, _finite(t, name)) for t, name in ((t1, "t1"), (t2, "t2")))
+    q1 = _heisenberg_h(inst, _finite(t1, "t1"))
+    q2 = _heisenberg_h(inst, _finite(t2, "t2"))
     w, rho = inst.weights, inst.rho_h
     anti = rho @ q1 + q1 @ rho if w is None else w[:, None] * q1 + q1 * w
     return float(0.5 * np.sum(anti * q2.T).real)
@@ -334,17 +337,24 @@ def lgi_from_protocol(e12: ProtocolEstimate, e23: ProtocolEstimate,
     t3 - t2 equal within 1e-12, and the (1,3) pair spanning their sum.
     Standard errors combine in quadrature (independent runs assumed).
     """
-    gap12, gap23, gap13 = (e.times[1] - e.times[0] for e in (e12, e23, e13))
+    gap12 = e12.times[1] - e12.times[0]
+    gap23 = e23.times[1] - e23.times[0]
+    gap13 = e13.times[1] - e13.times[0]
     if abs(gap12 - gap23) > 1e-12:
-        raise ValueError(f"time spacings differ: t2-t1 = {gap12!r}, t3-t2 = {gap23!r}")
+        raise ValueError(
+            f"time spacings differ: t2-t1 = {gap12!r}, t3-t2 = {gap23!r}"
+        )
     if abs(gap13 - (gap12 + gap23)) > 1e-12:
-        raise ValueError(f"outer spacing {gap13!r} is not the sum of the inner spacings")
+        raise ValueError(
+            f"outer spacing {gap13!r} is not the sum of the inner spacings"
+        )
     value = e12.value + e23.value - e13.value
     stderr = math.sqrt(e12.stderr**2 + e23.stderr**2 + e13.stderr**2)
     exact = e12.exact_ref + e23.exact_ref - e13.exact_ref
     shots = e12.shots + e23.shots + e13.shots
     seed = e12.seed if (e12.seed == e23.seed == e13.seed) else None
-    return ProtocolEstimate(value=value, stderr=stderr, shots=shots, exact_ref=exact, seed=seed,
+    return ProtocolEstimate(value=value, stderr=stderr, shots=shots,
+                            exact_ref=exact, seed=seed,
                             times=(e12.times[0], e13.times[1]))
 
 
@@ -359,10 +369,14 @@ def macrorealist_oracle(probs: np.ndarray, outcomes1: np.ndarray,
     defining property of macrorealist statistics.
     """
     probs = np.asarray(probs, dtype=float)
-    q1, q2, q3 = (np.asarray(q, dtype=float) for q in (outcomes1, outcomes2, outcomes3))
+    q1 = np.asarray(outcomes1, dtype=float)
+    q2 = np.asarray(outcomes2, dtype=float)
+    q3 = np.asarray(outcomes3, dtype=float)
     if probs.shape != (q1.size, q2.size, q3.size):
-        raise ValueError(f"probability table shape {probs.shape} does not match outcome "
-                         f"grid sizes ({q1.size}, {q2.size}, {q3.size})")
+        raise ValueError(
+            f"probability table shape {probs.shape} does not match outcome "
+            f"grid sizes ({q1.size}, {q2.size}, {q3.size})"
+        )
     for name, q in (("first", q1), ("second", q2), ("third", q3)):
         if not np.max(np.abs(q)) <= 1.0 + 1e-12:
             raise ValueError(f"{name} outcome grid exceeds magnitude 1")
@@ -391,7 +405,8 @@ def noisy_readout_correlator(q0: np.ndarray, qtau: np.ndarray,
     bias can be demonstrated directly.
     """
     seed = _integer(seed, "seed", 0, _MAX_SEED - 1)
-    q0, qtau = np.asarray(q0, dtype=float), np.asarray(qtau, dtype=float)
+    q0 = np.asarray(q0, dtype=float)
+    qtau = np.asarray(qtau, dtype=float)
     if q0.shape != qtau.shape or q0.ndim != 1:
         raise ValueError("readout records must be 1-D arrays of equal length")
     if not 0.0 <= noise_variance < math.inf:
@@ -405,11 +420,13 @@ def noisy_readout_correlator(q0: np.ndarray, qtau: np.ndarray,
         xi1 = rng.normal(0.0, sigma, size=shots)
         xi2 = rng.normal(0.0, sigma, size=shots)
     else:
-        xi1, xi2 = (np.asarray(xi, dtype=float) for xi in noise)
+        xi1 = np.asarray(noise[0], dtype=float)
+        xi2 = np.asarray(noise[1], dtype=float)
         if xi1.shape != q0.shape or xi2.shape != q0.shape:
             raise ValueError("explicit noise records must match the readout shape")
     products = (q0 + xi1) * (qtau + xi2)
     value = float(products.mean())
     stderr = float(products.std(ddof=1) / math.sqrt(shots))
-    return ProtocolEstimate(value=value, stderr=stderr, shots=shots, seed=seed,
-                            exact_ref=float(np.mean(q0 * qtau)), times=(0.0, math.nan))
+    return ProtocolEstimate(value=value, stderr=stderr, shots=shots,
+                            exact_ref=float(np.mean(q0 * qtau)), seed=seed,
+                            times=(0.0, math.nan))
