@@ -217,7 +217,7 @@ def test_stationary_state_matches_dense_density_matrix(kind):
     state = make_state(eig, beta=1.3) if kind == "thermal" else make_state(eig, index=2)
     from_state = ProtocolInstance(eig, q, state)
     dense = ProtocolInstance(eig, q, (eig.basis * state.weights) @ eig.basis.conj().T)
-    # at t1 > 0 the stationary instance scales rows by its weights, the dense one multiplies
+    # the stationary instance reads the state's blocks from rho_w, the dense one multiplies
     np.testing.assert_array_equal(from_state.weights, state.weights)
     assert dense.weights is None
     for t1, t2 in ((0.2, 1.1), (0.0, 0.9)):  # t1 = 0 reuses the dense instance's rho_ov
@@ -234,8 +234,8 @@ def test_stationary_state_matches_dense_density_matrix(kind):
                - symmetrized_correlator(dense, 0.3, 1.4)) < 1e-12
     # on the weights it keeps the bits of the products with the dense diagonal rho
     rho_h = np.diag(state.weights.astype(np.complex128))
-    q1, q2 = (np.exp(1j * eig.energies * t)[:, None] * from_state.q_h
-              * np.exp(-1j * eig.energies * t) for t in (0.3, 1.4))
+    q1, q2 = (ph.conj()[:, None] * from_state.q_h * ph
+              for ph in (np.exp(-1j * eig.energies * t) for t in (0.3, 1.4)))
     assert symmetrized_correlator(from_state, 0.3, 1.4) == float(
         0.5 * np.sum((rho_h @ q1 + q1 @ rho_h) * q2.T).real)
     meters = [MeterConfig(1.0, 0.5), MeterConfig(1.0, 0.05)]
