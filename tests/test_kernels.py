@@ -27,6 +27,7 @@ from lgqfi.kernels import (
     rp_kernel,
     rtilde_kernel,
 )
+from lgqfi.response import gamma_H
 
 
 def _brute_max(fn, x_max: float, points: int = 400_000) -> float:
@@ -466,6 +467,134 @@ def test_one_row_maxima_stop_within_nine_kernel_evaluations(monkeypatch):
             gamma_batch(family, [y])
             counts.append(len(calls))
         assert max(counts) <= 9, (family, max(counts))
+
+
+# --------------------------------------------------------------------------
+# the maximizer's output bits
+
+_FROZEN_YS = [1e-7, 3e-5, 1e-4, 2.5e-4, 6e-4, 0.0015, 0.004, 0.01, 0.025, 0.06, 0.15, 0.3,
+              0.5, 0.7, 0.9, 1.0, math.nextafter(Y_CRIT, 0.0), Y_CRIT, 1.2, 1.6, 2.2, 3.0,
+              4.5, 7.0, 11.0, 17.0, 25.0, 31.6, 40.0, 2e3]
+
+# float.hex of (value, argmax_x) at each of _FROZEN_YS, two rows a line, recorded
+# on x86-64 with NumPy 2.4: the coarse probes, zoom points and stop rule fix them
+_FROZEN = {
+    3: """
+0x1.0000000000002p-3 0x1.0c15235f3c67bp+0  0x1.0000000000002p-3 0x1.0c15235f3c67bp+0
+0x1.0000000000002p-3 0x1.0c15235f3c67bp+0  0x1.0000000000002p-3 0x1.0c15235f3c67bp+0
+0x1.0000000000002p-3 0x1.0c15235f3c67bp+0  0x1.0000000000002p-3 0x1.0c15235f3c67bp+0
+0x1.0000000000002p-3 0x1.0c15235f3c67bp+0  0x1.0000000000002p-3 0x1.0c15235f3c67bp+0
+0x1.0000000000002p-3 0x1.0c15235f3c67bp+0  0x1.000000000000ep-3 0x1.0c15235f3c67bp+0
+0x1.000039ee3b1d2p-3 0x1.0c14a2b6c750bp+0  0x1.00f779b1ccc70p-3 0x1.0afdb3d5ad0abp+0
+0x1.11af33abdf71fp-3 0x1.fdaa6767b149ap-1  0x1.4778a8340a81dp-3 0x1.bf30f228a8bf8p-1
+0x1.b2e1ab117153fp-3 0x1.45ecb48acc424p-1  0x1.01e30f0b52e5fp-2 0x1.af149e6c6cc06p-2
+0x1.2492492492491p-2 0x0.0p+0  0x1.2492492492493p-2 0x0.0p+0
+0x1.70a3d70a3d70ap-2 0x0.0p+0  0x1.47ae147ae147cp-1 0x0.0p+0
+0x1.35c28f5c28f5dp+0 0x0.0p+0  0x1.2000000000000p+1 0x0.0p+0
+0x1.4400000000000p+2 0x0.0p+0  0x1.8800000000000p+3 0x0.0p+0
+0x1.e400000000000p+4 0x0.0p+0  0x1.2100000000000p+6 0x0.0p+0
+0x1.3880000000000p+7 0x0.0p+0  0x1.f347ae147ae15p+7 0x0.0p+0
+0x1.9000000000000p+8 0x0.0p+0  0x1.e848000000000p+19 0x0.0p+0
+""",
+    "tilde": """
+0x1.0000000000000p-1 0x1.921fb54442d18p+1  0x1.0000000000000p-1 0x1.921fb54442d18p+1
+0x1.0000000000000p-1 0x1.921fb54442d18p+1  0x1.0000000000000p-1 0x1.921fb54442d18p+1
+0x1.0000000000000p-1 0x1.921fb54442d18p+1  0x1.0000000000000p-1 0x1.921fb54442d18p+1
+0x1.0000000000000p-1 0x1.921fb54442d18p+1  0x1.0000000000000p-1 0x1.921fb54442d18p+1
+0x1.0000000000000p-1 0x1.921fb54442d18p+1  0x1.0000000000000p-1 0x1.921fb54442d18p+1
+0x1.0000000000000p-1 0x1.921fb54442d18p+1  0x1.0000000dc7193p-1 0x1.921fb4d329e68p+1
+0x1.0000ea15e19bbp-1 0x1.921c0cba79defp+1  0x1.002148b603de5p-1 0x1.91c03ca85505cp+1
+0x1.00f8aa52168bap-1 0x1.8fed7545b0d5bp+1  0x1.01fb1185f7aa2p-1 0x1.8e0c55db2114dp+1
+0x1.03026596f5a5ep-1 0x1.8c47245c698a1p+1  0x1.03026596f5a5ep-1 0x1.8c47245c698a1p+1
+0x1.05e230c6814cep-1 0x1.87bb212e1c722p+1  0x1.18ba1b823bd70p-1 0x1.6eabd9fb55698p+1
+0x1.5e9d6321d72fep-1 0x1.1fb4dd47826e6p+1  0x1.2000000000000p+0 0x0.0p+0
+0x1.4400000000000p+1 0x0.0p+0  0x1.8800000000000p+2 0x0.0p+0
+0x1.e400000000000p+3 0x0.0p+0  0x1.2100000000000p+5 0x0.0p+0
+0x1.3880000000000p+6 0x0.0p+0  0x1.f347ae147ae15p+6 0x0.0p+0
+0x1.9000000000000p+7 0x0.0p+0  0x1.e848000000000p+18 0x0.0p+0
+""",
+    4: """
+0x1.a827999fcef32p-3 0x1.921fb54442d18p-1  0x1.a827999fcef32p-3 0x1.921fb54442d18p-1
+0x1.a827999fcef32p-3 0x1.921fb54442d18p-1  0x1.a827999fcef32p-3 0x1.921fb54442d18p-1
+0x1.a827999fcef32p-3 0x1.921fb54442d18p-1  0x1.a827999fcef32p-3 0x1.921fb54442d18p-1
+0x1.a827999fcef32p-3 0x1.921fb54442d18p-1  0x1.a827999fcef32p-3 0x1.921fb54442d18p-1
+0x1.a827999fcef32p-3 0x1.921fb54442d18p-1  0x1.a827999fee0c8p-3 0x1.921fb54442d18p-1
+0x1.a833e9b0972cfp-3 0x1.920c56da0852ap-1  0x1.b1c1b774810dbp-3 0x1.8a229d02c1be2p-1
+0x1.05af5de6f7e97p-2 0x1.5683e67dfe98ap-1  0x1.80c7cb8656722p-2 0x1.9d8151e6b3b05p-2
+0x1.370a3d70a3d71p-1 0x0.0p+0  0x1.8000000000000p-1 0x0.0p+0
+0x1.b6db6db6db6d9p-1 0x0.0p+0  0x1.b6db6db6db6dcp-1 0x0.0p+0
+0x1.147ae147ae147p+0 0x0.0p+0  0x1.eb851eb851ebap+0 0x0.0p+0
+0x1.d0a3d70a3d70cp+1 0x0.0p+0  0x1.b000000000000p+2 0x0.0p+0
+0x1.e600000000000p+3 0x0.0p+0  0x1.2600000000000p+5 0x0.0p+0
+0x1.6b00000000000p+6 0x0.0p+0  0x1.b180000000000p+7 0x0.0p+0
+0x1.d4c0000000000p+8 0x0.0p+0  0x1.7675c28f5c290p+9 0x0.0p+0
+0x1.2c00000000000p+10 0x0.0p+0  0x1.6e36000000000p+21 0x0.0p+0
+""",
+    5: """
+0x1.0b8ab04fbe3a5p-2 0x1.41b2f755b3de8p-1  0x1.0b8ab04fbe3a5p-2 0x1.41b2f755b3de8p-1
+0x1.0b8ab04fbe3a5p-2 0x1.41b2f755b3de8p-1  0x1.0b8ab04fbe3a5p-2 0x1.41b2f755b3de8p-1
+0x1.0b8ab04fbe3a5p-2 0x1.41b2f755b3de8p-1  0x1.0b8ab04fbe3a5p-2 0x1.41b2f755b3de8p-1
+0x1.0b8ab04fbe3a5p-2 0x1.41b2f755b3de8p-1  0x1.0b8ab04fbe3a5p-2 0x1.41b2f755b3de8p-1
+0x1.0b8ab04fbe3a5p-2 0x1.41b2f755b3de8p-1  0x1.0b8ab05e24585p-2 0x1.41b2f755b3de8p-1
+0x1.0bca0e795cd5bp-2 0x1.4149ed119d558p-1  0x1.1e2e125b3e180p-2 0x1.3068ddf88732ap-1
+0x1.9e663554c1b13p-2 0x1.ab46cb794b9dap-2  0x1.7851eb851eb84p-1 0x0.0p+0
+0x1.370a3d70a3d71p+0 0x0.0p+0  0x1.8000000000000p+0 0x0.0p+0
+0x1.b6db6db6db6d9p+0 0x0.0p+0  0x1.b6db6db6db6dcp+0 0x0.0p+0
+0x1.147ae147ae147p+1 0x0.0p+0  0x1.eb851eb851ebap+1 0x0.0p+0
+0x1.d0a3d70a3d70cp+2 0x0.0p+0  0x1.b000000000000p+3 0x0.0p+0
+0x1.e600000000000p+4 0x0.0p+0  0x1.2600000000000p+6 0x0.0p+0
+0x1.6b00000000000p+7 0x0.0p+0  0x1.b180000000000p+8 0x0.0p+0
+0x1.d4c0000000000p+9 0x0.0p+0  0x1.7675c28f5c290p+10 0x0.0p+0
+0x1.2c00000000000p+11 0x0.0p+0  0x1.6e36000000000p+22 0x0.0p+0
+""",
+    9: """
+0x1.750d42a71cafcp-2 0x1.657184db22790p-2  0x1.750d42a71cafcp-2 0x1.657184db22790p-2
+0x1.750d42a71cafcp-2 0x1.657184db22790p-2  0x1.750d42a71cafcp-2 0x1.657184db22790p-2
+0x1.750d42a71cafcp-2 0x1.657184db22790p-2  0x1.750d42a71cafcp-2 0x1.657184db22790p-2
+0x1.750d42a71cafcp-2 0x1.657184db22790p-2  0x1.750d42a71cafcp-2 0x1.657184db22790p-2
+0x1.750d42a721766p-2 0x1.657184db22790p-2  0x1.7510a420f32e7p-2 0x1.656ada2f8fa6ep-2
+0x1.84d33f49b363cp-2 0x1.57e19cd9c86d1p-2  0x1.48a393560a03ap-1 0x1.5c0b630adc5fbp-3
+0x1.c000000000000p+0 0x0.0p+0  0x1.b70a3d70a3d6fp+1 0x0.0p+0
+0x1.6ae147ae147aep+2 0x0.0p+0  0x1.c000000000000p+2 0x0.0p+0
+0x1.ffffffffffffdp+2 0x0.0p+0  0x1.0000000000001p+3 0x0.0p+0
+0x1.428f5c28f5c29p+3 0x0.0p+0  0x1.1eb851eb851ecp+4 0x0.0p+0
+0x1.0f0a3d70a3d72p+5 0x0.0p+0  0x1.f800000000000p+5 0x0.0p+0
+0x1.1b80000000000p+7 0x0.0p+0  0x1.5700000000000p+8 0x0.0p+0
+0x1.a780000000000p+9 0x0.0p+0  0x1.f9c0000000000p+10 0x0.0p+0
+0x1.1170000000000p+12 0x0.0p+0  0x1.b4deb851eb853p+12 0x0.0p+0
+0x1.5e00000000000p+13 0x0.0p+0  0x1.ab3f000000000p+24 0x0.0p+0
+""",
+    20: """
+0x1.c0f6dc9deeb96p-2 0x1.88121d8a142f1p+2  0x1.c0f6dc9deeb96p-2 0x1.88121d8a142f1p+2
+0x1.c0f6dc9deeb96p-2 0x1.88121d8a142f1p+2  0x1.c0f6dc9deeb96p-2 0x1.88121d8a142f1p+2
+0x1.c0f6dc9deeb96p-2 0x1.88121d8a142f1p+2  0x1.c0f6dc9deeb96p-2 0x1.88121d8a142f1p+2
+0x1.c0f6dc9deeb96p-2 0x1.88121d8a142f1p+2  0x1.c0f6dc9deee64p-2 0x1.41b2f7506958cp-3
+0x1.c0f877246affap-2 0x1.41b03b667c440p-3  0x1.cb3c6d6d23e05p-2 0x1.39f60a1058a19p-3
+0x1.ec7ae147ae147p-1 0x0.0p+0  0x1.ec7ae147ae147p+1 0x0.0p+0
+0x1.5600000000000p+3 0x0.0p+0  0x1.4f28f5c28f5c2p+4 0x0.0p+0
+0x1.15051eb851eb9p+5 0x0.0p+0  0x1.5600000000000p+5 0x0.0p+0
+0x1.86db6db6db6d9p+5 0x0.0p+0  0x1.86db6db6db6dcp+5 0x0.0p+0
+0x1.ec7ae147ae147p+5 0x0.0p+0  0x1.b5c28f5c28f5dp+6 0x0.0p+0
+0x1.9dd1eb851eb87p+7 0x0.0p+0  0x1.80c0000000000p+8 0x0.0p+0
+0x1.b0d8000000000p+9 0x0.0p+0  0x1.05d8000000000p+11 0x0.0p+0
+0x1.434c000000000p+12 0x0.0p+0  0x1.8216000000000p+13 0x0.0p+0
+0x1.a17b000000000p+14 0x0.0p+0  0x1.4d80e147ae148p+15 0x0.0p+0
+0x1.0b30000000000p+16 0x0.0p+0  0x1.4628180000000p+27 0x0.0p+0
+""",
+}
+
+
+def test_maxima_keep_their_bits():
+    batch = gamma_batch(list(_FROZEN), _FROZEN_YS)
+    for family, table in _FROZEN.items():
+        bits = [h for r in batch[family] for h in (r.value.hex(), r.argmax_x.hex())]
+        assert bits == table.split(), family
+    assert [hp_max.__wrapped__(p).hex() for p in (4, 5, 9)] == [
+        '0x1.a827999fcef32p-1', '0x1.0b8ab04fbe3a5p+0', '0x1.750d42a71cafcp+0']
+    cases = [(0.05, 1.0, 5.0), (0.3, 2.0, 10.0), (2.0, 1.0, 6.0), (1.0, 0.5, 30.0)]
+    assert [gamma_H(*case).hex() for case in cases] == [
+        '0x1.001df4106bc9dp+0', '0x1.a75d4d325061bp+1',
+        '0x1.1ce22381bef6ep+11', '0x1.d449afd257f95p+33']
 
 
 def test_only_h_takes_the_quarter_window_and_the_closed_form(monkeypatch):
