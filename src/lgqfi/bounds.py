@@ -295,13 +295,14 @@ def best_bound(sd: SpectralData, tau_grid: Sequence[float], *,
     kp = [_integer(p, "p", 3) for p in kp]
 
     # p = 3 is the thermal family; each family's vector a gives its k > 0 terms
-    maxima = _kernel_maxima(dict.fromkeys((3, "tilde", *kp)), taus, kernel_beta)
-    terms = {family: _coefficients(family)[1:] for family in maxima}
+    vectors = {family: _coefficients(family) for family in dict.fromkeys((3, "tilde", *kp))}
+    maxima = _kernel_maxima(vectors, taus, kernel_beta)
+    terms = {family: a[1:] for family, a in vectors.items()}
     multiples = sorted({k for a in terms.values() for k, _ in a})
     # each column: its family and the value standing in for C(0); pure is thermal at beta = inf
     stand_in = {"pure": (3, q2), "thermal": (3, q2), "thermal_weak": (3, 1.0),
                 "two_time": ("tilde", q2), **{f"kp_{p}": (p, q2) for p in kp}}
-    columns = {name: (f, _coefficients(f)[0][1] * c0) for name, (f, c0) in stand_in.items()
+    columns = {name: (f, vectors[f][0][1] * c0) for name, (f, c0) in stand_in.items()
                if (pure_like or name != "pure") and (q2 <= 1.0 + 1e-9 or name != "thermal_weak")}
 
     reports = []

@@ -557,9 +557,9 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     if cfg.protocol is None:
         raise ConfigError(f"{cfg.path}: 'protocol' requires a 'protocol' block")
-    _, q_op, eig, state, sd = _instantiate(
+    _, q_op, eig, _, sd = _instantiate(
         cfg.model_spec, beta=cfg.beta, index=cfg.index, config_path=cfg.path, dense=True)
-    inst = ProtocolInstance(eig, q_op, state)
+    inst = ProtocolInstance(eig, q_op, sd)
 
     tau, shots, widths, coupling = (cfg.protocol[key]
                                     for key in ("tau", "shots", "widths", "coupling"))

@@ -65,9 +65,12 @@ Y_CRIT = math.sqrt(8.0 / 7.0)
 MAX_PROBES = 2_000_000
 #: Least probes per period of the fastest oscillation and in all; zoom points.
 _PROBES_PER_PERIOD, _MIN_PROBES, _ZOOM_POINTS = 64, 1024, 33
-_ZOOM_STEPS, _ONE_EPS = np.arange(_ZOOM_POINTS), 1.0 + np.finfo(float).eps
-_LO_HI_TOP = np.vstack([np.clip(_ZOOM_STEPS + [[-1], [1]], 0, _ZOOM_POINTS - 1), _ZOOM_STEPS])
+_ZOOM_STEPS, _ONE_EPS = np.arange(float(_ZOOM_POINTS)), 1.0 + np.finfo(float).eps
+# offsets of a bracket's lo, hi and peak from its peak probe, and those zoom points
+_AROUND = np.array([[-1], [1], [0]])
+_AROUND_TOP = np.clip(np.arange(_ZOOM_POINTS) + _AROUND, 0, _ZOOM_POINTS - 1)
 _SCALED_TIME = "scaled time y = 2 tau / beta"
+_METHODS = ("closed-form", "numeric")
 
 
 @dataclass(frozen=True)
@@ -138,39 +141,47 @@ def _plan(a: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray, np.nd
     return row, xs, osc, cause
 
 
-@lru_cache(maxsize=32)
-def _batch_plan(vectors: tuple) -> tuple:
-    """(plans, table, three, groups) of :func:`gamma_batch`'s vectors a: plan rows zero-padded
-    (width 1 with none), which is gamma's, and per coarse-probe count (members, their (xs, osc))."""
+@lru_cache(maxsize=32, typed=True)
+def _batch_plan(*families) -> tuple:
+    """(causes, free, table, groups, edge) of :func:`gamma_batch`'s ``families``, each checked
+    once: their plans' causes, which have no closed form (all but h), plan rows zero-padded
+    (width 1 with none) after 0.25 alpha, gamma's endpoint factor, per coarse-probe count
+    (members, their (xs, osc)), and the least half first probe, below which no zoom looks."""
+    vectors = tuple(map(_coefficients, families))
     plans = tuple(map(_plan, vectors))
-    table = np.zeros((len(plans), max((plan[0].size for plan in plans), default=1)))
+    table = np.zeros((len(plans), 1 + max((plan[0].size for plan in plans), default=1)))
     groups = {}
     for i, plan in enumerate(plans):
-        table[i, :plan[0].size] = plan[0]
+        table[i, 1:1 + plan[0].size] = plan[0]
         groups.setdefault(plan[1].size, []).append(i)
-    return plans, table, np.array([a == _H for a in vectors], bool), tuple(
-        (np.array(m), np.array([[plans[i][j] for i in m] for j in (1, 2)]))
-        for m in groups.values())
+    table[:, 0] = 0.25 * table[:, 1]
+    return (tuple(plan[3] for plan in plans), np.array([a != _H for a in vectors], bool), table,
+            tuple((np.array(m), np.array([[plans[i][j] for i in m] for j in (1, 2)]))
+                  for m in groups.values()),
+            min((0.5 * plan[1][0] for plan in plans), default=math.inf))
 
 
 def _osc(x, terms):
     """sum_t w_t sin^2(c_t x) for terms = (w_1, c_1, w_2, ...) on axis 0, broadcasting against x."""
-    return (terms[0::2] * np.sin(terms[1::2] * x) ** 2).sum(axis=0)
+    return np.add.reduce(terms[0::2] * np.sin(terms[1::2] * x) ** 2, axis=0)
 
 
-def _ratio_kernel(ax, row, osc=None):
+def _ratio_kernel(ax, row, osc=None, near=True):
     """(1/4) coth^2(ax/y) osc at ax = |x| for ``row`` = (y, *plan row) on axis 0, each
     broadcasting against ax; ``osc`` is the oscillation at ax (from the row's terms
     when None).  For ax < 1e-4 y it is the series
-    (1/4) [alpha y^2 + (beta4 y^2 + 2 alpha / 3) ax^2], accurate to O(ax^4)."""
-    y, alpha, beta4 = row[0], row[1], row[2]
+    (1/4) [alpha y^2 + (beta4 y^2 + 2 alpha / 3) ax^2], accurate to O(ax^4); ``near``
+    False, where every ax is at least 1e-4 y, skips that test."""
+    y = row[0]
     osc = _osc(ax, row[6:]) if osc is None else osc
-    small = ax < 1e-4 * y
-    near = small.any()
+    if near:
+        small = ax < 1e-4 * y
+        near = small.any()
     # finite coth where the series applies
     coth = 1.0 / np.tanh((np.where(small, y, ax) if near else ax) / y)
     out = 0.25 * coth * coth * osc
     if near:
+        alpha, beta4 = row[1], row[2]
         series = 0.25 * (alpha * y * y + (beta4 * y * y + 2.0 * alpha / 3.0) * ax * ax)
         out = np.where(small, series, out)
     return out
@@ -210,7 +221,7 @@ def _grid(x_max: float, periods: float, cause: str) -> np.ndarray:
 
 
 def _maximize(kernel: Callable, curvature: Callable, xs: np.ndarray, rows: np.ndarray,
-              vals: np.ndarray, endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+              vals: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
     """Row i: maximum of kernel(x, rows[i]) over (0, xs[i, -1]] or its x -> 0 endpoint value.
 
     ``vals`` is the kernel at the (rows, n) coarse probes ``xs``; ``kernel``
@@ -220,47 +231,58 @@ def _maximize(kernel: Callable, curvature: Callable, xs: np.ndarray, rows: np.nd
     per level for all rows.  A level of spacing s leaves a bracket at most
     M s^2 / 8 above its best sample, so each bracket stops once that rise is
     within a relative eps of its row's best value (endpoint included), or
-    once it is 4 ulp wide.  Returns (argmax_x, value) arrays, ties to the
+    once it is 4 ulp wide.  Returns the (argmax_x, value) rows, ties to the
     first bracket, or (0.0, endpoint) where that is strictly larger.
     """
     count, n = vals.shape
     padded = np.full((count, n + 2), -np.inf)
     padded[:, 1:-1] = vals
-    owner, peaks = np.nonzero((vals > padded[:, :-2]) & (vals >= padded[:, 2:]))
-    lo = np.where(peaks > 0, xs[owner, np.maximum(peaks - 1, 0)], 0.5 * xs[owner, 0])
-    hi = xs[owner, np.minimum(peaks + 1, n - 1)]
-    row_best = np.maximum(endpoints, vals.max(axis=1))
-    # a bracket that stops leaves the working arrays; slot is its place
-    at = slot = np.arange(peaks.size)
-    ob, rb, final = owner, rows[owner], np.empty((2, peaks.size))
-    # one column per open bracket: lo, hi, best x, best value and M / 8
-    work = np.array([lo, hi, xs[owner, peaks], vals[owner, peaks], lo])
-    lo, hi, best_x, best_v, bound = work
+    owner, peaks = np.divmod(np.flatnonzero((vals > padded[:, :-2]) & (vals >= padded[:, 2:])), n)
+    # one column per open bracket: lo, hi (the probes around its peak, half the
+    # first probe at the x -> 0 end), best x, best value, M / 8 and hi - lo
+    work = np.empty((6, peaks.size))
+    work[:3] = xs[owner, np.minimum(peaks + _AROUND, n - 1)]
+    np.multiply(work[2], 0.5, out=work[0], where=peaks == 0)
+    work[3] = vals[owner, peaks]
+    lo, hi, best_x, best_v, bound, width = work
+    rb, row_best = rows[owner], endpoints.copy()
+    np.maximum.at(row_best, owner, best_v)
     # M / 8 of a coarse bracket holds on its sub-brackets; inf or NaN keeps it open
     with np.errstate(all="ignore"):
-        bound[:] = curvature(lo, hi, rb) / 8.0
+        np.divide(curvature(lo, hi, rb), 8.0, out=bound)
+    np.subtract(hi, lo, out=width)
+    # a bracket that stops leaves the working arrays; slot is its place
+    at = slot = np.arange(peaks.size)
+    ob, final = owner, np.empty((2, peaks.size))
     while True:
-        step = (hi - lo) / (_ZOOM_POINTS - 1)
-        level = kernel(lo[:, None] + step[:, None] * _ZOOM_STEPS, rb)
+        step = width / (_ZOOM_POINTS - 1.0)
+        x = lo[:, None] + step[:, None] * _ZOOM_STEPS
+        level = kernel(x, rb)
         top = level.argmax(axis=1)
-        top_v, around = level[at, top], lo + step * _LO_HI_TOP[:, top]
+        # the zoom points around the top (the next bracket) and at it
+        around, top_v = x[at, _AROUND_TOP[:, top]], level[at, top]
         better = top_v > best_v
         np.copyto(best_x, around[2], where=better)
         np.copyto(best_v, top_v, where=better)
         np.maximum.at(row_best, ob, best_v)
         work[:2] = around[:2]
-        open_ = ((hi - lo > 4.0 * np.spacing(hi))
-                 & ~(best_v + bound * step * step <= _ONE_EPS * row_best[ob]))
-        if not open_.all():
+        np.subtract(hi, lo, out=width)
+        # open while wider than 4 ulp and not done (its rise is within eps)
+        open_ = (width > 4.0 * np.spacing(hi)) > (
+            best_v + bound * step * step <= _ONE_EPS * row_best[ob])
+        still = np.count_nonzero(open_)
+        if still < open_.size:
             final[:, slot] = work[2:4]
-            if not open_.any():
+            if not still:
                 break
-            lo, hi, best_x, best_v, bound = work = work[:, open_]
-            slot, ob, rb, at = slot[open_], ob[open_], rb[open_], at[:open_.sum()]
+            lo, hi, best_x, best_v, bound, width = work = work[:, open_]
+            slot, ob, rb, at = slot[open_], ob[open_], rb[open_], at[:still]
     # each row's first bracket with its largest value (lexsort is stable)
-    k = np.lexsort((-final[1], owner))[np.searchsorted(owner, np.arange(count))]
-    wins = endpoints > final[1, k]
-    return np.where(wins, 0.0, final[0, k]), np.where(wins, endpoints, final[1, k])
+    best = final[:, np.lexsort((-final[1], owner))[np.searchsorted(owner, np.arange(count))]]
+    wins = endpoints > best[1]
+    np.copyto(best[0], 0.0, where=wins)
+    np.copyto(best[1], endpoints, where=wins)
+    return best
 
 
 def _ratio_curvature(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -288,39 +310,43 @@ def gamma_batch(family, ys):
     naming the family and its y.
     """
     several = isinstance(family, (list, tuple))
-    families = list(dict.fromkeys(family)) if several else [family]
-    plans, table, three, groups = _batch_plan(tuple(map(_coefficients, families)))
+    families = tuple(dict.fromkeys(family)) if several else (family,)
+    causes, free, table, groups, edge = _batch_plan(*families)
     ys = np.array(ys, dtype=np.float64, ndmin=1)
-    for y in ys[~(ys > 0.0)][:1]:
-        _positive(y, _SCALED_TIME)
+    if not (ys > 0.0).all():
+        _positive(ys[~(ys > 0.0)][0], _SCALED_TIME)
     # one row per (family, y), family after family: y, then the zero-padded plan row
-    rows = np.empty((len(plans), ys.size, 1 + table.shape[1]))
-    rows[:, :, 0], rows[:, :, 1:] = ys, table[:, None]
+    rows = np.empty((len(families), ys.size, table.shape[1]))
+    rows[:, :, 0], rows[:, :, 1:] = ys, table[:, None, 1:]
     rows = rows.reshape(-1, rows.shape[2])
-    numeric = ~(three[:, None] & ~(ys < Y_CRIT))
+    numeric = free[:, None] | (ys < Y_CRIT)
+    # every probe and zoom point x >= edge, the least coarse lo: x < 1e-4 y needs a large y
+    near = bool(edge < 1e-4 * ys.max(initial=0.0))
+    kernel = lambda x, rb: _ratio_kernel(x, rb.T[..., None], None, near)  # noqa: E731
     # y^2 overflows above about 1.3e154: the ValueErrors below report it
     with np.errstate(over="ignore", invalid="ignore"):
         # the x -> 0 endpoint value (1/4) alpha y^2, which is gamma(y) for y >= Y_CRIT
-        args, values = np.zeros(len(rows)), 0.25 * rows[:, 1] * rows[:, 0] * rows[:, 0]
+        args, values = np.zeros(len(rows)), (table[:, :1] * ys * ys).ravel()
         for members, probes in groups:
             mi, yi = np.nonzero(numeric[members])
             index, step = members[mi] * ys.size + yi, max(1, MAX_PROBES // probes.shape[2])
             for i in range(0, index.size, step):
                 chunk, m = index[i:i + step], mi[i:i + step]
                 (xs, osc), r = probes[:, m], rows[chunk]
-                vals = _ratio_kernel(xs, r.T[..., None], osc)
+                vals = _ratio_kernel(xs, r.T[..., None], osc, near)
                 if not np.isfinite(vals).all():  # no peak to zoom: reported below
                     values[chunk[~np.isfinite(vals).all(axis=1)]] = np.nan
                     continue
-                args[chunk], values[chunk] = _maximize(
-                    lambda x, rb: _ratio_kernel(x, rb.T[..., None]), _ratio_curvature, xs, r,
-                    vals, values[chunk])
-    for bad in np.flatnonzero(~np.isfinite(values))[:1]:
-        raise ValueError(f"{plans[bad // ys.size][3]} is not finite at scaled time "
+                args[chunk], values[chunk] = _maximize(kernel, _ratio_curvature, xs, r, vals,
+                                                       values[chunk])
+    if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.isfinite(values))[0]
+        raise ValueError(f"{causes[bad // ys.size]} is not finite at scaled time "
                          f"y = {float(rows[bad, 0])!r}")
-    columns = {f: tuple(map(KernelResult, ys.tolist(), v, x, m)) for f, v, x, m in zip(
-        families, *(a.reshape(numeric.shape).tolist() for a in (values, args)),
-        np.where(numeric, "numeric", "closed-form").tolist())}
+    y_list, shape = ys.tolist(), numeric.shape
+    columns = {f: tuple(map(KernelResult, y_list, v, x, map(_METHODS.__getitem__, m)))
+               for f, v, x, m in zip(families, values.reshape(shape).tolist(),
+                                     args.reshape(shape).tolist(), numeric.tolist())}
     return columns if several else columns[family]
 
 

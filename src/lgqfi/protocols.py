@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InvariantViolation, _finite, _integer, _positive
 from .linalg import Eigensystem, Operator, _state, hermitian_eig, to_eigenbasis
 from .models import MAX_SITES
-from .spectral import StationaryState
+from .spectral import SpectralData, StationaryState
 
 __all__ = [
     "MeterConfig",
@@ -149,7 +149,9 @@ class ProtocolInstance:
     Built as ``ProtocolInstance(h_eig, q, rho)`` from H's eigensystem (basis
     V), Q and a state vector, a density matrix or a
     :class:`~lgqfi.spectral.StationaryState` over ``h_eig``, whose weights
-    are rho's diagonal in H's basis.  Made once: the overlap
+    are rho's diagonal in H's basis; or the
+    :class:`~lgqfi.spectral.SpectralData` of (h_eig, q, state), which stands
+    for its state and already holds Q in H's basis.  Made once: the overlap
     ``overlap = V^+ W`` with Q's eigenbasis W (eigenvalues ``q_values``,
     grouped into ``outcomes`` by column indices ``members``) one block of W
     at a time, Q in H's basis (``q_h``), the state in Q's basis (``rho_w``),
@@ -160,7 +162,7 @@ class ProtocolInstance:
 
     h_eig: Eigensystem
     q: Operator
-    rho: InitVar[np.ndarray | StationaryState]
+    rho: InitVar[np.ndarray | StationaryState | SpectralData]
     outcomes: np.ndarray = field(init=False)
     members: tuple[np.ndarray, ...] = field(init=False)
     q_values: np.ndarray = field(init=False)
@@ -171,7 +173,7 @@ class ProtocolInstance:
     rho_w: np.ndarray = field(init=False)
     weights: np.ndarray | None = field(init=False)
 
-    def __post_init__(self, rho: np.ndarray | StationaryState) -> None:
+    def __post_init__(self, rho: np.ndarray | StationaryState | SpectralData) -> None:
         dim = self.h_eig.dim
         if dim > 2 ** MAX_SITES:
             raise ValueError(f"a protocol instance holds dense dim x dim arrays: dim {dim} is "
@@ -179,6 +181,11 @@ class ProtocolInstance:
         v = self.h_eig.basis
         if dim != self.q.dim:
             raise ValueError(f"H has dimension {dim} but Q has dimension {self.q.dim}")
+        q_h = None
+        if isinstance(rho, SpectralData):  # Q in H's basis, from the same _eigen_rows call
+            if rho.energies is not self.h_eig.energies:
+                raise ValueError("the spectral data is not built on this eigensystem")
+            rho, q_h = rho.state, rho.elements
         q_eig = hermitian_eig(self.q)
         outcomes, members = cluster_eigenvalues(q_eig.energies)
         # V^+ W one block of W at a time: a diagonal Q's 1 x 1 blocks gather columns
@@ -196,7 +203,8 @@ class ProtocolInstance:
         for name, value in (("outcomes", outcomes), ("members", tuple(members)),
                             ("q_values", q_eig.energies), ("overlap", overlap),
                             ("rho_h", rho_h), ("rho_ov", rho_ov), ("weights", weights),
-                            ("q_h", to_eigenbasis(self.q, self.h_eig)), ("rho_w", rho_w)):
+                            ("q_h", to_eigenbasis(self.q, self.h_eig) if q_h is None else q_h),
+                            ("rho_w", rho_w)):
             object.__setattr__(self, name, value)
 
 

@@ -218,10 +218,10 @@ def _merge_lines(energies: np.ndarray, abs_sq, p: np.ndarray):
     deltas, pair_sq, p_lo, p_hi, diag = (c[0] if len(c) == 1 else np.concatenate(c)
                                          for c in zip(*columns))
     zero = deltas <= LINE_MERGE_TOL
-    w_s_zero = float(np.sum(diag))
-    w_s_zero += float(np.sum((p_lo[zero] + p_hi[zero]) * pair_sq[zero]))
-    span = float(np.max(deltas[zero], initial=0.0))
-
+    w_s_zero, span = float(np.sum(diag)), 0.0
+    if zero.any():
+        w_s_zero += float(np.sum((p_lo[zero] + p_hi[zero]) * pair_sq[zero]))
+        span = float(np.max(deltas[zero]))
     pair_ws, pair_wchi = p_lo * pair_sq, -math.pi * (p_lo - p_hi) * pair_sq
     del columns, pair_sq, p_lo, p_hi
     # zero-line frequencies sort first, so the positive pairs are the tail
@@ -229,10 +229,9 @@ def _merge_lines(energies: np.ndarray, abs_sq, p: np.ndarray):
     pairs = [deltas[pos], pair_ws[pos], pair_wchi[pos]]
     del deltas, pair_ws, pair_wchi, pos
 
-    starts = np.flatnonzero(np.diff(pairs[0], prepend=-np.inf) > LINE_MERGE_TOL)
-    counts = np.diff(np.append(starts, pairs[0].shape[0]))
-    span = max(span, float(np.max(pairs[0][starts + counts - 1] - pairs[0][starts],
-                                  initial=0.0)))
+    # a line starts wherever the frequency rises by more than LINE_MERGE_TOL
+    bounds = np.flatnonzero(np.diff(pairs[0], prepend=-np.inf, append=np.inf) > LINE_MERGE_TOL)
+    starts, counts = bounds[:-1], np.diff(bounds)
     lines = np.zeros((3, starts.size + 1))
     lines[1, 0] = w_s_zero
     # equal-length rows summed along axis 1 get np.sum's pairwise summation;
@@ -242,6 +241,8 @@ def _merge_lines(energies: np.ndarray, abs_sq, p: np.ndarray):
         members = starts[rows, None] + np.arange(size)
         for line, values in zip(lines, pairs):
             line[1 + rows] = values[members].sum(axis=1)
+        if size > 1:
+            span = max(span, float(np.max(pairs[0][members[:, -1]] - pairs[0][members[:, 0]])))
     lines[0, 1:] /= counts
     return (*lines, span)
 

@@ -604,6 +604,8 @@ def test_only_h_takes_the_quarter_window_and_the_closed_form(monkeypatch):
     coefficients = lgqfi.kernels._coefficients
     monkeypatch.setattr(lgqfi.kernels, "_coefficients",
                         lambda family: vector if family == 7 else coefficients(family))
+    # plans are cached per family list: family 7 must not reach a cached h_7 plan
+    monkeypatch.setattr(lgqfi.kernels, "_batch_plan", lgqfi.kernels._batch_plan.__wrapped__)
     assert lgqfi.kernels._plan(vector)[1][-1] == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert lgqfi.kernels._plan(vector)[3] == f"the family with vector {vector}"
     assert [lgqfi.kernels._plan(coefficients(p))[3] for p in ("tilde", 3, 4)] == [

@@ -667,3 +667,42 @@ def test_protocol_instance_refuses_dims_above_the_dense_cap():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("state", [{"pure": {"index": 1}}, {"thermal": {"beta": 0.7}}])
+def test_protocol_run_puts_q_into_h_basis_once(tmp_path, capsys, monkeypatch, state):
+    # the instance's q_h is the spectral data's elements: one V^+ Q V per run
+    import json
+
+    import lgqfi.cli
+    import lgqfi.linalg
+    import lgqfi.spectral
+
+    eigen_rows, calls = lgqfi.linalg._eigen_rows, []
+
+    def counting(*args):
+        calls.append(1)
+        return eigen_rows(*args)
+
+    for module in (lgqfi.linalg, lgqfi.spectral):
+        monkeypatch.setattr(module, "_eigen_rows", counting)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "model": {"kind": "tfim", "params": {"n": 4, "j": 1.0, "h": 0.7}}, "state": state,
+        "protocol": {"tau": 0.6, "shots": 1000, "seed": 3, "widths": [0.1], "coupling": 1.0}}))
+    assert lgqfi.cli.main(["protocol", "--config", str(cfg)]) == 0
+    assert "projective_chain" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_protocol_instance_reads_q_from_spectral_data():
+    h, q = build_tfim(4, 1.0, 0.7)
+    eig = hermitian_eig(h)
+    state = make_state(eig, beta=0.7)
+    sd = spectral_data(eig, q, state)
+    inst = ProtocolInstance(eig, q, sd)
+    assert inst.q_h is sd.elements
+    np.testing.assert_array_equal(inst.q_h, ProtocolInstance(eig, q, state).q_h)
+    np.testing.assert_array_equal(inst.weights, state.weights)
+    with pytest.raises(ValueError, match="not built on this eigensystem"):
+        ProtocolInstance(hermitian_eig(h), q, sd)
