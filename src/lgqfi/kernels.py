@@ -227,7 +227,7 @@ def _maximize(kernel: Callable, curvature: Callable, xs: np.ndarray, rows: np.nd
     ``vals`` is the kernel at the (rows, n) coarse probes ``xs``; ``kernel``
     maps a (b, k) block of x and b parameter rows to values, and
     ``curvature(lo, hi, rows)`` bounds |d^2 kernel / dx^2| on brackets
-    [lo, hi].  Every local maximum of the probes is zoomed, one kernel call
+    [lo, hi] (inf or NaN keeps a bracket open), under the caller's error state.  Every local maximum of the probes is zoomed, one kernel call
     per level for all rows.  A level of spacing s leaves a bracket at most
     M s^2 / 8 above its best sample, so each bracket stops once that rise is
     within a relative eps of its row's best value (endpoint included), or
@@ -248,8 +248,7 @@ def _maximize(kernel: Callable, curvature: Callable, xs: np.ndarray, rows: np.nd
     rb, row_best = rows[owner], endpoints.copy()
     np.maximum.at(row_best, owner, best_v)
     # M / 8 of a coarse bracket holds on its sub-brackets; inf or NaN keeps it open
-    with np.errstate(all="ignore"):
-        np.divide(curvature(lo, hi, rb), 8.0, out=bound)
+    np.divide(curvature(lo, hi, rb), 8.0, out=bound)
     np.subtract(hi, lo, out=width)
     # a bracket that stops leaves the working arrays; slot is its place
     at = slot = np.arange(peaks.size)
@@ -328,7 +327,7 @@ def gamma_batch(family, ys):
         # the x -> 0 endpoint value (1/4) alpha y^2, which is gamma(y) for y >= Y_CRIT
         args, values = np.zeros(len(rows)), (table[:, :1] * ys * ys).ravel()
         for members, probes in groups:
-            mi, yi = np.nonzero(numeric[members])
+            mi, yi = np.divmod(np.flatnonzero(numeric[members]), ys.size)
             index, step = members[mi] * ys.size + yi, max(1, MAX_PROBES // probes.shape[2])
             for i in range(0, index.size, step):
                 chunk, m = index[i:i + step], mi[i:i + step]

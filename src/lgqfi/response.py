@@ -198,8 +198,9 @@ def gamma_H(beta: float, tau: float, omega_star: float) -> float:
         # and A'' (<= 2 sinh(z)/3, 2 cosh(z)/3) increase: taken at hi.  |h|, |h'|, |h''| <= 1/2,
         # 2, 33/8 where h > 0; elsewhere phi = 0 with upward kinks (the rise needs phi'' >= -M)
         z = beta * hi
-        return (beta * beta * np.cosh(z) / 3.0 + 8.0 * beta * tau * np.sinh(z) / 3.0
-                + 8.25 * tau * tau * np.sinh(z) / z)
+        with np.errstate(over="ignore"):  # an infinite bound keeps its bracket open
+            return (beta * beta * np.cosh(z) / 3.0 + 8.0 * beta * tau * np.sinh(z) / 3.0
+                    + 8.25 * tau * tau * np.sinh(z) / z)
 
     xs = _grid(omega_star, omega_star * tau / (2.0 * math.pi),
                f"gamma_H with omega_star * tau = {omega_star * tau:g}")

@@ -211,7 +211,8 @@ def _merge_lines(energies: np.ndarray, abs_sq, p: np.ndarray):
     columns = []  # per stack: Delta, |Q|^2, p_lo and p_hi of each pair n < m, then p_n |Q_nn|^2
     for lo, hi, sq in abs_sq:
         upper, diagonal = lo < hi, lo == hi
-        p_lo, p_hi = (np.broadcast_to(p[i], sq.shape) for i in (lo, hi))
+        p_lo, p_hi = np.empty((2,) + sq.shape)
+        p_lo[...], p_hi[...] = p[lo], p[hi]
         columns.append([(energies[hi] - energies[lo])[upper], sq[upper], p_lo[upper],
                         p_hi[upper], p_lo[diagonal] * sq[diagonal]])
     # one stack (one block) is used as it is: no copy
@@ -229,9 +230,11 @@ def _merge_lines(energies: np.ndarray, abs_sq, p: np.ndarray):
     pairs = [deltas[pos], pair_ws[pos], pair_wchi[pos]]
     del deltas, pair_ws, pair_wchi, pos
 
-    # a line starts wherever the frequency rises by more than LINE_MERGE_TOL
-    bounds = np.flatnonzero(np.diff(pairs[0], prepend=-np.inf, append=np.inf) > LINE_MERGE_TOL)
-    starts, counts = bounds[:-1], np.diff(bounds)
+    # a line starts wherever the frequency rises by more than LINE_MERGE_TOL (and at the ends)
+    rise = np.full(pairs[0].size + 1, np.inf)
+    np.subtract(pairs[0][1:], pairs[0][:-1], out=rise[1:-1])
+    bounds = np.flatnonzero(rise > LINE_MERGE_TOL)
+    starts, counts = bounds[:-1], bounds[1:] - bounds[:-1]
     lines = np.zeros((3, starts.size + 1))
     lines[1, 0] = w_s_zero
     # equal-length rows summed along axis 1 get np.sum's pairwise summation;
