@@ -70,7 +70,6 @@ _ZOOM_STEPS, _ONE_EPS = np.arange(float(_ZOOM_POINTS)), 1.0 + np.finfo(float).ep
 _AROUND = np.array([[-1], [1], [0]])
 _AROUND_TOP = np.clip(np.arange(_ZOOM_POINTS) + _AROUND, 0, _ZOOM_POINTS - 1)
 _SCALED_TIME = "scaled time y = 2 tau / beta"
-_METHODS = ("closed-form", "numeric")
 
 
 @dataclass(frozen=True)
@@ -144,17 +143,15 @@ def _plan(a: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray, np.nd
 @lru_cache(maxsize=32, typed=True)
 def _batch_plan(*families) -> tuple:
     """(causes, free, table, groups, edge) of :func:`gamma_batch`'s ``families``, each checked
-    once: their plans' causes, which have no closed form (all but h), plan rows zero-padded
-    (width 1 with none) after 0.25 alpha, gamma's endpoint factor, per coarse-probe count
-    (members, their (xs, osc)), and the least half first probe, below which no zoom looks."""
+    once: their causes, which have no closed form (all but h), plan rows zero-padded (width 1
+    with none), per coarse-probe count (members, their (xs, osc)), and the least coarse lo."""
     vectors = tuple(map(_coefficients, families))
     plans = tuple(map(_plan, vectors))
-    table = np.zeros((len(plans), 1 + max((plan[0].size for plan in plans), default=1)))
+    table = np.zeros((len(plans), max((plan[0].size for plan in plans), default=1)))
     groups = {}
     for i, plan in enumerate(plans):
-        table[i, 1:1 + plan[0].size] = plan[0]
+        table[i, :plan[0].size] = plan[0]
         groups.setdefault(plan[1].size, []).append(i)
-    table[:, 0] = 0.25 * table[:, 1]
     return (tuple(plan[3] for plan in plans), np.array([a != _H for a in vectors], bool), table,
             tuple((np.array(m), np.array([[plans[i][j] for i in m] for j in (1, 2)]))
                   for m in groups.values()),
@@ -172,16 +169,14 @@ def _ratio_kernel(ax, row, osc=None, near=True):
     when None).  For ax < 1e-4 y it is the series
     (1/4) [alpha y^2 + (beta4 y^2 + 2 alpha / 3) ax^2], accurate to O(ax^4); ``near``
     False, where every ax is at least 1e-4 y, skips that test."""
-    y = row[0]
+    y, alpha, beta4 = row[0], row[1], row[2]
     osc = _osc(ax, row[6:]) if osc is None else osc
-    if near:
-        small = ax < 1e-4 * y
-        near = small.any()
+    small = ax < 1e-4 * y if near else False
+    near = near and small.any()
     # finite coth where the series applies
     coth = 1.0 / np.tanh((np.where(small, y, ax) if near else ax) / y)
     out = 0.25 * coth * coth * osc
     if near:
-        alpha, beta4 = row[1], row[2]
         series = 0.25 * (alpha * y * y + (beta4 * y * y + 2.0 * alpha / 3.0) * ax * ax)
         out = np.where(small, series, out)
     return out
@@ -227,61 +222,55 @@ def _maximize(kernel: Callable, curvature: Callable, xs: np.ndarray, rows: np.nd
     ``vals`` is the kernel at the (rows, n) coarse probes ``xs``; ``kernel``
     maps a (b, k) block of x and b parameter rows to values, and
     ``curvature(lo, hi, rows)`` bounds |d^2 kernel / dx^2| on brackets
-    [lo, hi] (inf or NaN keeps a bracket open), under the caller's error state.  Every local maximum of the probes is zoomed, one kernel call
-    per level for all rows.  A level of spacing s leaves a bracket at most
+    [lo, hi] (inf or NaN keeps a bracket open; it runs under the caller's
+    error state).  Every local maximum of the probes is zoomed, one kernel
+    call per level for all rows.  A level of spacing s leaves a bracket at most
     M s^2 / 8 above its best sample, so each bracket stops once that rise is
     within a relative eps of its row's best value (endpoint included), or
     once it is 4 ulp wide.  Returns the (argmax_x, value) rows, ties to the
     first bracket, or (0.0, endpoint) where that is strictly larger.
     """
     count, n = vals.shape
-    padded = np.full((count, n + 2), -np.inf)
-    padded[:, 1:-1] = vals
-    owner, peaks = np.divmod(np.flatnonzero((vals > padded[:, :-2]) & (vals >= padded[:, 2:])), n)
-    # one column per open bracket: lo, hi (the probes around its peak, half the
-    # first probe at the x -> 0 end), best x, best value, M / 8 and hi - lo
-    work = np.empty((6, peaks.size))
+    pad = np.full((count, n + 2), -np.inf)
+    pad[:, 1:-1] = vals
+    owner, peaks = np.divmod(np.flatnonzero((vals > pad[:, :-2]) & (vals >= pad[:, 2:])), n)
+    # one column per open bracket: lo, hi (around the peak; half the first probe), best x,
+    # best value and M / 8
+    work = np.empty((5, peaks.size))
     work[:3] = xs[owner, np.minimum(peaks + _AROUND, n - 1)]
     np.multiply(work[2], 0.5, out=work[0], where=peaks == 0)
     work[3] = vals[owner, peaks]
-    lo, hi, best_x, best_v, bound, width = work
-    rb, row_best = rows[owner], endpoints.copy()
-    np.maximum.at(row_best, owner, best_v)
-    # M / 8 of a coarse bracket holds on its sub-brackets; inf or NaN keeps it open
-    np.divide(curvature(lo, hi, rb), 8.0, out=bound)
-    np.subtract(hi, lo, out=width)
+    lo, hi, best_x, best_v, bound = work
+    row_best = np.maximum(endpoints, vals.max(axis=1))
     # a bracket that stops leaves the working arrays; slot is its place
     at = slot = np.arange(peaks.size)
-    ob, final = owner, np.empty((2, peaks.size))
+    ob, rb, final = owner, rows[owner], np.empty((2, peaks.size))
+    # M / 8 of a coarse bracket holds on its sub-brackets; inf or NaN keeps it open
+    np.divide(curvature(lo, hi, rb), 8.0, out=bound)
     while True:
-        step = width / (_ZOOM_POINTS - 1.0)
+        step = (hi - lo) / (_ZOOM_POINTS - 1.0)
         x = lo[:, None] + step[:, None] * _ZOOM_STEPS
         level = kernel(x, rb)
         top = level.argmax(axis=1)
-        # the zoom points around the top (the next bracket) and at it
         around, top_v = x[at, _AROUND_TOP[:, top]], level[at, top]
         better = top_v > best_v
         np.copyto(best_x, around[2], where=better)
         np.copyto(best_v, top_v, where=better)
         np.maximum.at(row_best, ob, best_v)
         work[:2] = around[:2]
-        np.subtract(hi, lo, out=width)
         # open while wider than 4 ulp and not done (its rise is within eps)
-        open_ = (width > 4.0 * np.spacing(hi)) > (
+        open_ = (hi - lo > 4.0 * np.spacing(hi)) > (
             best_v + bound * step * step <= _ONE_EPS * row_best[ob])
         still = np.count_nonzero(open_)
         if still < open_.size:
             final[:, slot] = work[2:4]
             if not still:
                 break
-            lo, hi, best_x, best_v, bound, width = work = work[:, open_]
+            lo, hi, best_x, best_v, bound = work = work[:, open_]
             slot, ob, rb, at = slot[open_], ob[open_], rb[open_], at[:still]
     # each row's first bracket with its largest value (lexsort is stable)
     best = final[:, np.lexsort((-final[1], owner))[np.searchsorted(owner, np.arange(count))]]
-    wins = endpoints > best[1]
-    np.copyto(best[0], 0.0, where=wins)
-    np.copyto(best[1], endpoints, where=wins)
-    return best
+    return np.where(endpoints > best[1], (np.zeros(count), endpoints), best)
 
 
 def _ratio_curvature(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -315,17 +304,16 @@ def gamma_batch(family, ys):
     if not (ys > 0.0).all():
         _positive(ys[~(ys > 0.0)][0], _SCALED_TIME)
     # one row per (family, y), family after family: y, then the zero-padded plan row
-    rows = np.empty((len(families), ys.size, table.shape[1]))
-    rows[:, :, 0], rows[:, :, 1:] = ys, table[:, None, 1:]
+    rows = np.empty((len(families), ys.size, 1 + table.shape[1]))
+    rows[:, :, 0], rows[:, :, 1:] = ys, table[:, None]
     rows = rows.reshape(-1, rows.shape[2])
     numeric = free[:, None] | (ys < Y_CRIT)
     # every probe and zoom point x >= edge, the least coarse lo: x < 1e-4 y needs a large y
     near = bool(edge < 1e-4 * ys.max(initial=0.0))
-    kernel = lambda x, rb: _ratio_kernel(x, rb.T[..., None], None, near)  # noqa: E731
     # y^2 overflows above about 1.3e154: the ValueErrors below report it
     with np.errstate(over="ignore", invalid="ignore"):
         # the x -> 0 endpoint value (1/4) alpha y^2, which is gamma(y) for y >= Y_CRIT
-        args, values = np.zeros(len(rows)), (table[:, :1] * ys * ys).ravel()
+        args, values = np.zeros(len(rows)), (0.25 * table[:, :1] * ys * ys).ravel()
         for members, probes in groups:
             mi, yi = np.divmod(np.flatnonzero(numeric[members]), ys.size)
             index, step = members[mi] * ys.size + yi, max(1, MAX_PROBES // probes.shape[2])
@@ -336,16 +324,15 @@ def gamma_batch(family, ys):
                 if not np.isfinite(vals).all():  # no peak to zoom: reported below
                     values[chunk[~np.isfinite(vals).all(axis=1)]] = np.nan
                     continue
-                args[chunk], values[chunk] = _maximize(kernel, _ratio_curvature, xs, r, vals,
-                                                       values[chunk])
-    if not np.isfinite(values).all():
-        bad = np.flatnonzero(~np.isfinite(values))[0]
+                args[chunk], values[chunk] = _maximize(
+                    lambda x, rb: _ratio_kernel(x, rb.T[..., None], None, near),
+                    _ratio_curvature, xs, r, vals, values[chunk])
+    for bad in np.flatnonzero(~np.isfinite(values))[:1]:
         raise ValueError(f"{causes[bad // ys.size]} is not finite at scaled time "
                          f"y = {float(rows[bad, 0])!r}")
-    y_list, shape = ys.tolist(), numeric.shape
-    columns = {f: tuple(map(KernelResult, y_list, v, x, map(_METHODS.__getitem__, m)))
-               for f, v, x, m in zip(families, values.reshape(shape).tolist(),
-                                     args.reshape(shape).tolist(), numeric.tolist())}
+    columns = {f: tuple(map(KernelResult, ys.tolist(), v, x, map(
+        ("closed-form", "numeric").__getitem__, m))) for f, v, x, m in zip(
+        families, *(a.reshape(numeric.shape).tolist() for a in (values, args, numeric)))}
     return columns if several else columns[family]
 
 

@@ -149,9 +149,8 @@ class ProtocolInstance:
     Built as ``ProtocolInstance(h_eig, q, rho)`` from H's eigensystem (basis
     V), Q and a state vector, a density matrix or a
     :class:`~lgqfi.spectral.StationaryState` over ``h_eig``, whose weights
-    are rho's diagonal in H's basis; or the
-    :class:`~lgqfi.spectral.SpectralData` of (h_eig, q, state), which stands
-    for its state and already holds Q in H's basis.  Made once: the overlap
+    are rho's diagonal in H's basis (or the SpectralData of h_eig, Q and that
+    state, which also holds Q in H's basis).  Made once: the overlap
     ``overlap = V^+ W`` with Q's eigenbasis W (eigenvalues ``q_values``,
     grouped into ``outcomes`` by column indices ``members``) one block of W
     at a time, Q in H's basis (``q_h``), the state in Q's basis (``rho_w``),

@@ -230,7 +230,6 @@ def _merge_lines(energies: np.ndarray, abs_sq, p: np.ndarray):
     pairs = [deltas[pos], pair_ws[pos], pair_wchi[pos]]
     del deltas, pair_ws, pair_wchi, pos
 
-    # a line starts wherever the frequency rises by more than LINE_MERGE_TOL (and at the ends)
     rise = np.full(pairs[0].size + 1, np.inf)
     np.subtract(pairs[0][1:], pairs[0][:-1], out=rise[1:-1])
     bounds = np.flatnonzero(rise > LINE_MERGE_TOL)
