@@ -20,9 +20,14 @@ lower bounds.  gamma has the closed form y^2/4 for y >= sqrt(8/7); all other
 maxima come from one maximizer over rows, one per (family, y) pair (every
 family of a tau grid in one :func:`gamma_batch` call): coarse probes plus a
 nested zoom on every local maximum, with the x -> 0 endpoint value as a
-candidate.  Each bracket zooms on its own until a closed-form bound on |f''|
-shows that it cannot rise above its row's best value by more than a relative
-eps.  Plans per vector a and per ordered family list are cached, never by y.
+candidate.  Each zoom level samples 33 points across every open bracket in
+one kernel call, and the two samples around its top are the next bracket.
+A bracket stops once a closed-form bound on |f''| shows that it cannot rise
+above its row's best value by more than a relative eps (or at 4 ulp), and
+leaves the working arrays.  Plans per vector a and per ordered family list
+(whose families are checked once) are cached, never by y; since no zoom point
+lies below the least coarse bracket end, the series test near x = 0 runs
+only in calls whose largest y can reach it.
 
 The oscillatory factors are 2*pi-periodic while coth^2(x/y) is strictly
 decreasing in x > 0, so where the oscillation is positive at x > 2 pi the
