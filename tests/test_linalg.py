@@ -281,6 +281,34 @@ def test_validation_failure_names_dimension(monkeypatch):
         hermitian_eig(op)
 
 
+
+def _rotated(matrix: np.ndarray, seed: int = 19) -> np.ndarray:
+    """``D matrix D^dag`` with ``D = diag(e^{i phi_k})``: complex, with the same spectrum."""
+    d = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, matrix.shape[0]))
+    return d[:, None] * matrix * d.conj()
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["real", "rotated"])
+@pytest.mark.parametrize("flaw, message", [("column", "not unitary"),
+                                           ("energy", "reconstruction failed")])
+def test_eigensystem_checks_catch_a_flawed_solution(monkeypatch, rotate, flaw, message):
+    h = build_tfim(4, 1.0, 0.7)[0].matrix
+    op = Operator(_rotated(h) if rotate else h)
+    assert bool(op.matrix.imag.any()) is rotate
+    eigh = np.linalg.eigh
+
+    def flawed(a):  # one perturbed column, or one wrong energy
+        energies, vectors = eigh(a)
+        if flaw == "column":
+            vectors[..., 3] *= 1.0 + 1e-6
+        else:
+            energies[..., 5] += 1e-6
+        return energies, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", flawed)
+    with pytest.raises(NumericsError, match=message):
+        hermitian_eig(op)
+
 def test_block_form_operator_and_its_dense_view():
     rows = np.array([[3, 0], [1, 2]])
     blocks = np.array([[[1.0, 0.5j], [-0.5j, -1.0]], [[2.0, 0.25], [0.25, 0.0]]])
