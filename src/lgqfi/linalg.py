@@ -13,6 +13,11 @@ here and are enforced by this module:
   component of the nonzero pattern) is diagonalized alone; inside its
   degenerate clusters the columns are LAPACK's, and equal energies of
   different blocks go by smallest index.
+
+Stored arrays and the eigensolve are complex128.  A block whose entries and
+eigenvectors are real-valued (every imaginary part exactly zero) is validated
+in float64, and a real-valued input is checked and symmetrized in float64, to
+the stored bits the complex arithmetic gives.
 """
 
 from __future__ import annotations
@@ -52,19 +57,30 @@ def _immutable(self, name: str, *value: object) -> None:
     raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
 
 
+def _real_parts(*arrays: np.ndarray) -> tuple:
+    """The arrays' real parts when every imaginary part is exactly zero (of either sign), else
+    the arrays: the one test that sends real-valued arrays' products down the float64 path."""
+    return arrays if any(a.imag.any() for a in arrays) else tuple(a.real for a in arrays)
+
+
 def _symmetrized(m: np.ndarray) -> np.ndarray:
     """A matrix or stack ``m`` as ``A/2 + A^dag/2``, read-only, once every entry is finite
-    and Hermiticity holds entrywise within ``HERMITICITY_TOL``."""
+    and Hermiticity holds entrywise within ``HERMITICITY_TOL``; in float64, with the same
+    bits, when every imaginary part is +0.0 (a -0.0 moves the signs of the halves' zeros)."""
+    x = m if np.signbit(m.imag).any() else _real_parts(m)[0]
     with np.errstate(invalid="ignore"):
-        deviation = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0))
+        deviation = float(np.max(np.abs(x - x.conj().swapaxes(-1, -2)), initial=0.0))
     # a NaN or inf entry makes its own deviation NaN or inf
     if not np.isfinite(deviation):
         raise ValueError("matrix has a non-finite (NaN or inf) entry")
     if deviation > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |A_ij - conj(A_ji)| = "
                          f"{deviation:.3e} exceeds {HERMITICITY_TOL:.1e}")
-    sym = m / 2.0  # halved first: entries near the float maximum cannot overflow
-    return _frozen_array(np.add(sym, sym.conj().swapaxes(-1, -2), out=sym), np.complex128)
+    if x is m:
+        sym = m / 2.0  # halved first: entries near the float maximum cannot overflow
+        return _frozen_array(np.add(sym, sym.conj().swapaxes(-1, -2), out=sym), np.complex128)
+    half = np.multiply(x + 0.0, 0.5)  # complex m / 2.0's real part: (a + 0.0 * 0.0) / 2
+    return _frozen_array(half + half.swapaxes(-1, -2), np.complex128)
 
 
 class Operator:
@@ -220,13 +236,17 @@ def _solve_blocks(op: Operator, blocks: np.ndarray) -> tuple[np.ndarray, np.ndar
     _check_overflow(energies, op.dim)
     basis = _fix_phases(basis)
     scale = op.max_abs
-    gram = basis.conj().swapaxes(-1, -2) @ basis
-    unit_dev = float(np.max(np.abs(gram - np.eye(blocks.shape[-1]))))
+    v, a = _real_parts(basis, blocks)  # V^dag V - I and V E V^dag - A, in float64 if real
+    v = np.ascontiguousarray(v)  # a real part has no unit stride, which BLAS takes
+    gram = v.conj().swapaxes(-1, -2) @ v
+    gram.reshape(-1, v.shape[-1] ** 2)[:, ::v.shape[-1] + 1] -= 1.0
+    unit_dev = float(np.max(np.abs(gram)))
     if not unit_dev <= UNITARITY_TOL:  # NaN fails
         raise NumericsError(f"eigenvector matrix for dim-{op.dim} operator is not unitary "
                             f"(deviation {unit_dev:.3e})")
-    rebuilt = (basis * energies[..., None, :]) @ basis.conj().swapaxes(-1, -2)
-    recon_dev = float(np.max(np.abs(rebuilt - blocks)))
+    del gram
+    rebuilt = (v * energies[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    recon_dev = float(np.max(np.abs(np.subtract(rebuilt, a, out=rebuilt))))
     if not recon_dev <= RECONSTRUCTION_TOL * max(scale, 1e-300):
         raise NumericsError(f"spectral reconstruction failed for dim-{op.dim} operator "
                             f"(residual {recon_dev:.3e}, scale {scale:.3e})")

@@ -3,7 +3,9 @@
 Every protocol runs on one :class:`ProtocolInstance`, which holds the state
 and Q in H's and Q's eigenbases, where time evolution is a phase per level,
 a projector is a block of columns and a stationary state, which does not
-change in time, is held as its weights.  Three routes to the correlator:
+change in time, is held as its weights.  When both eigenbases are real-valued
+the overlap between them is float64, and products through it run on real and
+imaginary halves (the propagator's cos and sin).  Three routes to the correlator:
 
 * exact projective statistics: the joint outcome distribution of ideal
   projective measurements of Q at two times, with the correlator read off
@@ -32,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolation, _finite, _integer, _positive
-from .linalg import Eigensystem, Operator, _state, hermitian_eig, to_eigenbasis
+from .linalg import Eigensystem, Operator, _real_parts, _state, hermitian_eig, to_eigenbasis
 from .models import MAX_SITES
 from .spectral import SpectralData, StationaryState
 
@@ -187,9 +189,11 @@ class ProtocolInstance:
             rho, q_h = rho.state, rho.elements
         q_eig = hermitian_eig(self.q)
         outcomes, members = cluster_eigenvalues(q_eig.energies)
-        # V^+ W one block of W at a time: a diagonal Q's 1 x 1 blocks gather columns
-        vh, overlap = v.conj().T, np.empty((dim, dim), dtype=np.complex128)
-        for rows, w, levels in q_eig.groups:
+        # V^+ W one block of W at a time (a diagonal Q's 1 x 1 blocks gather columns), in
+        # float64 when V and W are real-valued
+        vh, *ws = _real_parts(v, *(w for _, w, _ in q_eig.groups))
+        vh, overlap = vh.conj().T, np.empty((dim, dim), dtype=vh.dtype)
+        for (rows, _, levels), w in zip(q_eig.groups, ws):
             overlap[:, levels] = (vh[:, rows].transpose(1, 0, 2) @ w).transpose(1, 0, 2)
         rho_h = rho_ov = weights = None
         if isinstance(rho, StationaryState):  # diagonal in H's basis: scale by the weights
@@ -197,7 +201,7 @@ class ProtocolInstance:
             rho_w = (overlap.conj().T * weights) @ overlap
         else:
             rho = _state(rho, dim)
-            rho_h = vh @ (np.outer(rho, rho.conj()) if rho.ndim == 1 else rho) @ v
+            rho_h = v.conj().T @ (np.outer(rho, rho.conj()) if rho.ndim == 1 else rho) @ v
             rho_ov, rho_w = rho_h @ overlap, overlap.conj().T @ rho_h @ overlap
         for name, value in (("outcomes", outcomes), ("members", tuple(members)),
                             ("q_values", q_eig.energies), ("overlap", overlap),
@@ -226,21 +230,23 @@ def projective_joint(inst: ProtocolInstance, t1: float, t2: float) -> JointDistr
     if inst.weights is None:  # rho(t1) V^+ W in H's basis: all phases are exactly 1 at t1 = 0
         ph = np.exp(-1j * inst.h_eig.energies * t1)
         rho_ov = inst.rho_ov if t1 == 0.0 else (ph[:, None] * inst.rho_h * ph.conj()) @ ov
-    u_gap = (ov.conj().T * np.exp(-1j * inst.h_eig.energies * (t2 - t1))) @ ov
+    ph = np.exp(-1j * inst.h_eig.energies * (t2 - t1))
+    halves = ([(ov.T * part) @ ov for part in (ph.real, ph.imag)] if ov.dtype == np.float64
+              else [(ov.conj().T * ph) @ ov])
 
     probs = np.empty((len(inst.outcomes), len(inst.outcomes)))
     for a, cols in enumerate(inst.members):
-        u_a = u_gap[:, cols]
+        u_a = [half[:, cols] for half in halves]
         rho_a = (inst.rho_w[cols[:, None], cols] if inst.weights is not None
                  else ov[:, cols].conj().T @ rho_ov[:, cols])
-        diag = ((u_a @ rho_a) * u_a.conj()).real.sum(axis=1)
+        if len(u_a) == 2 and np.iscomplexobj(rho_a):  # real halves C + iS, a complex rho~
+            u_a = [u_a[0] + 1j * u_a[1]]
+        diag = np.add.reduce([((u @ rho_a) * u.conj()).real.sum(axis=1) for u in u_a])
         probs[a] = [diag[rows].sum() for rows in inst.members]
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if not abs(total - 1.0) <= 1e-10:  # NaN fails
-        raise InvariantViolation(
-            f"projective joint probabilities sum to {total!r}, expected 1"
-        )
+        raise InvariantViolation(f"projective joint probabilities sum to {total!r}, expected 1")
     return JointDistribution(outcomes=inst.outcomes, probs=probs, times=(t1, t2))
 
 
@@ -251,9 +257,9 @@ def projective_mc(inst: ProtocolInstance, t1: float, t2: float, shots: int,
     Sampling uses a counter-based generator keyed by ``seed``: each shot
     consumes a fixed amount of counter stream, so the estimate is bitwise
     reproducible for the same seed regardless of how the draw is batched.
-    Each block of draws is counted below each cdf edge, in one pass per edge
-    or, past ``_EDGE_PASSES`` edges, one sort and search; the shots per
-    outcome pair, the integers that binning each draw gives, are the
+    Each block of draws is counted below each cdf edge but the last (1.0), in
+    one pass per edge or, past ``_EDGE_PASSES`` edges, one sort and search;
+    the shots per outcome pair, the integers that binning each draw gives, are the
     differences of these running counts, so memory does not grow with
     ``shots``.  The standard error uses the unbiased sample variance.
     """
@@ -266,15 +272,16 @@ def projective_mc(inst: ProtocolInstance, t1: float, t2: float, shots: int,
     cdf[-1] = 1.0
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    below = np.zeros(cdf.size, dtype=np.int64)  # draws under each cdf edge
+    below = np.zeros(cdf.size - 1, dtype=np.int64)  # draws under each edge but the last
     for lo in range(0, shots, _MC_BLOCK):
         draws = rng.random(min(_MC_BLOCK, shots - lo))
         if cdf.size <= _EDGE_PASSES:
-            below += [np.count_nonzero(draws < edge) for edge in cdf]
+            for k, edge in enumerate(cdf[:-1]):
+                below[k] += np.count_nonzero(draws < edge)
         else:
             draws.sort()
-            below += np.searchsorted(draws, cdf)
-    counts = np.diff(below, prepend=0)
+            below += np.searchsorted(draws, cdf[:-1])
+    counts = np.diff(below, prepend=0, append=shots)  # every draw lies under the last edge
 
     value = float(counts @ flat_products) / shots
     # the ddof=1 sample variance over the shots, from the per-outcome counts
@@ -320,15 +327,19 @@ def weak_two_meter(inst: ProtocolInstance, tau: float,
     observables, where the weak scheme reproduces the symmetrized correlator
     at any meter strength.
     """
+    def total(x):  # the sum of a complex array, or of its real and imaginary stack
+        return np.sum(x) if x.ndim == 2 else np.sum(x[0]) + 1j * np.sum(x[1])
+
     tau = _finite(tau, "tau")
-    qvals = inst.q_values
-    q_tau_w = inst.overlap.conj().T @ _heisenberg_h(inst, tau) @ inst.overlap
-    weighted = q_tau_w * inst.rho_w.T * (0.5 * (qvals[:, None] + qvals[None, :]))
+    qvals, ov, q_tau = inst.q_values, inst.overlap, _heisenberg_h(inst, tau)
+    mean = 0.5 * (qvals[:, None] + qvals[None, :])  # a real overlap: Q(tau) as Re, Im stack
+    weighted = (ov.T @ np.stack((q_tau.real, q_tau.imag)) @ ov * (inst.rho_w.T * mean)
+                if ov.dtype == np.float64 else ov.conj().T @ q_tau @ ov * inst.rho_w.T * mean)
     gap = qvals[:, None] - qvals[None, :]
-    exact = float(np.sum(weighted).real)  # the zero-width value, (1/2) Tr[rho {Q, Q(tau)}]
+    exact = float(total(weighted).real)  # the zero-width value, (1/2) Tr[rho {Q, Q(tau)}]
     estimates = []
     for cfg in meters:
-        value_c = np.sum(weighted * np.exp(-0.5 * (cfg.coupling * cfg.width * gap) ** 2))
+        value_c = total(weighted * np.exp(-0.5 * (cfg.coupling * cfg.width * gap) ** 2))
         if abs(value_c.imag) > 1e-10:
             raise InvariantViolation(f"weak-meter correlator has imaginary part {value_c.imag!r}")
         estimates.append(ProtocolEstimate(value=float(value_c.real), stderr=0.0, shots=0,
@@ -348,13 +359,9 @@ def lgi_from_protocol(e12: ProtocolEstimate, e23: ProtocolEstimate,
     gap23 = e23.times[1] - e23.times[0]
     gap13 = e13.times[1] - e13.times[0]
     if abs(gap12 - gap23) > 1e-12:
-        raise ValueError(
-            f"time spacings differ: t2-t1 = {gap12!r}, t3-t2 = {gap23!r}"
-        )
+        raise ValueError(f"time spacings differ: t2-t1 = {gap12!r}, t3-t2 = {gap23!r}")
     if abs(gap13 - (gap12 + gap23)) > 1e-12:
-        raise ValueError(
-            f"outer spacing {gap13!r} is not the sum of the inner spacings"
-        )
+        raise ValueError(f"outer spacing {gap13!r} is not the sum of the inner spacings")
     value = e12.value + e23.value - e13.value
     stderr = math.sqrt(e12.stderr**2 + e23.stderr**2 + e13.stderr**2)
     exact = e12.exact_ref + e23.exact_ref - e13.exact_ref

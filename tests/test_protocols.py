@@ -301,6 +301,32 @@ def test_projective_mc_reproducible_and_gated():
     assert abs(est1.value - est1.exact_ref) <= 5.0 * est1.stderr
 
 
+
+def _rotated(op: Operator, seed: int = 19) -> Operator:
+    """``D op D^dag`` with ``D = diag(e^{i phi_k})``: complex, and unitarily equivalent."""
+    d = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, op.dim))
+    return Operator(d[:, None] * op.matrix * d.conj())
+
+
+@pytest.mark.parametrize("case", ["tfim6-thermal", "ghz-protocol"])
+def test_real_and_complex_paths_agree_on_a_rotated_instance(case):
+    # a real-valued instance runs in float64, its rotated copy in complex128: the same physics
+    if case == "tfim6-thermal":  # a diagonal Q commutes with D
+        (h, q), state, tau = build_tfim(6, 1.0, 0.7), {"beta": 1.3}, 0.8
+    else:  # docs/examples/ghz-protocol.json
+        (h, q), state, tau = build_ghz_effective(6, 1.0, 1.0), {"index": 1}, math.pi / 3
+    meters = [MeterConfig(1.0, width) for width in (0.1, 0.01)]
+    results = []
+    for pair, dtype in (((h, q), np.float64), ((_rotated(h), _rotated(q)), np.complex128)):
+        eig = hermitian_eig(pair[0])
+        inst = ProtocolInstance(eig, pair[1], make_state(eig, **state))
+        assert inst.overlap.dtype == inst.rho_w.dtype == dtype
+        mc = projective_mc(inst, 0.0, tau, 100_000, 7)
+        results.append([*projective_joint(inst, 0.0, 2.0 * tau).probs.ravel(), mc.value,
+                        mc.stderr, *(e.value for e in weak_two_meter(inst, tau, meters)),
+                        symmetrized_correlator(inst, 0.3, 0.3 + tau)])
+    np.testing.assert_allclose(results[1], results[0], rtol=0.0, atol=1e-12)
+
 def test_projective_mc_blocks_match_one_draw_in_one_float_per_shot():
     # the draws come block by block and are tallied per outcome pair, so the
     # memory is a few blocks at any shot count; value and stderr keep the bits
