@@ -6,18 +6,14 @@ dense matrix is one block, a diagonal is all 1x1.  Two guarantees matter
 here and are enforced by this module:
 
 * validity: eigenvalues ascending with a finite spectral width, eigenvectors
-  unitary, and ``V diag(E) V^dag`` reproduces each block to high accuracy;
+  unitary, and ``V diag(E) V^dag`` reproduces each block to high accuracy
+  (checked in float64 when the block and its eigenvectors are real-valued);
 * determinism: identical input bits produce identical output bits at a fixed
   BLAS thread count, with a fixed phase convention, so that serialized
   results are stable.  Each block (for a dense input, each connected
   component of the nonzero pattern) is diagonalized alone; inside its
   degenerate clusters the columns are LAPACK's, and equal energies of
   different blocks go by smallest index.
-
-Stored arrays and the eigensolve are complex128.  A block whose entries and
-eigenvectors are real-valued (every imaginary part exactly zero) is validated
-in float64, and a real-valued input is checked and symmetrized in float64, to
-the stored bits the complex arithmetic gives.
 """
 
 from __future__ import annotations
@@ -58,8 +54,7 @@ def _immutable(self, name: str, *value: object) -> None:
 
 
 def _real_parts(*arrays: np.ndarray) -> tuple:
-    """The arrays' real parts when every imaginary part is exactly zero (of either sign), else
-    the arrays: the one test that sends real-valued arrays' products down the float64 path."""
+    """The arrays' real parts when every imaginary part is exactly zero, else the arrays."""
     return arrays if any(a.imag.any() for a in arrays) else tuple(a.real for a in arrays)
 
 
@@ -76,11 +71,10 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     if deviation > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |A_ij - conj(A_ji)| = "
                          f"{deviation:.3e} exceeds {HERMITICITY_TOL:.1e}")
-    if x is m:
-        sym = m / 2.0  # halved first: entries near the float maximum cannot overflow
-        return _frozen_array(np.add(sym, sym.conj().swapaxes(-1, -2), out=sym), np.complex128)
-    half = np.multiply(x + 0.0, 0.5)  # complex m / 2.0's real part: (a + 0.0 * 0.0) / 2
-    return _frozen_array(half + half.swapaxes(-1, -2), np.complex128)
+    # halved first: entries near the float maximum cannot overflow; a real part is halved
+    # as complex m / 2.0 halves it, (a + 0.0 * 0.0) / 2
+    sym = m / 2.0 if x is m else np.multiply(x + 0.0, 0.5)
+    return _frozen_array(np.add(sym, sym.conj().swapaxes(-1, -2), out=sym), np.complex128)
 
 
 class Operator:

@@ -3,9 +3,8 @@
 Every protocol runs on one :class:`ProtocolInstance`, which holds the state
 and Q in H's and Q's eigenbases, where time evolution is a phase per level,
 a projector is a block of columns and a stationary state, which does not
-change in time, is held as its weights.  When both eigenbases are real-valued
-the overlap between them is float64, and products through it run on real and
-imaginary halves (the propagator's cos and sin).  Three routes to the correlator:
+change in time, is held as its weights; when both eigenbases are real-valued,
+products through their overlap run in float64.  Three routes to the correlator:
 
 * exact projective statistics: the joint outcome distribution of ideal
   projective measurements of Q at two times, with the correlator read off
@@ -157,8 +156,9 @@ class ProtocolInstance:
     grouped into ``outcomes`` by column indices ``members``) one block of W
     at a time, Q in H's basis (``q_h``), the state in Q's basis (``rho_w``),
     and a stationary state's ``weights`` (else None).  Only a non-stationary
-    state keeps its H-basis ``rho_h`` and ``rho_ov = rho_h V^+ W`` (else None).
-    These are dense dim x dim arrays, so dim is capped at 2^MAX_SITES (a ``ValueError``).
+    state keeps its H-basis ``rho_h`` and ``rho_ov = rho_h V^+ W`` (else None).  All are
+    dense dim x dim arrays (dim is capped at 2^MAX_SITES, a ``ValueError``); ``overlap``
+    and a stationary ``rho_w`` are float64 when V and W are real-valued.
     """
 
     h_eig: Eigensystem
@@ -246,7 +246,9 @@ def projective_joint(inst: ProtocolInstance, t1: float, t2: float) -> JointDistr
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if not abs(total - 1.0) <= 1e-10:  # NaN fails
-        raise InvariantViolation(f"projective joint probabilities sum to {total!r}, expected 1")
+        raise InvariantViolation(
+            f"projective joint probabilities sum to {total!r}, expected 1"
+        )
     return JointDistribution(outcomes=inst.outcomes, probs=probs, times=(t1, t2))
 
 
@@ -327,8 +329,11 @@ def weak_two_meter(inst: ProtocolInstance, tau: float,
     observables, where the weak scheme reproduces the symmetrized correlator
     at any meter strength.
     """
-    def total(x):  # the sum of a complex array, or of its real and imaginary stack
-        return np.sum(x) if x.ndim == 2 else np.sum(x[0]) + 1j * np.sum(x[1])
+    def total(x, g=None):  # the sum of x * g: x complex, or its real and imaginary stack
+        if x.ndim == 2:
+            return np.sum(x if g is None else x * g)
+        re, im = x.sum(axis=(1, 2)) if g is None else x.reshape(2, -1) @ g.ravel()
+        return re + 1j * im
 
     tau = _finite(tau, "tau")
     qvals, ov, q_tau = inst.q_values, inst.overlap, _heisenberg_h(inst, tau)
@@ -339,7 +344,7 @@ def weak_two_meter(inst: ProtocolInstance, tau: float,
     exact = float(total(weighted).real)  # the zero-width value, (1/2) Tr[rho {Q, Q(tau)}]
     estimates = []
     for cfg in meters:
-        value_c = total(weighted * np.exp(-0.5 * (cfg.coupling * cfg.width * gap) ** 2))
+        value_c = total(weighted, np.exp(-0.5 * (cfg.coupling * cfg.width * gap) ** 2))
         if abs(value_c.imag) > 1e-10:
             raise InvariantViolation(f"weak-meter correlator has imaginary part {value_c.imag!r}")
         estimates.append(ProtocolEstimate(value=float(value_c.real), stderr=0.0, shots=0,
@@ -359,9 +364,13 @@ def lgi_from_protocol(e12: ProtocolEstimate, e23: ProtocolEstimate,
     gap23 = e23.times[1] - e23.times[0]
     gap13 = e13.times[1] - e13.times[0]
     if abs(gap12 - gap23) > 1e-12:
-        raise ValueError(f"time spacings differ: t2-t1 = {gap12!r}, t3-t2 = {gap23!r}")
+        raise ValueError(
+            f"time spacings differ: t2-t1 = {gap12!r}, t3-t2 = {gap23!r}"
+        )
     if abs(gap13 - (gap12 + gap23)) > 1e-12:
-        raise ValueError(f"outer spacing {gap13!r} is not the sum of the inner spacings")
+        raise ValueError(
+            f"outer spacing {gap13!r} is not the sum of the inner spacings"
+        )
     value = e12.value + e23.value - e13.value
     stderr = math.sqrt(e12.stderr**2 + e23.stderr**2 + e13.stderr**2)
     exact = e12.exact_ref + e23.exact_ref - e13.exact_ref
