@@ -238,7 +238,7 @@ def _solve_blocks(op: Operator, blocks: np.ndarray) -> tuple[np.ndarray, np.ndar
     if not unit_dev <= UNITARITY_TOL:  # NaN fails
         raise NumericsError(f"eigenvector matrix for dim-{op.dim} operator is not unitary "
                             f"(deviation {unit_dev:.3e})")
-    del gram
+    del gram  # freed before V E V^T: one d x d temporary at a time
     rebuilt = (v * energies[..., None, :]) @ v.conj().swapaxes(-1, -2)
     recon_dev = float(np.max(np.abs(np.subtract(rebuilt, a, out=rebuilt))))
     if not recon_dev <= RECONSTRUCTION_TOL * max(scale, 1e-300):
